@@ -163,6 +163,9 @@ def cmd_theta(args):
     lam = parse_partition(args.lam)
     if args.genus < 1 or args.bound < 0:
         raise InputError("--genus must be >= 1 and --bound >= 0")
+    if lat.coset_h is not None and len(lat.coset_h) != args.genus:
+        raise InputError(f"the lattice coset has {len(lat.coset_h)} shift "
+                         f"vectors but --genus is {args.genus}")
     if lam and len(lam) > args.genus:
         raise InputError("partition has more rows than the genus")
     if lam and lat.rank ** sum(lam) > 1500 and len(lam) > 1:

@@ -1,35 +1,48 @@
 """Integer shell enumeration for positive definite forms.
 
-The search kernel walks the standard back-substitution tree with floating
-bounds padded by a safety margin; every candidate is accepted or rejected by
-an exact int64 evaluation of the doubled gram, so the float layer can only
-cost time, never correctness.
+shell_vectors is the Fincke-Pohst search (Fincke & Pohst, Math. Comp. 44,
+1985), run level by level over numpy arrays.  With the doubled gram written
+exactly as G = L D L^T, the form is sum_i D_i (x_i + c_i)^2, where c_i
+depends only on the later coordinates.  Fixing x_{m-1}, ..., x_1 in turn
+leaves each coordinate an interval, and a partial vector whose remaining
+budget goes negative is pruned at once (the per-level pruning of Schnorr &
+Euchner, Math. Programming 66, 1994).  The frontier is a block of fixed
+trailing coordinates plus float budgets.  It is expanded depth first, at
+most CHUNK rows at a time, so memory stays bounded whatever the shell size.
 
-The kernel compiles with numba when available.  Set FOCKFORMS_NO_NUMBA=1 to
-force the pure path; shell_vectors also takes pure=True for side-by-side
-comparison (the benchmark and the oracle tests run both).
+Floats only decide where to look.  Every interval is widened by a margin
+that covers its rounding error and clipped to the exact dual-diagonal box
+|x_i|^2 <= target (G^{-1})_{ii}, which holds every solution by
+Cauchy-Schwarz.  The first coordinate is never scanned.  Given the others,
+x^T G x = target is the integer quadratic a x_0^2 + 2 b x_0 + q = target,
+and x_0 is accepted exactly when (a x_0 + b)^2 equals the discriminant
+b^2 - a (q - target).  This exact arithmetic runs in int64 when a bound
+taken from the box proves that it cannot overflow, and in Python ints
+otherwise.
+
+shell_vectors_box scans the whole box and serves as the test oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 
 import numpy as np
 
-from fockforms.linalg import RatMat, inverse
+from fockforms.linalg import inverse
 from fockforms.scalars import QQ
 
-try:
-    from numba import njit
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
+# partial vectors generated per step; bounds the kernel's working memory
+CHUNK = 1024
+
+# exact products below this magnitude are done in int64
+INT64_SAFE = 2 ** 62
 
 
 def numba_enabled():
-    return _HAVE_NUMBA and not os.environ.get("FOCKFORMS_NO_NUMBA")
+    """Always False: the shell kernel is plain numpy.  Kept for backend records."""
+    return False
 
 
 def exact_ldl(gram):
@@ -56,113 +69,108 @@ def exact_ldl(gram):
     return lower, diag
 
 
-def _search(U, D, G2, target, out):
-    """Count (and optionally record) integer x with x^T G2 x == target.
-
-    U: float64 upper unit-triangular from the LDL transpose; D: float64
-    positive pivots; G2: int64 symmetric; out: int64 (cap, m) buffer, cap may
-    be zero for a counting pass.  Returns the number of solutions.
-    """
-    m = D.shape[0]
-    x = np.zeros(m, dtype=np.int64)
-    hi = np.zeros(m, dtype=np.int64)
-    center = np.zeros(m, dtype=np.float64)
-    budget = np.zeros(m, dtype=np.float64)
-    found = 0
-    cap = out.shape[0]
-    i = m - 1
-    budget[i] = target + 1e-6
-    center[i] = 0.0
-    r = math.sqrt(max(budget[i], 0.0) / D[i])
-    hi[i] = int(math.floor(-center[i] + r + 1e-9))
-    x[i] = int(math.ceil(-center[i] - r - 1e-9)) - 1
-    while True:
-        x[i] += 1
-        if x[i] > hi[i]:
-            i += 1
-            if i >= m:
-                break
-            continue
-        if i == 0:
-            acc = np.int64(0)
-            for a in range(m):
-                row = np.int64(0)
-                for b in range(m):
-                    row += G2[a, b] * x[b]
-                acc += row * x[a]
-            if acc == target:
-                if found < cap:
-                    for a in range(m):
-                        out[found, a] = x[a]
-                found += 1
-        else:
-            step = x[i] + center[i]
-            rem = budget[i] - D[i] * step * step
-            if rem >= -1e-6:
-                i -= 1
-                budget[i] = max(rem, 0.0) + 1e-9
-                c = 0.0
-                for j in range(i + 1, m):
-                    c += U[i, j] * x[j]
-                center[i] = c
-                r = math.sqrt(budget[i] / D[i])
-                hi[i] = int(math.floor(-c + r + 1e-9))
-                x[i] = int(math.ceil(-c - r - 1e-9)) - 1
-    return found
-
-
-_search_compiled = njit(cache=True)(_search) if _HAVE_NUMBA else None
-
-
-def shell_vectors(gram2, target, pure=None):
+def shell_vectors(gram2, target):
     """All integer vectors with x^T gram2 x == target, rows sorted lex.
 
     gram2: RatMat, the doubled gram, integral; target: nonnegative integer.
-    pure=True runs the uncompiled kernel; default follows numba_enabled().
+    OverflowError if a coordinate of the box does not fit in int64.
     """
     m = gram2.nrows
     if target < 0:
         return np.zeros((0, m), dtype=np.int64)
-    g2_int = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            v = gram2.entry(i, j)
-            if v.denominator != 1:
-                raise ValueError("doubled gram must be integral")
-            g2_int[i, j] = int(v)
+    g2 = _integral_rows(gram2)
     lower, diag = exact_ldl(gram2)
-    U = np.zeros((m, m), dtype=np.float64)
-    D = np.zeros(m, dtype=np.float64)
-    for i in range(m):
-        D[i] = float(diag[i])
-        U[i, i] = 1.0
-        for j in range(i + 1, m):
-            U[i, j] = float(lower[j][i])
-    fn = _search if (pure or not numba_enabled()) else _search_compiled
-    count = fn(U, D, g2_int, target, np.zeros((0, m), dtype=np.int64))
-    out = np.zeros((count, m), dtype=np.int64)
-    fn(U, D, g2_int, target, out)
-    order = np.lexsort(out.T[::-1])
-    return out[order]
+    radii = _box_radii(gram2, target)
+    if max(radii) >= INT64_SAFE:
+        raise OverflowError("shell coordinates exceed int64")
+    # |partial forms| <= box_norm and |b| <= row_norms[0] on the whole box
+    row_norms = [sum(abs(v) * r for v, r in zip(row, radii)) for row in g2]
+    box_norm = sum(r * w for r, w in zip(radii, row_norms))
+    exact = np.int64 if row_norms[0] ** 2 + g2[0][0] * (box_norm + target) \
+        < INT64_SAFE else object
+    G = np.array(g2, dtype=exact)
+    D = np.array([float(d) for d in diag])
+    U = np.array([[float(lower[j][i]) for j in range(m)] for i in range(m)])
+
+    # Rounding margins: c_i errs by far less than 1e-12 of sum_j |U_ij| R_j,
+    # and the budget by far less than tol.
+    top = float(target)
+    delta = [1e-9 + 1e-12 * (float(np.abs(U[i, i + 1:]) @ radii[i + 1:])
+                             + math.sqrt((top + 1.0) / D[i])) for i in range(m)]
+    tol = 1e-6 + 1e-12 * top + sum(2.0 * math.sqrt(D[i] * (top + 1.0)) * delta[i]
+                                   for i in range(m))
+    found = []
+
+    def descend(i, fixed, q, budget):
+        # fixed: coordinates i+1..m-1 of each frontier row; q: their exact
+        # partial form; budget: target minus their float LDL terms
+        if i == 0:
+            found.append(_solve_first(fixed, q, G, target))
+            return
+        c = fixed @ U[i, i + 1:]
+        r = np.sqrt(np.maximum(budget + tol, 0.0) / D[i])
+        lo = np.maximum(np.ceil(-c - r - delta[i]), -radii[i]).astype(np.int64)
+        hi = np.minimum(np.floor(-c + r + delta[i]), radii[i]).astype(np.int64)
+        counts = np.maximum(hi - lo + 1, 0)
+        ends = np.cumsum(counts)
+        g = fixed @ G[i, i + 1:]
+        total = int(ends[-1]) if len(ends) else 0
+        for start in range(0, total, CHUNK):
+            k = np.arange(start, min(start + CHUNK, total))
+            p = np.searchsorted(ends, k, side="right")
+            xi = lo[p] + (k - ends[p] + counts[p])
+            step = xi + c[p]
+            rest = budget[p] - D[i] * step * step
+            keep = rest >= -tol
+            p, xi = p[keep], xi[keep]
+            xe = xi.astype(exact)
+            descend(i - 1, np.column_stack((xi, fixed[p])),
+                    q[p] + (G[i, i] * xe + 2 * g[p]) * xe, rest[keep])
+
+    descend(m - 1, np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=exact),
+            np.array([top]))
+    out = np.concatenate(found)
+    found.clear()
+    return out[np.lexsort(out.T[::-1])]
+
+
+def _solve_first(fixed, q, G, target):
+    """Rows (x_0, fixed) with x_0 an integer root of the first-coordinate
+    quadratic G_00 x_0^2 + 2 b x_0 + q = target, b = G[0, 1:] . fixed."""
+    a = G[0, 0]
+    b = fixed @ G[0, 1:]
+    disc = b * b - a * (q - target)
+    real = disc >= 0
+    fixed, b, disc = fixed[real], b[real], disc[real]
+    s = _isqrt(disc)
+    square = s * s == disc
+    rows = []
+    for num, ok in ((-b - s, square), (-b + s, square & (s > 0))):
+        hit = ok & (num % a == 0)
+        x0 = (num[hit] // a).astype(np.int64)
+        rows.append(np.column_stack((x0, fixed[hit])))
+    return np.concatenate(rows)
+
+
+def _isqrt(d):
+    """Elementwise floor(sqrt(d)) of a nonnegative exact array."""
+    if d.dtype == object:
+        return np.array([math.isqrt(v) for v in d], dtype=object)
+    s = np.sqrt(d.astype(np.float64)).astype(np.int64)
+    s -= s * s > d
+    s += (s + 1) * (s + 1) <= d
+    return s
 
 
 def shell_vectors_box(gram2, target):
-    """Brute-force oracle: exact dual-diagonal box, exhaustive scan.
-
-    The coordinate bound |x_i|^2 <= target * (gram2^{-1})_{ii} follows from
-    Cauchy-Schwarz in the gram2 inner product and never clips a solution.
-    """
+    """Brute-force oracle: exact dual-diagonal box, exhaustive scan."""
     m = gram2.nrows
     if target < 0:
         return np.zeros((0, m), dtype=np.int64)
-    dual = inverse(gram2)
-    radii = []
-    for i in range(m):
-        bound = QQ(target) * dual.entry(i, i)
-        radii.append(_isqrt_rational(bound))
-    g2_int = [[int(gram2.entry(i, j)) for j in range(m)] for i in range(m)]
+    g2_int = _integral_rows(gram2)
     hits = []
-    for x in itertools.product(*[range(-r, r + 1) for r in radii]):
+    for x in itertools.product(*[range(-r, r + 1)
+                                 for r in _box_radii(gram2, target)]):
         acc = 0
         for a in range(m):
             row = 0
@@ -174,6 +182,26 @@ def shell_vectors_box(gram2, target):
     out = np.array(sorted(hits), dtype=np.int64) if hits \
         else np.zeros((0, m), dtype=np.int64)
     return out
+
+
+def _integral_rows(gram2):
+    """The doubled gram as nested Python ints; ValueError unless integral."""
+    rows = [[gram2.entry(i, j) for j in range(gram2.ncols)]
+            for i in range(gram2.nrows)]
+    if any(v.denominator != 1 for row in rows for v in row):
+        raise ValueError("doubled gram must be integral")
+    return [[int(v) for v in row] for row in rows]
+
+
+def _box_radii(gram2, target):
+    """Exact R_i = floor(sqrt(target (gram2^{-1})_{ii})).
+
+    Cauchy-Schwarz in the gram2 inner product gives |x_i| <= R_i for every
+    solution, so the box never clips one.
+    """
+    dual = inverse(gram2)
+    return [_isqrt_rational(QQ(target) * dual.entry(i, i))
+            for i in range(gram2.nrows)]
 
 
 def _isqrt_rational(r):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fockforms.enumeration import exact_ldl, shell_vectors
+from fockforms.enumeration import INT64_SAFE, exact_ldl, shell_vectors
 from fockforms.linalg import RatMat, rank
 from fockforms.scalars import QQ
 from fockforms.schur import harmonic_project_vec, ssyt_enumerate, young_apply_vec
@@ -200,7 +200,11 @@ def enumerate_representations(lat, beta, n=None):
     """All ordered tuples (x_1..x_n) with (x_i, x_j) = 2 beta_{ij}.
 
     Returns a list of n-tuples of coordinate tuples, lexicographically
-    ordered.  Negative diagonal targets give the empty list.
+    ordered.  Negative diagonal targets give the empty list.  The search is
+    depth first over the sorted shells; choosing x_t computes v = gram2 x_t
+    once and narrows every later shell k by the mask shell_k v = 4 beta_tk,
+    in int64 when the largest possible product fits and in Python ints
+    otherwise.
     """
     if n is None:
         n = beta.n
@@ -210,31 +214,37 @@ def enumerate_representations(lat, beta, n=None):
         raise ValueError("coset shift count must match the genus")
     if any(beta.doubled[i][i] < 0 for i in range(n)):
         return []
+    if n == 0:
+        return [()]
     g2 = [[int(lat.gram2.entry(i, j)) for j in range(lat.rank)]
           for i in range(lat.rank)]
     shells = [lat.shell(beta.doubled[i][i], column=i) for i in range(n)]
+    want = [[2 * v for v in row] for row in beta.doubled]
+    biggest = max(int(np.abs(s).max(initial=0)) for s in shells)
+    limit = max(biggest * biggest * sum(abs(v) for row in g2 for v in row),
+                max(abs(v) for row in want for v in row))
+    exact = np.int64 if limit < INT64_SAFE else object
+    g2 = np.array(g2, dtype=exact)
+    vecs = [s.astype(exact, copy=False) for s in shells]
+    # row tuples built from the columns, without a temporary list per row
+    rows = [list(zip(*s.T.tolist())) for s in shells]
     out = []
 
-    def pair2(x, y):
-        acc = 0
-        for a in range(lat.rank):
-            row = 0
-            for b in range(lat.rank):
-                row += g2[a][b] * y[b]
-            acc += row * x[a]
-        return acc
-
-    def extend(chosen):
+    def extend(chosen, masks):
+        # masks[j]: rows of shell k + j that pair correctly with all chosen
         k = len(chosen)
-        if k == n:
-            out.append(tuple(tuple(int(v) for v in x) for x in chosen))
+        hits = np.flatnonzero(masks[0]).tolist()
+        if k == n - 1:
+            out.extend(chosen + (rows[k][j],) for j in hits)
             return
-        for cand in shells[k]:
-            if all(pair2(chosen[t], cand) == 2 * beta.doubled[t][k]
-                   for t in range(k)):
-                extend(chosen + [cand])
+        for j in hits:
+            v = g2 @ vecs[k][j]
+            later = [mask & (vecs[t] @ v == want[k][t])
+                     for t, mask in enumerate(masks[1:], k + 1)]
+            if all(mask.any() for mask in later):
+                extend(chosen + (rows[k][j],), later)
 
-    extend([])
+    extend((), [np.ones(len(s), dtype=bool) for s in shells])
     return out
 
 

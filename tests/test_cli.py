@@ -157,6 +157,14 @@ def test_theta_rejects_bad_genus(capsys):
     assert code == 2
 
 
+def test_theta_rejects_coset_genus_mismatch(capsys):
+    # z2_coset carries one shift vector, so only genus 1 is meaningful
+    code, out, err = run_main(capsys, "theta", "--lattice",
+                              str(FIXTURES / "z2_coset.json"), "--genus", "2")
+    assert code == 2 and out == ""
+    assert "shift vectors" in json.loads(err)["error"]
+
+
 def test_theta_missing_file(capsys):
     code, _, err = run_main(capsys, "theta", "--lattice", "no_such.json")
     assert code == 2

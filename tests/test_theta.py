@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -137,6 +138,88 @@ def brute_tuples(gram, beta, radius):
         if ok:
             out.append(combo)
     return sorted(out)
+
+
+def pair_loop_representations(lat, beta):
+    """Oracle: depth-first scan of the sorted shells, testing every pairing
+    with a Python-int loop.  Same order as enumerate_representations."""
+    n = beta.n
+    g2 = [[int(lat.gram2.entry(i, j)) for j in range(lat.rank)]
+          for i in range(lat.rank)]
+    shells = [[tuple(r) for r in lat.shell(beta.doubled[i][i], column=i).tolist()]
+              for i in range(n)]
+    out = []
+
+    def pair2(x, y):
+        acc = 0
+        for a in range(lat.rank):
+            row = 0
+            for b in range(lat.rank):
+                row += g2[a][b] * y[b]
+            acc += row * x[a]
+        return acc
+
+    def extend(chosen):
+        k = len(chosen)
+        if k == n:
+            out.append(tuple(chosen))
+            return
+        for cand in shells[k]:
+            if all(pair2(chosen[t], cand) == 2 * beta.doubled[t][k]
+                   for t in range(k)):
+                extend(chosen + [cand])
+
+    extend([])
+    return out
+
+
+def gram_beta(gram, vectors):
+    """The index matrix of a tuple: doubled entries are the pairings."""
+    return BetaMatrix([[sum(gram[i][j] * x[i] * y[j]
+                            for i in range(len(gram)) for j in range(len(gram)))
+                        for y in vectors] for x in vectors])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_search_matches_pair_loop(seed):
+    rng = random.Random(3000 + seed)
+    m = rng.randint(2, 4)
+    while True:
+        a = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+        gram = [[sum(a[k][i] * a[k][j] for k in range(m)) for j in range(m)]
+                for i in range(m)]
+        if max(abs(v) for row in gram for v in row) > 4:
+            continue
+        try:
+            lat = Lattice(gram)
+        except ValueError:
+            continue
+        break
+    found = 0
+    for n, bound in ((2, 2), (3, 1)):
+        betas = rng.sample(series_betas(n, bound), 6)
+        # plus a beta that is surely represented, by short random vectors
+        box = [x for x in itertools.product(range(-1, 2), repeat=m)
+               if sum(gram[i][j] * x[i] * x[j]
+                      for i in range(m) for j in range(m)) % 2 == 0]
+        betas.append(gram_beta(gram, rng.choices(box, k=n)))
+        for beta in betas:
+            reps = enumerate_representations(lat, beta)
+            assert reps == pair_loop_representations(lat, beta)
+            found += len(reps)
+    assert found > 0
+
+
+def test_search_python_int_fallback():
+    # norms near 2^64: the pairing products overflow int64
+    gram = [[2 ** 40 + 2, 2 ** 39], [2 ** 39, 2 ** 40]]
+    lat = Lattice(gram)
+    x, y = (3001, -4999), (-2000, 1717)
+    for vectors in ((x, y), (x, x), (y, x)):
+        beta = gram_beta(gram, vectors)
+        reps = enumerate_representations(lat, beta)
+        assert tuple(vectors) in reps
+        assert reps == pair_loop_representations(lat, beta)
 
 
 def test_z4_series_counts_two_paths(z4):
