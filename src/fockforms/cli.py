@@ -14,6 +14,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from fockforms.forms import IDENTITIES, default_grid, run_identity
+from fockforms.schur import partitions_of
+from fockforms.workers import worker_count
 
 LIMITS = {"p": 4, "q": 4, "n": 3, "ell": 6}
 
@@ -55,14 +57,15 @@ def _run_cell(cell):
 
 def run_cells(cells, jobs, fail_fast):
     reports = []
-    if jobs <= 1:
+    workers = worker_count(jobs, len(cells))
+    if workers == 1:
         for cell in cells:
             rep = _run_cell(cell)
             reports.append(rep)
             if fail_fast and not rep.passed:
                 break
         return reports
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for rep in pool.map(_run_cell, cells, chunksize=1):
             reports.append(rep)
             if fail_fast and not rep.passed:
@@ -124,19 +127,6 @@ def dims_row(lam, n):
     }
 
 
-def all_partitions(upto):
-    out = []
-
-    def grow(prefix, remaining, cap):
-        for part in range(min(cap, remaining), 0, -1):
-            cur = prefix + (part,)
-            out.append(cur)
-            grow(cur, remaining - part, part)
-
-    grow((), upto, upto)
-    return sorted(set(out), key=lambda t: (sum(t), len(t), t))
-
-
 def cmd_dims(args):
     if (args.lam is None) != (args.n is None):
         raise InputError("dims takes --lambda and --n together, or neither")
@@ -146,8 +136,9 @@ def cmd_dims(args):
             raise InputError("dims table covers |lambda| <= 4, n in 1..3")
         rows = [dims_row(lam, args.n)]
     else:
-        rows = [dims_row(lam, n)
-                for lam in all_partitions(4) for n in (1, 2, 3)]
+        shapes = sorted((lam for ell in range(1, 5) for lam in partitions_of(ell)),
+                        key=lambda t: (sum(t), len(t), t))
+        rows = [dims_row(lam, n) for lam in shapes for n in (1, 2, 3)]
     doc = {"rows": rows, "passed": all(r["match"] for r in rows)}
     emit(doc, args.out, "dims")
     return 0 if doc["passed"] else 1

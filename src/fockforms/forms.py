@@ -15,19 +15,21 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
 from fockforms.linalg import RatMat, inverse
 from fockforms.multilinear import (
-    LinearOperator,
     MixedForm,
     SpaceParams,
     a_of_f,
+    compose,
     identity_op,
     insert_letter,
     interior,
     metric_pair_insertion,
+    op_sum,
     rho_x,
     tensor_matrix_apply,
     tensor_permute,
@@ -38,6 +40,7 @@ from fockforms.multilinear import (
 from fockforms.scalars import MINUS_I_4PI, QQ, Scalar
 from fockforms.schur import (
     matrix_to_word_map,
+    perm_sign,
     schur_harmonic_projector,
     young_apply_vec,
 )
@@ -142,10 +145,6 @@ class FormFamily:
         return self.fn(tuple(word))
 
 
-def phi_family(params, ell):
-    return FormFamily(params, ell, lambda w: phi(params, w))
-
-
 @functools.lru_cache(maxsize=None)
 def signature_form(params):
     return RatMat.diagonal([params.eps(k) for k in range(1, params.m + 1)])
@@ -191,16 +190,6 @@ def phi_nq_bracket_lambda(params, lam):
 # differential operators
 # ---------------------------------------------------------------------------
 
-def _op_sum(pieces):
-    pieces = list(pieces)
-    def apply(form):
-        out = MixedForm(form.params)
-        for coeff, op in pieces:
-            out = out + op(form).scale(coeff)
-        return out
-    return LinearOperator(apply)
-
-
 def d_operator(params, variant="full", conv=DEFAULT_CONVENTIONS):
     """The total differential or one of its three graded pieces."""
     p, q, n = params.p, params.q, params.n
@@ -217,13 +206,13 @@ def d_operator(params, variant="full", conv=DEFAULT_CONVENTIONS):
                                wedge @ z_mul(a, j) @ z_mul(mu, j)))
             vpart.append((Scalar.one(), wedge @ rho_x(a, mu)))
     if variant == "dF_prime":
-        return _op_sum(prime)
+        return op_sum(prime)
     if variant == "dF_doubleprime":
-        return _op_sum(second)
+        return op_sum(second)
     if variant == "dV":
-        return _op_sum(vpart)
+        return op_sum(vpart)
     if variant == "full":
-        return _op_sum(prime + second + vpart)
+        return op_sum(prime + second + vpart)
     raise ValueError(f"unknown d variant {variant}")
 
 
@@ -240,46 +229,28 @@ def a_sigma(params, j, col=1, conv=DEFAULT_CONVENTIONS):
         ins = insert_letter(j, mu)
         pieces.append((i_neg, ins @ z_del(mu, col)))
         pieces.append((i_neg * Scalar.from_rational(QQ(-1, 4), pi_exp=-1), ins @ z_mul(mu, col)))
-    return _op_sum(pieces)
+    return op_sum(pieces)
 
 
 def a_sigma_combo(params, j, coeffs, conv=DEFAULT_CONVENTIONS):
     """Column-linear combination sum_l coeffs[l-1] * a_sigma(col = l)."""
-    ops = [a_sigma(params, j, col=l, conv=conv) for l in range(1, params.n + 1)]
-    def apply(form):
-        out = MixedForm(form.params)
-        for op, c in zip(ops, coeffs):
-            c = QQ(c)
-            if c != 0:
-                out = out + op(form).scale(c)
-        return out
-    return LinearOperator(apply)
+    return op_sum((c, a_sigma(params, j, col=l, conv=conv))
+                  for l, c in enumerate(coeffs, start=1))
 
 
 def h_prime(params, j):
-    pieces = []
-    for a in params.positive():
-        for mu in params.negative():
-            pieces.append((Scalar.one(),
-                           insert_letter(j, mu) @ interior(a, mu) @ z_del(a, 1)))
-    return _op_sum(pieces)
+    return op_sum((1, insert_letter(j, mu) @ interior(a, mu) @ z_del(a, 1))
+                  for a in params.positive() for mu in params.negative())
 
 
 def h_second(params, j):
-    pieces = []
-    for a in params.positive():
-        for mu in params.negative():
-            pieces.append((Scalar.one(),
-                           insert_letter(j, a) @ interior(a, mu) @ z_mul(mu, 1)))
-    return _op_sum(pieces)
+    return op_sum((1, insert_letter(j, a) @ interior(a, mu) @ z_mul(mu, 1))
+                  for a in params.positive() for mu in params.negative())
 
 
 def h_op(params):
-    pieces = []
-    for a in params.positive():
-        for mu in params.negative():
-            pieces.append((Scalar.one(), interior(a, mu) @ z_mul(mu, 1) @ z_del(a, 1)))
-    return _op_sum(pieces)
+    return op_sum((1, interior(a, mu) @ z_mul(mu, 1) @ z_del(a, 1))
+                  for a in params.positive() for mu in params.negative())
 
 
 def lambda_form(params, ell, j, conv=DEFAULT_CONVENTIONS):
@@ -316,29 +287,13 @@ def euler_form(params):
         return acc
 
     for sigma in itertools.permutations(range(1, q + 1)):
-        sgn = _perm_sign_tuple(sigma)
+        sgn = perm_sign(sigma)
         piece = MixedForm.vacuum(params)
         for r in range(k):
             piece = piece * omega_cap(params.p + sigma[2 * r], params.p + sigma[2 * r + 1])
         out = out + (piece if sgn > 0 else -piece)
     coeff = Scalar.from_rational(QQ(-1, 4), pi_exp=-1) ** k
-    return out.scale(coeff * Scalar.from_rational(QQ(1, _factorial(k))))
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _perm_sign_tuple(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    return out.scale(coeff * Scalar.from_rational(QQ(1, math.factorial(k))))
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +302,9 @@ def _perm_sign_tuple(perm):
 
 def piece_A(params, ell, j):
     """(i/4pi) sum_mu z_mu (x) A_j(e_mu), applied to the degree ell-1 member."""
-    base = phi_ell(params, ell - 1)
-    out = MixedForm(params)
-    for mu in params.negative():
-        out = out + (insert_letter(j, mu) @ z_mul(mu, 1))(base)
-    return out.scale(Scalar.unit(b=QQ(1, 4), pi_exp=-1))
+    coeff = Scalar.unit(b=QQ(1, 4), pi_exp=-1)
+    return op_sum((coeff, insert_letter(j, mu) @ z_mul(mu, 1))
+                  for mu in params.negative())(phi_ell(params, ell - 1))
 
 
 def piece_B(params, ell, j):
@@ -366,20 +319,9 @@ def piece_B(params, ell, j):
 
 def piece_C(params, ell, j, mode):
     """(1/4pi) sum_k A_{jk}(metric) on the degree ell-2 member."""
-    base = phi_ell(params, ell - 2)
-    out = MixedForm(params)
-    for k in range(1, ell):
-        out = out + metric_pair_insertion(j, k, mode)(base)
-    return out.scale(Scalar.from_rational(QQ(1, 4), pi_exp=-1))
-
-
-def metric_total(params, ell, mode, form):
-    """A(metric) = half the ordered double sum of slot insertions."""
-    out = MixedForm(params)
-    for j in range(1, ell + 1):
-        for k in range(1, ell):
-            out = out + metric_pair_insertion(j, k, mode)(form)
-    return out.scale(QQ(1, 2))
+    coeff = Scalar.from_rational(QQ(1, 4), pi_exp=-1)
+    return op_sum((coeff, metric_pair_insertion(j, k, mode))
+                  for k in range(1, ell))(phi_ell(params, ell - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -391,19 +333,15 @@ def residual_closedness(params, word, variant, conv=DEFAULT_CONVENTIONS):
 
 
 def residual_kprime_weight(params, ell, conv=DEFAULT_CONVENTIONS):
-    base = phi_ell(params, ell)
-    out = MixedForm(params)
-    for a in params.positive():
-        out = out + (z_mul(a, 1) @ z_del(a, 1))(base)
-    return out - base.scale(QQ(conv.kprime_weight) * (params.q + ell))
+    weight = QQ(conv.kprime_weight) * (params.q + ell)
+    return op_sum([(1, z_mul(a, 1) @ z_del(a, 1)) for a in params.positive()]
+                  + [(-weight, identity_op())])(phi_ell(params, ell))
 
 
 def residual_kprime_weight_reversed(params, ell, conv=DEFAULT_CONVENTIONS):
-    base = phi_ell(params, ell)
-    out = MixedForm(params)
-    for a in params.positive():
-        out = out + (z_del(a, 1) @ z_mul(a, 1))(base)
-    return out - base.scale(QQ(conv.kprime_weight) * (params.p + params.q + ell))
+    weight = QQ(conv.kprime_weight) * (params.p + params.q + ell)
+    return op_sum([(1, z_del(a, 1) @ z_mul(a, 1)) for a in params.positive()]
+                  + [(-weight, identity_op())])(phi_ell(params, ell))
 
 
 def _input_derivation(word, j, k):
@@ -515,11 +453,7 @@ def residual_equivariance(params, word, perm):
 
 def sigma_word_plain(params, cols, conv=DEFAULT_CONVENTIONS):
     """sigma_ell(eps_{i_1} (x) ... (x) eps_{i_ell}) as a Fock-side operator."""
-    op = None
-    for col in cols:
-        atom = a_sigma(params, 1, col, conv)
-        op = atom if op is None else op @ atom
-    return op if op is not None else identity_op()
+    return compose(a_sigma(params, 1, col, conv) for col in cols)
 
 
 def sigma_word_transformed(params, cols, a_mat, conv=DEFAULT_CONVENTIONS):
@@ -530,7 +464,7 @@ def sigma_word_transformed(params, cols, a_mat, conv=DEFAULT_CONVENTIONS):
     Exact cancellation against sigma_word_plain is the invariance statement.
     """
     a_inv = inverse(a_mat)
-    op = None
+    atoms = []
     for col in cols:
         vec = [a_inv.entry(r, col - 1) for r in range(params.n)]
         weighted = [QQ(0)] * params.n
@@ -539,9 +473,8 @@ def sigma_word_transformed(params, cols, a_mat, conv=DEFAULT_CONVENTIONS):
                 continue
             for l in range(params.n):
                 weighted[l] += a_mat.entry(l, k) * vec[k]
-        atom = a_sigma_combo(params, 1, weighted, conv)
-        op = atom if op is None else op @ atom
-    return op if op is not None else identity_op()
+        atoms.append(a_sigma_combo(params, 1, weighted, conv))
+    return compose(atoms)
 
 
 def residual_sigma_gl(params, cols, a_mat, test_form, conv=DEFAULT_CONVENTIONS):

@@ -55,13 +55,6 @@ class RatMat:
     def entry(self, i, j):
         return self.rows[i].get(j, QQ(0))
 
-    def set_entry(self, i, j, v):
-        v = QQ(v)
-        if v == 0:
-            self.rows[i].pop(j, None)
-        else:
-            self.rows[i][j] = v
-
     def __eq__(self, other):
         if not isinstance(other, RatMat):
             return NotImplemented
@@ -131,9 +124,6 @@ class RatMat:
             if s != 0:
                 out[i] = s
         return out
-
-    def to_lists(self):
-        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
 
     def __repr__(self):
         return f"RatMat({self.nrows}x{self.ncols}, nnz={sum(len(r) for r in self.rows)})"

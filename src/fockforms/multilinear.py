@@ -15,9 +15,11 @@ letters live in 1..m.  epsilon(k) = +1 for k <= p and -1 for k > p.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
-from fockforms.scalars import QQ, Scalar
+from fockforms.scalars import ONE, QQ, ZERO, Scalar
 
 
 @dataclass(frozen=True)
@@ -288,25 +290,48 @@ class LinearOperator:
         # (A @ B)(x) = A(B(x))
         return LinearOperator(lambda form: self.fn(other.fn(form)))
 
-    def __add__(self, other):
-        return LinearOperator(lambda form: self.fn(form) + other.fn(form))
-
-    def __sub__(self, other):
-        return LinearOperator(lambda form: self.fn(form) - other.fn(form))
-
-    def __neg__(self):
-        return LinearOperator(lambda form: -self.fn(form))
-
-    def scaled(self, s):
-        return LinearOperator(lambda form: self.fn(form).scale(s))
-
 
 def identity_op():
     return LinearOperator(lambda form: form)
 
 
-def zero_op():
-    return LinearOperator(lambda form: MixedForm(form.params))
+def compose(ops):
+    """The ordered product ops[0] @ ops[1] @ ...; the identity when ops is empty."""
+    ops = list(ops)
+    return functools.reduce(operator.matmul, ops) if ops else identity_op()
+
+
+def op_sum(pieces):
+    """The operator sum_k c_k op_k over (c_k, op_k) pairs.
+
+    A coefficient is a Scalar or a rational.  Zero coefficients are dropped.
+    The images of operators that share a coefficient accumulate in place into
+    one form, whose terms are then multiplied by that coefficient once;
+    coefficient one accumulates straight into the result.
+    """
+    groups = {}
+    for coeff, op in pieces:
+        if not isinstance(coeff, Scalar):
+            coeff = QQ(coeff)
+        if coeff == 0 or coeff == ZERO:
+            continue
+        if coeff == 1 or coeff == ONE:
+            coeff = ONE
+        groups.setdefault(coeff, []).append(op)
+    groups = list(groups.items())
+
+    def apply(form):
+        out = MixedForm(form.params)
+        for coeff, ops in groups:
+            acc = out if coeff is ONE else MixedForm(form.params)
+            for op in ops:
+                for key, c in op(form).terms.items():
+                    acc._accum(key, c)
+            if acc is not out:
+                for key, c in acc.terms.items():
+                    out._accum(key, c * coeff)
+        return out
+    return LinearOperator(apply)
 
 
 def _lift(term_fn):
@@ -406,22 +431,6 @@ def rho_x(alpha, mu):
     return _lift(term)
 
 
-def insert_vector(j, coeffs):
-    """Insert the vector sum_k coeffs[k-1] e_k at tensor slot j (1-based).
-
-    Letters previously at positions >= j shift right; valid for any operand
-    word of length >= j-1.
-    """
-    pairs = [(k + 1, QQ(c)) for k, c in enumerate(coeffs) if QQ(c) != 0]
-    def term(params, key, c):
-        fock, wedge, word = key
-        if len(word) < j - 1:
-            raise ValueError(f"slot {j} out of range for word of length {len(word)}")
-        for letter, r in pairs:
-            yield (fock, wedge, word[:j - 1] + (letter,) + word[j - 1:]), c.scale(r)
-    return _lift(term)
-
-
 def insert_letter(j, letter):
     def term(params, key, c):
         fock, wedge, word = key
@@ -429,6 +438,17 @@ def insert_letter(j, letter):
             raise ValueError(f"slot {j} out of range for word of length {len(word)}")
         yield (fock, wedge, word[:j - 1] + (letter,) + word[j - 1:]), c
     return _lift(term)
+
+
+def _metric_letters(params, mode):
+    """(letter, sign) pairs of the mode's metric tensor sum sign e_k (x) e_k."""
+    if mode != "minus":
+        for alpha in params.positive():
+            yield alpha, 1
+    if mode != "plus":
+        sign = -1 if mode == "full" else 1
+        for mu in params.negative():
+            yield mu, sign
 
 
 def insert_metric(i, j, mode="full"):
@@ -445,14 +465,7 @@ def insert_metric(i, j, mode="full"):
         fock, wedge, word = key
         if len(word) < hi - 2:
             raise ValueError(f"positions ({i},{j}) out of range")
-        for letter in params.letters():
-            if mode == "plus" and letter > params.p:
-                continue
-            if mode == "minus" and letter <= params.p:
-                continue
-            sign = 1
-            if mode == "full" and letter > params.p:
-                sign = -1
+        for letter, sign in _metric_letters(params, mode):
             nw = word[:lo - 1] + (letter,) + word[lo - 1:hi - 2] + (letter,) + word[hi - 2:]
             yield (fock, wedge, nw), (c if sign > 0 else -c)
     return _lift(term)
@@ -466,18 +479,8 @@ def metric_pair_insertion(j, k, mode="full"):
     1 <= k <= L+1 and 1 <= j <= L+2.
     """
     def apply(form):
-        params = form.params
-        out = MixedForm(params)
-        for letter in params.letters():
-            if mode == "plus" and letter > params.p:
-                continue
-            if mode == "minus" and letter <= params.p:
-                continue
-            sign = -1 if (mode == "full" and letter > params.p) else 1
-            op = insert_letter(j, letter) @ insert_letter(k, letter)
-            piece = op(form)
-            out = out + (piece if sign > 0 else -piece)
-        return out
+        return op_sum((sign, insert_letter(j, letter) @ insert_letter(k, letter))
+                      for letter, sign in _metric_letters(form.params, mode))(form)
     return LinearOperator(apply)
 
 
@@ -488,13 +491,8 @@ def a_of_f(ell, mode="full"):
     k in 1..ell-1; by the j/k symmetry this is the plain sum over unordered
     pairs of result positions, which is how it is computed here.
     """
-    def apply(form):
-        out = MixedForm(form.params)
-        for i in range(1, ell + 1):
-            for j in range(i + 1, ell + 1):
-                out = out + insert_metric(i, j, mode)(form)
-        return out
-    return LinearOperator(apply)
+    return op_sum((1, insert_metric(i, j, mode))
+                  for i in range(1, ell + 1) for j in range(i + 1, ell + 1))
 
 
 def contraction(i, j, invariant_form=True):

@@ -93,19 +93,6 @@ def base_tableau(lam):
     return rows
 
 
-def column_reading(lam):
-    """Row indices of the boxes read down successive columns, 1-based.
-
-    This is the slot-to-row assignment used when a tuple of vectors is packed
-    into a tensor word for a given shape.
-    """
-    conj = conjugate(lam)
-    word = []
-    for j, height in enumerate(conj):
-        word.extend(range(1, height + 1))
-    return tuple(word)
-
-
 # ---------------------------------------------------------------------------
 # permutations on positions and words
 # ---------------------------------------------------------------------------

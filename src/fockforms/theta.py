@@ -20,6 +20,7 @@ from fockforms.enumeration import INT64_SAFE, exact_ldl, shell_vectors
 from fockforms.linalg import RatMat, rank
 from fockforms.scalars import QQ
 from fockforms.schur import harmonic_project_vec, ssyt_enumerate, young_apply_vec
+from fockforms.workers import worker_count
 
 
 class Lattice:
@@ -29,6 +30,8 @@ class Lattice:
         if isinstance(gram, RatMat):
             self.gram = gram
         else:
+            if not len(gram) or any(len(row) != len(gram) for row in gram):
+                raise ValueError("gram must be a non-empty square list of rows")
             self.gram = RatMat.from_rows(gram)
         m = self.gram.nrows
         if self.gram.ncols != m:
@@ -64,13 +67,25 @@ class Lattice:
     def from_json(data):
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise ValueError("a lattice document must be a JSON object")
         if data.get("field", "Q") not in ("Q", "QQ"):
             raise ValueError("only rational lattices are supported")
-        gram = [[_parse_entry(v) for v in row] for row in data["gram"]]
+        rows = data.get("gram")
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError("gram must be a list of rows")
+        gram = [[_parse_entry(v) for v in row] for row in rows]
         coset = data.get("coset")
         if coset is None:
             return Lattice(gram)
-        return Lattice(gram, coset_h=coset["h"], modulus=coset["modulus"])
+        shifts = coset.get("h") if isinstance(coset, dict) else None
+        if (not isinstance(shifts, list)
+                or not all(isinstance(h, list) and all(isinstance(v, int) for v in h)
+                           for h in shifts)
+                or not isinstance(coset.get("modulus"), int)):
+            raise ValueError("coset must be an object with a list of shift "
+                             "vectors h and an integer modulus")
+        return Lattice(gram, coset_h=shifts, modulus=coset["modulus"])
 
     @staticmethod
     def load(path):
@@ -102,7 +117,10 @@ def _parse_entry(v):
     if isinstance(v, str):
         num, _, den = v.partition("/")
         return QQ(int(num), int(den or 1))
-    return QQ(v)
+    try:
+        return QQ(v)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"entry {v!r} is not a finite number") from exc
 
 
 class BetaMatrix:
@@ -361,9 +379,10 @@ def series_betas(n, bound):
 def series_table(lat, lam=(), n=1, bound=0, jobs=1):
     """Ordered GenusCoefficient list over all PSD beta up to the bound."""
     betas = series_betas(n, bound)
-    if jobs > 1:
+    workers = worker_count(jobs, len(betas))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_assemble_star,
                                  [(lat, b, lam, n) for b in betas]))
     else:

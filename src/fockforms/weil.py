@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from fockforms.multilinear import LinearOperator, MixedForm, wedge_left, z_del, z_mul
+from fockforms.multilinear import compose, identity_op, op_sum, wedge_left, z_del, z_mul
 from fockforms.scalars import QQ, Scalar
 
 
@@ -57,17 +57,6 @@ def SP_PMINUS(j, k):
 LOWERING = LieGenerator("LOWERING")
 
 
-def _scaled_sum(pieces):
-    """pieces: iterable of (Scalar, LinearOperator); returns the scalar combination."""
-    pieces = list(pieces)
-    def apply(form):
-        out = MixedForm(form.params)
-        for coeff, op in pieces:
-            out = out + op(form).scale(coeff)
-        return out
-    return LinearOperator(apply)
-
-
 def omega(gen, params):
     """The cited generator as an operator on the Fock slot."""
     p, q, n = params.p, params.q, params.n
@@ -76,7 +65,7 @@ def omega(gen, params):
         a, b = gen.i1, gen.i2
         if not (1 <= a <= p and 1 <= b <= p):
             raise ValueError("O_KK wants two positive indices")
-        return _scaled_sum(
+        return op_sum(
             [(Scalar.from_rational(-1), z_mul(a, j) @ z_del(b, j)) for j in range(1, n + 1)]
             + [(Scalar.one(), z_mul(b, j) @ z_del(a, j)) for j in range(1, n + 1)]
         )
@@ -84,7 +73,7 @@ def omega(gen, params):
         mu, nu = gen.i1, gen.i2
         if not (p < mu <= p + q and p < nu <= p + q):
             raise ValueError("O_KK_NEG wants two negative indices")
-        return _scaled_sum(
+        return op_sum(
             [(Scalar.one(), z_mul(mu, j) @ z_del(nu, j)) for j in range(1, n + 1)]
             + [(Scalar.from_rational(-1), z_mul(nu, j) @ z_del(mu, j)) for j in range(1, n + 1)]
         )
@@ -92,7 +81,7 @@ def omega(gen, params):
         a, mu = gen.i1, gen.i2
         if not (1 <= a <= p and p < mu <= p + q):
             raise ValueError("O_P wants a positive then a negative index")
-        return _scaled_sum(
+        return op_sum(
             [(Scalar.from_rational(-4, pi_exp=1), z_del(a, j) @ z_del(mu, j)) for j in range(1, n + 1)]
             + [(Scalar.from_rational(QQ(1, 4), pi_exp=-1), z_mul(a, j) @ z_mul(mu, j)) for j in range(1, n + 1)]
         )
@@ -104,17 +93,17 @@ def omega(gen, params):
         pieces = [(two_i, z_mul(a, k) @ z_del(a, j)) for a in range(1, p + 1)]
         pieces += [(Scalar.unit(b=-2), z_mul(mu, j) @ z_del(mu, k)) for mu in range(p + 1, p + q + 1)]
         if j == k:
-            pieces.append((Scalar.unit(b=p - q), LinearOperator(lambda form: form)))
-        return _scaled_sum(pieces)
+            pieces.append((Scalar.unit(b=p - q), identity_op()))
+        return op_sum(pieces)
     if tag == "SP_PPLUS":
         j, k = gen.i1, gen.i2
-        return _scaled_sum(
+        return op_sum(
             [(Scalar.unit(b=QQ(-1, 2), pi_exp=-1), z_mul(a, j) @ z_mul(a, k)) for a in range(1, p + 1)]
             + [(Scalar.unit(b=8, pi_exp=1), z_del(mu, j) @ z_del(mu, k)) for mu in range(p + 1, p + q + 1)]
         )
     if tag == "SP_PMINUS":
         j, k = gen.i1, gen.i2
-        return _scaled_sum(
+        return op_sum(
             [(Scalar.unit(b=-8, pi_exp=1), z_del(a, j) @ z_del(a, k)) for a in range(1, p + 1)]
             + [(Scalar.unit(b=QQ(1, 2), pi_exp=-1), z_mul(mu, j) @ z_mul(mu, k)) for mu in range(p + 1, p + q + 1)]
         )
@@ -122,7 +111,7 @@ def omega(gen, params):
         if n != 1:
             raise ValueError("lowering operator needs n = 1")
         # (i/4) w'_1 o w'_1
-        return _scaled_sum(
+        return op_sum(
             [(Scalar.from_rational(2, pi_exp=1), z_del(a, 1) @ z_del(a, 1)) for a in range(1, p + 1)]
             + [(Scalar.from_rational(QQ(-1, 8), pi_exp=-1), z_mul(mu, 1) @ z_mul(mu, 1)) for mu in range(p + 1, p + q + 1)]
         )
@@ -133,8 +122,7 @@ def omega_kprime(params, j, k):
     """(1/2i) w'_j o w''_k: the endomorphism eps_j -> eps_k plus (p-q)/2 on the
     diagonal, realized on the Fock slot."""
     half_over_i = Scalar.unit(b=QQ(-1, 2))  # 1/(2i)
-    base = omega(SP_K(j, k), params)
-    return LinearOperator(lambda form: base(form).scale(half_over_i))
+    return op_sum([(half_over_i, omega(SP_K(j, k), params))])
 
 
 def gl_bracket(j, k, l, m):
@@ -174,7 +162,7 @@ def intertwine_atom(kind, index, column, params):
             base = z_del(index, column)
     else:
         raise ValueError(f"unknown atom kind {kind}")
-    return LinearOperator(lambda form: base(form).scale(coeff))
+    return op_sum([(coeff, base)])
 
 
 def intertwine(word, params):
@@ -182,13 +170,8 @@ def intertwine(word, params):
 
     word: sequence of (kind, index, column).
     """
-    op = None
-    for kind, index, column in word:
-        atom = intertwine_atom(kind, index, column, params)
-        op = atom if op is None else op @ atom
-    if op is None:
-        return LinearOperator(lambda form: form)
-    return op
+    return compose(intertwine_atom(kind, index, column, params)
+                   for kind, index, column in word)
 
 
 def polarized_top_operator(params):
@@ -204,11 +187,6 @@ def polarized_top_operator(params):
             pieces = [(Scalar.one(),
                        wedge_left(a, mu) @ intertwine_atom(X_MINUS_D, a, i, params))
                       for a in params.positive()]
-            factors.append(_scaled_sum(pieces))
-    op = None
-    for f in factors:
-        op = f if op is None else op @ f
-    if op is None:
-        return LinearOperator(lambda form: form)
+            factors.append(op_sum(pieces))
     norm = Scalar.two_pow_half(params.n * params.q).monomial_inverse()
-    return LinearOperator(lambda form, _op=op: _op(form).scale(norm))
+    return op_sum([(norm, compose(factors))])

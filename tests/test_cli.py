@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import pathlib
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from fockforms import cli
+from fockforms import cli, workers
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -77,6 +78,34 @@ def test_fail_fast_stops_after_first_failure(monkeypatch):
     monkeypatch.setattr(cli, "_run_cell", fake)
     reports = cli.run_cells([1, 2, 3, 4], jobs=1, fail_fast=True)
     assert len(reports) == 2 and len(calls) == 2
+
+
+def test_worker_count_clamp(monkeypatch):
+    monkeypatch.setattr(workers.os, "cpu_count", lambda: 2)
+    assert workers.worker_count(8, 100) == 2
+    assert workers.worker_count(8, 1) == 1
+    assert workers.worker_count(1, 100) == 1
+    assert workers.worker_count(4, 0) == 1
+    monkeypatch.setattr(workers.os, "cpu_count", lambda: None)
+    assert workers.worker_count(8, 100) == 1
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was created")
+
+
+def test_single_cell_runs_without_pool(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_pool)
+    code, out, _ = run_main(capsys, "verify", "--identity", "closedness",
+                            "--p", "1", "--q", "1", "--jobs", "4")
+    assert code == 0 and json.loads(out)["cells"] == 1
+
+
+def test_single_beta_runs_without_pool(monkeypatch, capsys):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    code, out, _ = run_main(capsys, "theta", "--lattice",
+                            str(FIXTURES / "z1.json"), "--jobs", "4")
+    assert code == 0 and len(json.loads(out)["rows"]) == 1
 
 
 def test_verify_out_dir(tmp_path, capsys):
@@ -176,6 +205,20 @@ def test_theta_malformed_lattice(tmp_path, capsys):
     bad.write_text('{"gram": [[1, 2], [2, 1]]}')
     code, _, err = run_main(capsys, "theta", "--lattice", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("doc", [
+    '{"gram": 5}',
+    '[[2]]',
+    '{"gram": [[2, 0], [0, 2]], "coset": 3}',
+    '{"gram": [[2, 0, 0], [0, 2], [0, 0, 2]]}',
+])
+def test_theta_rejects_malformed_document(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    code, out, err = run_main(capsys, "theta", "--lattice", str(bad))
+    assert code == 2 and out == ""
+    assert "cannot load lattice" in json.loads(err)["error"]
 
 
 def test_intertwine_check(capsys):

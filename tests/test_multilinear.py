@@ -8,19 +8,21 @@ from fockforms.multilinear import (
     MixedForm,
     SpaceParams,
     a_of_f,
+    compose,
     contraction,
     expansion,
     insert_letter,
     insert_metric,
     interior,
     metric_pair_insertion,
+    op_sum,
     rho_x,
     tensor_permute,
     wedge_left,
     z_del,
     z_mul,
 )
-from fockforms.scalars import QQ, Scalar
+from fockforms.scalars import ONE, QQ, Scalar
 
 P21 = SpaceParams(2, 1, 1)
 P22 = SpaceParams(2, 2, 1)
@@ -192,3 +194,47 @@ def test_scale_and_linearity():
     assert f.scale(QQ(0)).is_zero()
     assert f + f == f.scale(QQ(2))
     assert (f - f).is_zero()
+
+
+def naive_sum(pieces, form):
+    """The oracle: scale each image and add it to a fresh copy of the total."""
+    out = MixedForm(form.params)
+    for coeff, op in pieces:
+        out = out + op(form).scale(coeff)
+    return out
+
+
+def test_op_sum_matches_naive_loop():
+    rng = random.Random(23)
+    ops = [z_mul(1), z_del(2), wedge_left(1, 3) @ z_del(1), rho_x(1, 3),
+           insert_letter(2, 3), interior(2, 3) @ z_mul(3)]
+    half_i = Scalar.unit(b=QQ(1, 2), pi_exp=-1)
+    coeffs = [ONE, Scalar.one(), half_i, half_i, QQ(0), Scalar.zero(), QQ(3, 5),
+              QQ(3, 5), -1, Scalar.from_rational(QQ(-2, 7), pi_exp=2),
+              Scalar.unit(a=1, c=QQ(1, 3)), 1]
+    for trial in range(6):
+        f = random_form(P21, rng, nterms=5)
+        pieces = [(rng.choice(coeffs), rng.choice(ops)) for _ in range(rng.randint(1, 9))]
+        assert op_sum(pieces)(f) == naive_sum(pieces, f), trial
+    f = random_form(P21, rng)
+    assert op_sum([])(f).is_zero()
+    assert op_sum([(0, z_mul(1)), (Scalar.zero(), z_del(1))])(f).is_zero()
+    assert op_sum([(QQ(2), z_mul(1)), (2, z_mul(1))])(f) == z_mul(1)(f).scale(QQ(4))
+
+
+def test_op_sum_leaves_operand_unchanged():
+    rng = random.Random(29)
+    f = random_form(P21, rng)
+    before = dict(f.terms)
+    op_sum([(1, compose([])), (ONE, z_mul(1)), (QQ(1, 2), compose([]))])(f)
+    assert f.terms == before
+
+
+def test_compose():
+    rng = random.Random(31)
+    f = random_form(P21, rng)
+    a, b, c = z_mul(1), wedge_left(2, 3), z_del(1)
+    assert compose([])(f) == f
+    assert compose([a])(f) == a(f)
+    assert compose([a, b])(f) == (a @ b)(f) == a(b(f))
+    assert compose(iter([a, b, c]))(f) == a(b(c(f)))
