@@ -18,6 +18,10 @@ from fockforms.schur import partitions_of
 from fockforms.workers import worker_count
 
 LIMITS = {"p": 4, "q": 4, "n": 3, "ell": 6}
+# theta payloads: moment_tensor names at most 8 einsum slots, and the Young
+# projector walks |lambda|! row permutations over up to rank ** |lambda| words
+PAYLOAD_DEGREE = 8
+PAYLOAD_WORDS = 2 ** 16
 
 IDENTITY_ALIASES = {
     "kprime_invariance": "kprime",
@@ -159,8 +163,9 @@ def cmd_theta(args):
                          f"vectors but --genus is {args.genus}")
     if lam and len(lam) > args.genus:
         raise InputError("partition has more rows than the genus")
-    if lam and lat.rank ** sum(lam) > 1500 and len(lam) > 1:
-        raise InputError("payload shape too large for this lattice rank")
+    if lam and (sum(lam) > PAYLOAD_DEGREE or lat.rank ** sum(lam) > PAYLOAD_WORDS):
+        raise InputError(f"payload needs |lambda| <= {PAYLOAD_DEGREE} and "
+                         f"rank ** |lambda| <= {PAYLOAD_WORDS}")
     rows = series_table(lat, lam=lam, n=args.genus, bound=args.bound,
                         jobs=args.jobs)
     doc = {

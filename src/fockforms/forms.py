@@ -38,12 +38,7 @@ from fockforms.multilinear import (
     z_mul,
 )
 from fockforms.scalars import MINUS_I_4PI, QQ, Scalar
-from fockforms.schur import (
-    matrix_to_word_map,
-    perm_sign,
-    schur_harmonic_projector,
-    young_apply_vec,
-)
+from fockforms.schur import all_words, harmonic_project_vec, perm_sign, young_apply_vec
 from fockforms.weil import LOWERING, omega, omega_kprime
 
 
@@ -83,7 +78,8 @@ def phi_nq0(params):
         piece = MixedForm.monomial(params,
                                    z=[(idx, col, e) for (idx, col), e in z.items()],
                                    w=w, t=(), coeff=coeff)
-        total = total + piece
+        for key, c in piece.terms.items():
+            total._accum(key, c)
     return total
 
 
@@ -100,10 +96,11 @@ def phi_0ell(params, word):
         z = {}
         for b, col in zip(beta, word):
             z[(b, col)] = z.get((b, col), 0) + 1
-        total = total + MixedForm.monomial(
-            params,
-            z=[(idx, col, e) for (idx, col), e in z.items()],
-            w=(), t=beta, coeff=coeff)
+        piece = MixedForm.monomial(params,
+                                   z=[(idx, col, e) for (idx, col), e in z.items()],
+                                   w=(), t=beta, coeff=coeff)
+        for key, c in piece.terms.items():
+            total._accum(key, c)
     return total
 
 
@@ -126,7 +123,8 @@ def phi_linear(params, combo):
     """phi extended linearly over a dict word -> rational."""
     out = MixedForm(params)
     for word, r in combo.items():
-        out = out + phi(params, tuple(word)).scale(QQ(r))
+        for key, c in phi(params, tuple(word)).terms.items():
+            out._accum(key, c.scale(r))
     return out
 
 
@@ -153,8 +151,9 @@ def signature_form(params):
 @functools.lru_cache(maxsize=None)
 def harmonic_word_map(lam, params):
     """pi_[lam] on the output tensor slot, column-keyed over letters 1..m."""
-    mat = schur_harmonic_projector(lam, signature_form(params))
-    return matrix_to_word_map(mat, params.m, sum(lam))
+    b1 = signature_form(params)
+    return {word: harmonic_project_vec(young_apply_vec(lam, {word: QQ(1)}), b1, lam)
+            for word in all_words(params.m, sum(lam))}
 
 
 def apply_output_projector(form, lam):

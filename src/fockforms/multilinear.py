@@ -253,7 +253,8 @@ class MixedForm:
                 t=item["t"],
                 coeff=Scalar.from_json(item["c"]),
             )
-            out = out + piece
+            for key, c in piece.terms.items():
+                out._accum(key, c)
         return out
 
     def __repr__(self):

@@ -1,10 +1,33 @@
 """Young symmetrizers, semistandard counting, and harmonic projection.
 
-Words of length ell over the alphabet 1..N index the tensor space; the
-projector pi_lam for a partition lam is built from the row/column groups of
-the row-major base tableau, rescaled to an exact idempotent.  The harmonic
-complement removes the span of all metric insertions with respect to a
-symmetric bilinear form, and pi_[lam] composes the two.
+Words of length ell over the alphabet 1..N index the tensor space; a tensor
+is a dict word -> QQ.  Two projectors act on such dicts:
+
+* young_apply_vec(lam, vec) is the Young projector pi_lam: the row average of
+  the row-major base tableau, then the signed column average, rescaled by
+  kappa = prod hooks / (prod lam_i! prod lam'_j!) to an exact idempotent.
+  The averages and kappa together scale the plain sums by 1 / prod hooks.
+* harmonic_project_vec(vec, b1, lam) takes a lam-isotypic tensor to its
+  traceless part for the symmetric bilinear form b1.  Let C_ij contract slots
+  i < j with b1 and E_ij insert g = b1^-1 there, and Omega = sum E_ij C_ij.
+  Omega is self-adjoint for the product form and its kernel is the traceless
+  tensors.  On the copy of g^k (x) [mu] inside the lam-isotypic tensors, for
+  mu contained in lam with |lam| - |mu| = 2k, it acts by
+
+      c = cont(lam) - cont(mu) + k (n - 1),
+
+  where cont sums column - row over the boxes and n = b1.nrows.  These are
+  eigenvalues of Jucys-Murphy elements of the Brauer algebra (Nazarov,
+  J. Algebra 182, 1996); for lam = (ell) they give the classical expansion of
+  the harmonic part as sum_j c_j |x|^2j Delta^j (Axler, Bourdon & Ramey,
+  Harmonic Function Theory, ch. 5).  Every copy that occurs has c > 0 (for
+  a definite form Omega is positive semidefinite, and c does not depend on the
+  form), so prod (1 - Omega / c) over the distinct positive c is pi_[lam],
+  the form-orthogonal projection onto the traceless tensors.
+
+young_projector is the matrix of young_apply_vec on the basis words.
+harmonic_complement builds the harmonic projection as a dense word-space
+matrix by brute force; it is the test oracle and on no production path.
 """
 
 from __future__ import annotations
@@ -37,18 +60,29 @@ def conjugate(lam):
     return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
 
 
+def _content(lam):
+    """Sum of column - row over the boxes of lam."""
+    return sum(j - i for i, part in enumerate(lam) for j in range(part))
+
+
+def _hook_product(lam):
+    conj = conjugate(lam)
+    out = 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            out *= (part - j) + (conj[j] - i) - 1
+    return out
+
+
 def hook_content_count(lam, n):
     """Number of semistandard fillings with entries <= n, by hooks and contents."""
-    conj = conjugate(lam)
     num = 1
-    den = 1
     for i, part in enumerate(lam):
         for j in range(part):
             num *= n + j - i
-            den *= (part - j) + (conj[j] - i) - 1
     if num == 0:
         return 0
-    count, rem = divmod(num, den)
+    count, rem = divmod(num, _hook_product(lam))
     assert rem == 0
     return count
 
@@ -154,6 +188,16 @@ def column_group(lam):
 # word bases
 # ---------------------------------------------------------------------------
 
+def _accum(vec, word, v):
+    """vec[word] += v in place, dropping the word when it cancels."""
+    s = vec.get(word)
+    s = v if s is None else s + v
+    if s:
+        vec[word] = s
+    else:
+        vec.pop(word, None)
+
+
 def all_words(alphabet, ell):
     return list(itertools.product(range(1, alphabet + 1), repeat=ell))
 
@@ -165,70 +209,109 @@ def word_index(word, alphabet):
     return idx
 
 
-def perm_matrix(perm, alphabet):
-    ell = len(perm)
-    size = alphabet ** ell
-    mat = RatMat.zero(size, size)
-    for word in all_words(alphabet, ell):
-        mat.rows[word_index(perm_act_word(perm, word), alphabet)][word_index(word, alphabet)] = QQ(1)
-    return mat
+# ---------------------------------------------------------------------------
+# the Young projector
+# ---------------------------------------------------------------------------
 
-
-def symmetrizer_pair(lam, alphabet):
-    """(row average r, signed column average c) as word-space matrices."""
-    ell = sum(lam)
-    size = alphabet ** ell
-    rg = row_group(lam)
-    cg = column_group(lam)
-    r = RatMat.zero(size, size)
-    for perm in rg:
-        r = r + perm_matrix(perm, alphabet)
-    r = r.scale(QQ(1, len(rg)))
-    c = RatMat.zero(size, size)
-    for perm in cg:
-        mat = perm_matrix(perm, alphabet)
-        c = c + (mat if perm_sign(perm) > 0 else mat.scale(QQ(-1)))
-    c = c.scale(QQ(1, len(cg)))
-    return r, c
-
-
-_KAPPA_CACHE = {}
-
-
-def _kappa(lam):
-    """Proportionality constant of the squared symmetrizer, alphabet-free."""
-    if lam in _KAPPA_CACHE:
-        return _KAPPA_CACHE[lam]
-    alphabet = max(len(lam), 1)
-    r, c = symmetrizer_pair(lam, alphabet)
-    u = c @ r
-    uu = u @ u
-    kappa = None
-    for i, row in enumerate(u.rows):
-        for j, v in row.items():
-            kappa = uu.entry(i, j) / v
-            break
-        if kappa is not None:
-            break
-    if kappa is None or kappa == 0:
-        raise ValueError(f"degenerate symmetrizer for shape {lam}")
-    if uu != u.scale(kappa):
-        raise ValueError(f"symmetrizer square not proportional for shape {lam}")
-    _KAPPA_CACHE[lam] = kappa
-    return kappa
+def young_apply_vec(lam, vec):
+    """pi_lam on a dict word -> QQ: the row sum, then the signed column sum,
+    divided by prod hooks = kappa |R| |C|."""
+    mid = {}
+    for perm in row_group(lam):
+        for w, v in vec.items():
+            _accum(mid, perm_act_word(perm, w), v)
+    out = {}
+    scale = QQ(1, _hook_product(lam))
+    for perm in column_group(lam):
+        sgn = perm_sign(perm)
+        for w, v in mid.items():
+            _accum(out, perm_act_word(perm, w), v if sgn > 0 else -v)
+    return {w: v * scale for w, v in out.items()}
 
 
 def young_projector(lam, alphabet):
-    """The exact idempotent projecting words onto the lam-isotypic image."""
-    r, c = symmetrizer_pair(lam, alphabet)
-    u = c @ r
-    kappa = _kappa(lam)
-    pi = u.scale(1 / kappa)
-    return pi
+    """The matrix of young_apply_vec on the basis words."""
+    ell = sum(lam)
+    mat = RatMat.zero(alphabet ** ell, alphabet ** ell)
+    for word in all_words(alphabet, ell):
+        col = word_index(word, alphabet)
+        for target, v in young_apply_vec(lam, {word: QQ(1)}).items():
+            mat.rows[word_index(target, alphabet)][col] = v
+    return mat
 
 
 # ---------------------------------------------------------------------------
-# metric insertions and the harmonic complement
+# the harmonic projector
+# ---------------------------------------------------------------------------
+
+def pair_positions(ell):
+    return [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+
+
+def insert_pair_word(word, i, j, a, b):
+    # a lands at result slot i, b at result slot j, i < j
+    return word[:i - 1] + (a,) + word[i - 1:j - 2] + (b,) + word[j - 2:]
+
+
+def remove_pair_word(word, i, j):
+    return word[:i - 1] + word[i:j - 1] + word[j:]
+
+
+def contract_vec(vec, b1_rows, i, j):
+    """Pair slots i < j of a dict tensor with the form given as nested lists."""
+    out = {}
+    for w, v in vec.items():
+        f = b1_rows[w[i - 1] - 1][w[j - 1] - 1]
+        if f == 0:
+            continue
+        _accum(out, remove_pair_word(w, i, j), v * f)
+    return out
+
+
+def _omega_eigenvalues(lam, n):
+    """The distinct positive eigenvalues of Omega on lam-isotypic tensors."""
+    ell = sum(lam)
+    cont = _content(lam)
+    values = set()
+    for mu in itertools.product(*(range(part + 1) for part in lam)):
+        removed = ell - sum(mu)
+        if removed < 2 or removed % 2 or any(a < b for a, b in zip(mu, mu[1:])):
+            continue
+        c = cont - _content(mu) + removed // 2 * (n - 1)
+        if c > 0:
+            values.add(c)
+    return sorted(values)
+
+
+def _omega(vec, b1_rows, g_entries, ell):
+    """sum over slot pairs i < j of E_ij C_ij; g_entries lists (a, b, g_ab)."""
+    out = {}
+    for i, j in pair_positions(ell):
+        for rest, u in contract_vec(vec, b1_rows, i, j).items():
+            for a, b, g in g_entries:
+                _accum(out, insert_pair_word(rest, i, j, a, b), g * u)
+    return out
+
+
+def harmonic_project_vec(vec, b1, lam):
+    """pi_[lam] on a lam-isotypic dict tensor: prod over c of (1 - Omega / c)."""
+    ell = sum(lam)
+    n = b1.nrows
+    b1_rows = [[b1.entry(i, j) for j in range(n)] for i in range(n)]
+    g = inverse(b1)
+    g_entries = [(a + 1, b + 1, v) for a, row in enumerate(g.rows) for b, v in row.items()]
+    out = dict(vec)
+    for c in _omega_eigenvalues(lam, n):
+        for w, v in _omega(out, b1_rows, g_entries, ell).items():
+            _accum(out, w, -v / c)
+    for i, j in pair_positions(ell):
+        leftover = contract_vec(out, b1_rows, i, j)
+        assert not leftover, f"trace survived harmonic projection at slots ({i},{j})"
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the brute-force oracle: dense word-space matrices
 # ---------------------------------------------------------------------------
 
 def kron_form(b1, ell):
@@ -246,19 +329,6 @@ def kron_form(b1, ell):
             if v != 0:
                 out.rows[word_index(w, alphabet)][word_index(w2, alphabet)] = v
     return out
-
-
-def pair_positions(ell):
-    return [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
-
-
-def insert_pair_word(word, i, j, a, b):
-    # a lands at result slot i, b at result slot j, i < j
-    return word[:i - 1] + (a,) + word[i - 1:j - 2] + (b,) + word[j - 2:]
-
-
-def remove_pair_word(word, i, j):
-    return word[:i - 1] + word[i:j - 1] + word[j:]
 
 
 def contraction_matrix(b1, ell, i, j):
@@ -336,201 +406,3 @@ def harmonic_complement(b1, ell):
     gram = span.transpose() @ b_ell @ span
     proj = span @ inverse(gram) @ span.transpose() @ b_ell
     return RatMat.identity(size) - proj
-
-
-def schur_harmonic_projector(lam, b1):
-    """Harmonic complement composed with the shape projector."""
-    ell = sum(lam)
-    return harmonic_complement(b1, ell) @ young_projector(lam, b1.nrows)
-
-
-def matrix_to_word_map(mat, alphabet, ell):
-    """Column-indexed dict form used to push a word matrix through a tensor slot."""
-    words = all_words(alphabet, ell)
-    by_index = {word_index(w, alphabet): w for w in words}
-    out = {}
-    for w in words:
-        col = word_index(w, alphabet)
-        entry = {}
-        for row_idx, row in enumerate(mat.rows):
-            v = row.get(col)
-            if v:
-                entry[by_index[row_idx]] = v
-        out[w] = entry
-    return out
-
-
-# ---------------------------------------------------------------------------
-# vector-level machinery for large alphabets
-# ---------------------------------------------------------------------------
-
-def young_apply_vec(lam, vec):
-    """Apply the shape projector to a dict word -> QQ without forming matrices."""
-    kappa = _kappa(lam)
-    rg = row_group(lam)
-    cg = column_group(lam)
-    mid = {}
-    for perm in rg:
-        for w, v in vec.items():
-            nw = perm_act_word(perm, w)
-            s = mid.get(nw, QQ(0)) + v
-            if s == 0:
-                mid.pop(nw, None)
-            else:
-                mid[nw] = s
-    out = {}
-    scale = 1 / (kappa * len(rg) * len(cg))
-    for perm in cg:
-        sgn = perm_sign(perm)
-        for w, v in mid.items():
-            nw = perm_act_word(perm, w)
-            s = out.get(nw, QQ(0)) + (v if sgn > 0 else -v)
-            if s == 0:
-                out.pop(nw, None)
-            else:
-                out[nw] = s
-    return {w: v * scale for w, v in out.items() if v * scale != 0}
-
-
-def contract_vec(vec, b1_rows, i, j):
-    """Pair slots i < j of a dict tensor with the form given as nested lists."""
-    out = {}
-    for w, v in vec.items():
-        f = b1_rows[w[i - 1] - 1][w[j - 1] - 1]
-        if f == 0:
-            continue
-        nw = remove_pair_word(w, i, j)
-        s = out.get(nw, QQ(0)) + v * f
-        if s == 0:
-            out.pop(nw, None)
-        else:
-            out[nw] = s
-    return out
-
-
-def _sym_insert(g_rows, u, ell, alphabet):
-    """Symmetrized placement of the dual form against a lower tensor.
-
-    For ell = 2 u is the scalar 1 slot count taken as u[()]; for ell = 3 u is a
-    1-tensor, for ell = 4 a symmetric 2-tensor.  Returns sum over slot pairs of
-    g at the pair times u at the rest.
-    """
-    out = {}
-    for i, j in pair_positions(ell):
-        for w_rest, uv in u.items():
-            for a in range(1, alphabet + 1):
-                for b in range(1, alphabet + 1):
-                    g = g_rows[a - 1][b - 1]
-                    if g == 0:
-                        continue
-                    w = insert_pair_word(w_rest, i, j, a, b)
-                    s = out.get(w, QQ(0)) + g * uv
-                    if s == 0:
-                        out.pop(w, None)
-                    else:
-                        out[w] = s
-    return out
-
-
-def harmonic_project_symmetric(vec, b1_rows, g_rows, ell, alphabet):
-    """Closed-form harmonic part of a symmetric tensor, degrees up to 4.
-
-    Solves h = w - (symmetrized g insertions) with all pair contractions of h
-    zero; the inserted cotensors come out of one or two trace equations.
-    """
-    if ell <= 1:
-        return dict(vec)
-    n = alphabet
-    if ell == 2:
-        tr = QQ(0)
-        for w, v in vec.items():
-            tr += b1_rows[w[0] - 1][w[1] - 1] * v
-        c = tr / n
-        out = dict(vec)
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                g = g_rows[a - 1][b - 1]
-                if g == 0:
-                    continue
-                w = (a, b)
-                s = out.get(w, QQ(0)) - c * g
-                if s == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return out
-    if ell == 3:
-        s1 = contract_vec(vec, b1_rows, 1, 2)
-        u = {w: v / (n + 2) for w, v in s1.items()}
-        ins = _sym_insert(g_rows, u, 3, n)
-        return _vec_sub(vec, ins)
-    if ell == 4:
-        s = contract_vec(vec, b1_rows, 1, 2)
-        tr_s = QQ(0)
-        for w, v in s.items():
-            tr_s += b1_rows[w[0] - 1][w[1] - 1] * v
-        tr_u = tr_s / (2 * n + 4)
-        u = dict(s)
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                g = g_rows[a - 1][b - 1]
-                if g == 0:
-                    continue
-                w = (a, b)
-                val = u.get(w, QQ(0)) - g * tr_u
-                if val == 0:
-                    u.pop(w, None)
-                else:
-                    u[w] = val
-        u = {w: v / (n + 4) for w, v in u.items()}
-        ins = _sym_insert(g_rows, u, 4, n)
-        return _vec_sub(vec, ins)
-    raise NotImplementedError("closed-form harmonic projection stops at degree 4")
-
-
-def _vec_sub(a, b):
-    out = dict(a)
-    for w, v in b.items():
-        s = out.get(w, QQ(0)) - v
-        if s == 0:
-            out.pop(w, None)
-        else:
-            out[w] = s
-    return out
-
-
-def harmonic_project_vec(vec, b1, lam):
-    """pi_[lam] on a dict tensor: shape projection, then trace removal.
-
-    Symmetric single-row shapes take the closed-form path; other shapes fall
-    back to the matrix construction, which is only viable for moderate
-    alphabet ** ell.
-    """
-    ell = sum(lam)
-    alphabet = b1.nrows
-    closed_form = len(lam) == 1 and ell <= 4
-    if not closed_form and alphabet ** ell > 1500:
-        raise ValueError("tensor space too large for the matrix path")
-    shaped = young_apply_vec(lam, vec) if len(lam) > 1 or ell > 1 else dict(vec)
-    if ell < 2:
-        return shaped
-    b1_rows = [[b1.entry(i, j) for j in range(alphabet)] for i in range(alphabet)]
-    if closed_form:
-        g = inverse(b1)
-        g_rows = [[g.entry(i, j) for j in range(alphabet)] for i in range(alphabet)]
-        out = harmonic_project_symmetric(shaped, b1_rows, g_rows, ell, alphabet)
-    else:
-        h = harmonic_complement(b1, ell)
-        out = {}
-        by_index = {}
-        for w, v in shaped.items():
-            by_index[word_index(w, alphabet)] = (w, v)
-        col = {idx: v for idx, (w, v) in by_index.items()}
-        res = h.apply(col)
-        words = all_words(alphabet, ell)
-        for idx, v in res.items():
-            out[words[idx]] = v
-    for i, j in pair_positions(ell):
-        leftover = contract_vec(out, b1_rows, i, j)
-        assert not leftover, f"trace survived harmonic projection at slots ({i},{j})"
-    return out

@@ -80,9 +80,9 @@ class Lattice:
             return Lattice(gram)
         shifts = coset.get("h") if isinstance(coset, dict) else None
         if (not isinstance(shifts, list)
-                or not all(isinstance(h, list) and all(isinstance(v, int) for v in h)
+                or not all(isinstance(h, list) and all(type(v) is int for v in h)
                            for h in shifts)
-                or not isinstance(coset.get("modulus"), int)):
+                or type(coset.get("modulus")) is not int):
             raise ValueError("coset must be an object with a list of shift "
                              "vectors h and an integer modulus")
         return Lattice(gram, coset_h=shifts, modulus=coset["modulus"])
@@ -114,12 +114,14 @@ class Lattice:
 
 def _parse_entry(v):
     # accepts ints, "a/b" strings, and floats (half-integers are exact in binary)
-    if isinstance(v, str):
-        num, _, den = v.partition("/")
-        return QQ(int(num), int(den or 1))
+    if isinstance(v, bool):
+        raise ValueError(f"entry {v!r} is not a number")
     try:
+        if isinstance(v, str):
+            num, _, den = v.partition("/")
+            return QQ(int(num), int(den or 1))
         return QQ(v)
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"entry {v!r} is not a finite number") from exc
 
 

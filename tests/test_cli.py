@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fockforms import cli, workers
+from fockforms import cli, theta, workers
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -194,6 +196,32 @@ def test_theta_rejects_coset_genus_mismatch(capsys):
     assert "shift vectors" in json.loads(err)["error"]
 
 
+def test_theta_single_row_degree_six(capsys):
+    # 4 ** 6 words: once refused by a matrix fallback with a traceback
+    code, out, _ = run_main(capsys, "theta", "--lattice", str(FIXTURES / "z4.json"),
+                            "--lambda", "6", "--bound", "1")
+    assert code == 0
+    assert [r["count"] for r in json.loads(out)["rows"]] == [1, 24]
+
+
+@pytest.mark.parametrize("lattice,args", [
+    ("z4.json", ("--lambda", "9", "--bound", "1")),
+    ("z4.json", ("--genus", "2", "--lambda", "9,9")),
+    ("z1.json", ("--lambda", "10", "--bound", "1")),
+    ("e8.json", ("--lambda", "6")),
+    ("e8.json", ("--genus", "2", "--lambda", "3,3")),
+])
+def test_theta_payload_cap(monkeypatch, capsys, lattice, args):
+    """Over-cap shapes exit 2 before any enumeration starts."""
+    def no_series(*args, **kwargs):
+        raise AssertionError("enumeration started")
+    monkeypatch.setattr(theta, "series_table", no_series)
+    code, out, err = run_main(capsys, "theta", "--lattice", str(FIXTURES / lattice),
+                              *args)
+    assert code == 2 and out == ""
+    assert "payload needs" in json.loads(err)["error"]
+
+
 def test_theta_missing_file(capsys):
     code, _, err = run_main(capsys, "theta", "--lattice", "no_such.json")
     assert code == 2
@@ -212,6 +240,8 @@ def test_theta_malformed_lattice(tmp_path, capsys):
     '[[2]]',
     '{"gram": [[2, 0], [0, 2]], "coset": 3}',
     '{"gram": [[2, 0, 0], [0, 2], [0, 0, 2]]}',
+    '{"gram": [["1/0"]]}',
+    '{"gram": [[true]]}',
 ])
 def test_theta_rejects_malformed_document(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
@@ -219,6 +249,78 @@ def test_theta_rejects_malformed_document(tmp_path, capsys, doc):
     code, out, err = run_main(capsys, "theta", "--lattice", str(bad))
     assert code == 2 and out == ""
     assert "cannot load lattice" in json.loads(err)["error"]
+
+
+NOT_A_LIST = [None, True, 3, 2.5, "gram", {"a": [2]}]
+# (where, what) pairs, one defect each
+DEFECTS = (
+    [("document", v) for v in NOT_A_LIST + [[], [[2]]]]
+    + [("gram", v) for v in NOT_A_LIST + [[], [2], [[2], 2]]]
+    + [("row", v) for v in NOT_A_LIST]
+    + [("entry", v) for v in [None, True, False, float("nan"), float("inf"), "",
+                              "x", "1/0", "1/2/3", "1.5", "--1", [], [2], {"a": 2}]]
+    + [("diagonal", v) for v in [0, -4, "1/2", "7/3", 2.5]]
+    + [("row_length", -1), ("row_length", 1), ("asymmetric", 1)]
+    + [("coset", v) for v in [True, 3, "h", [[0]], {"modulus": 2}]]
+    + [("shifts", v) for v in NOT_A_LIST]
+    + [("shift_entry", v) for v in [True, 0.5, "1", None]]
+    + [("shift_length", -1), ("shift_length", 1), ("shift_count", 2)]
+    + [("modulus", v) for v in [0, -3, True, 1.5, "2", None, [2]]]
+    + [("field", v) for v in ["R", "C", "", 5, None]]
+)
+
+
+@st.composite
+def malformed_lattices(draw):
+    """A positive definite lattice document, optionally with a coset, and
+    then one defect."""
+    where, what = draw(st.sampled_from(DEFECTS))
+    m = draw(st.integers(2 if where == "asymmetric" else 1, 3))
+    gram = [[4] * m for _ in range(m)]  # diagonally dominant once filled in
+    for i in range(m):
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-1, 1))
+    doc = {"gram": gram}
+    if draw(st.booleans()):
+        doc["coset"] = {"h": [[0] * m], "modulus": 2}
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    if where == "document":
+        doc = what
+    elif where in ("gram", "coset", "field"):
+        doc[where] = what
+    elif where == "row":
+        gram[i] = what
+    elif where == "entry":
+        gram[i][j] = what
+    elif where == "diagonal":
+        gram[i][i] = what
+    elif where == "row_length":
+        gram[i] = gram[i][:-1] if what < 0 else gram[i] + [0]
+    elif where == "asymmetric":
+        gram[0][1] += what
+    elif where == "modulus":
+        doc["coset"] = {"h": [[0] * m], "modulus": what}
+    elif where == "shifts":
+        doc["coset"] = {"h": what, "modulus": 2}
+    elif where == "shift_entry":
+        doc["coset"] = {"h": [[0] * (m - 1) + [what]], "modulus": 2}
+    elif where == "shift_length":
+        doc["coset"] = {"h": [[0] * (m + what)], "modulus": 2}
+    else:
+        doc["coset"] = {"h": [[0] * m] * what, "modulus": 2}
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=malformed_lattices())
+def test_theta_malformed_lattice_property(tmp_path, capsys, doc):
+    """Every malformed lattice document exits 2 with a JSON error."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    code, out, err = run_main(capsys, "theta", "--lattice", str(bad))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]
 
 
 def test_intertwine_check(capsys):

@@ -1,6 +1,6 @@
 """Young symmetrizers, semistandard counting, harmonic projection."""
 
-import itertools
+import functools
 import random
 
 import pytest
@@ -14,8 +14,9 @@ from fockforms.schur import (
     hook_content_count,
     insertion_matrix,
     partitions_of,
-    schur_harmonic_projector,
     ssyt_enumerate,
+    word_index,
+    young_apply_vec,
     young_projector,
 )
 from fockforms.scalars import QQ
@@ -50,9 +51,16 @@ def test_projector_rank_is_ssyt_count(ell, n):
 
 
 def test_projector_idempotent():
-    for lam in [(2,), (1, 1), (2, 1), (3, 1), (2, 2)]:
-        u = young_projector(lam, 2)
-        assert u @ u == u, lam
+    # with a letter per row the image of a dense random tensor is nonzero, so
+    # a wrong normalisation kappa shows as u(u(v)) != u(v)
+    rng = random.Random(7)
+    for ell in range(1, 6):
+        for lam in partitions_of(ell):
+            u = young_projector(lam, 2)
+            assert u @ u == u, lam
+            vec = {w: QQ(rng.randint(-3, 3)) for w in all_words(max(2, len(lam)), ell)}
+            once = young_apply_vec(lam, vec)
+            assert once and young_apply_vec(lam, once) == once, lam
 
 
 def test_symmetric_antisymmetric_special_cases():
@@ -118,7 +126,7 @@ def test_harmonic_commutes_with_young(p, q):
 def test_schur_harmonic_projector_idempotent(p, q):
     b1 = _signature(p + q, p)
     for lam in [(2,), (3,), (2, 1)]:
-        pr = schur_harmonic_projector(lam, b1)
+        pr = harmonic_complement(b1, sum(lam)) @ young_projector(lam, p + q)
         assert pr @ pr == pr, lam
 
 
@@ -137,41 +145,32 @@ def inverse_diag(b1):
     return RatMat.diagonal([QQ(1) / b1.entry(i, i) for i in range(b1.nrows)])
 
 
-def test_single_row_closed_form_agrees_with_matrix_path():
-    rng = random.Random(23)
-    b1 = _signature(3, 2)
-    for ell in (2, 3, 4):
-        lam = (ell,)
-        words = list(itertools.product((1, 2, 3), repeat=ell))
-        vec = {rng.choice(words): QQ(rng.randint(-4, 4), rng.randint(1, 3))
-               for _ in range(4)}
-        sym_in = young_apply(lam, vec)
-        fast = harmonic_project_vec(sym_in, b1, lam)
-        proj = schur_harmonic_projector(lam, b1)
-        slow = apply_matrix(proj, vec, 3, ell)
-        assert fast == slow, ell
+ORACLE_FORMS = {
+    "sig21": _signature(3, 2),
+    "nondiag": RatMat.from_rows([[2, 1], [1, 4]]),
+    "halfint": RatMat.from_rows([[0, QQ(1, 2)], [QQ(1, 2), 1]]),
+}
+ORACLE_CASES = [(name, lam) for name in ORACLE_FORMS for ell in range(1, 5)
+                for lam in partitions_of(ell)]
+ORACLE_CASES += [("nondiag", lam) for ell in (5, 6) for lam in partitions_of(ell)]
 
 
-def young_apply(lam, vec):
-    from fockforms.schur import young_apply_vec
-    return young_apply_vec(lam, vec)
+@functools.lru_cache(maxsize=None)
+def _oracle_complement(name, ell):
+    return harmonic_complement(ORACLE_FORMS[name], ell)
 
 
-def apply_matrix(mat, vec, alphabet, ell):
-    from fockforms.schur import matrix_to_word_map
-    wmap = matrix_to_word_map(mat, alphabet, ell)
-    out = {}
-    for word, c in vec.items():
-        for target, w in wmap.get(word, {}).items():
-            v = out.get(target, QQ(0)) + c * w
-            if v == 0:
-                out.pop(target, None)
-            else:
-                out[target] = v
-    return out
-
-
-def test_matrix_path_size_guard():
-    b1 = _signature(2, 1)
-    with pytest.raises(ValueError):
-        harmonic_project_vec({(1,) * 12: QQ(1)}, b1, (2,) * 6)
+@pytest.mark.parametrize("name,lam", ORACLE_CASES,
+                         ids=[f"{name}-{','.join(map(str, lam))}"
+                              for name, lam in ORACLE_CASES])
+def test_harmonic_project_vec_matches_oracle(name, lam):
+    """Young then harmonic projection equals the dense oracle composition."""
+    b1 = ORACLE_FORMS[name]
+    m, ell = b1.nrows, sum(lam)
+    rng = random.Random(f"{name}{lam}")
+    words = all_words(m, ell)
+    vec = {w: QQ(rng.randint(-4, 4), rng.randint(1, 3)) for w in words}
+    fast = harmonic_project_vec(young_apply_vec(lam, vec), b1, lam)
+    oracle = _oracle_complement(name, ell) @ young_projector(lam, m)
+    slow = oracle.apply({word_index(w, m): v for w, v in vec.items()})
+    assert fast == {words[i]: v for i, v in slow.items()}
