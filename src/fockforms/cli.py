@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -19,9 +20,16 @@ from fockforms.workers import worker_count
 
 LIMITS = {"p": 4, "q": 4, "n": 3, "ell": 6}
 # theta payloads: moment_tensor names at most 8 einsum slots, and the Young
-# projector walks |lambda|! row permutations over up to rank ** |lambda| words
+# and harmonic projectors walk up to rank ** |lambda| words
 PAYLOAD_DEGREE = 8
 PAYLOAD_WORDS = 2 ** 16
+# theta work: series_betas tests (bound+1)^n (4 bound+1)^(n(n-1)/2) candidate
+# betas at genus n, each through 2^n - 1 principal minors, and the shells up to
+# the bound hold about vol(B_m) (2 bound)^(m/2) / sqrt(det G) vectors of a
+# rank-m lattice
+THETA_GENUS = 16
+THETA_BETAS = 2 ** 16
+THETA_POINTS = 2 ** 20
 
 IDENTITY_ALIASES = {
     "kprime_invariance": "kprime",
@@ -166,6 +174,7 @@ def cmd_theta(args):
     if lam and (sum(lam) > PAYLOAD_DEGREE or lat.rank ** sum(lam) > PAYLOAD_WORDS):
         raise InputError(f"payload needs |lambda| <= {PAYLOAD_DEGREE} and "
                          f"rank ** |lambda| <= {PAYLOAD_WORDS}")
+    check_theta_work(lat, args.genus, args.bound)
     rows = series_table(lat, lam=lam, n=args.genus, bound=args.bound,
                         jobs=args.jobs)
     doc = {
@@ -176,6 +185,33 @@ def cmd_theta(args):
     }
     emit(doc, args.out, "theta")
     return 0
+
+
+def check_theta_work(lat, n, bound):
+    """Refuse a genus and bound whose beta list or shells would be too large.
+
+    The shell size is a float estimate in logarithms: it decides a refusal
+    and never an output.
+    """
+    if n > THETA_GENUS:
+        raise InputError(f"--genus must be <= {THETA_GENUS}")
+    betas = (bound + 1) ** n * (4 * bound + 1) ** (n * (n - 1) // 2)
+    if betas > THETA_BETAS:
+        raise InputError(f"--genus {n} --bound {bound} allows up to {betas} "
+                         f"beta matrices; the cap is 2^16")
+    if bound == 0:
+        return
+    from fockforms.enumeration import exact_ldl
+
+    m = lat.rank
+    _, diag = exact_ldl(lat.gram)
+    log_det = sum(math.log(int(d.numerator)) - math.log(int(d.denominator))
+                  for d in diag)
+    log_points = (m / 2 * math.log(2 * math.pi * bound) - math.lgamma(m / 2 + 1)
+                  - log_det / 2)
+    if log_points > math.log(THETA_POINTS):
+        raise InputError(f"--bound {bound} reaches about 2^{log_points / math.log(2):.1f} "
+                         f"lattice vectors; the cap is 2^20")
 
 
 def cmd_intertwine(args):

@@ -5,6 +5,18 @@ coefficients are elements of Q(i, sqrt2), stored as quadruples
 (a, b, c, d) meaning a + b*i + c*sqrt2 + d*i*sqrt2.  The ring is an
 integral domain (Laurent polynomials over a field), so exact zero tests
 are honest: a residual is zero iff every stored quadruple is zero.
+
+Every ring operation touches only the nonzero components of a quadruple.
+The one product kernel, _quad_mul, walks the nonzero components of both
+factors and reads each pairwise product of basis elements from a 4x4 unit
+table, e_p * e_q = f * e_c:
+
+    i * i = -1,  i * sqrt2 = i sqrt2,  i * i sqrt2 = -sqrt2,
+    sqrt2 * sqrt2 = 2,  sqrt2 * i sqrt2 = 2i,  i sqrt2 * i sqrt2 = -2,
+
+so a zero component is never multiplied, and a product lands in an output
+component by assignment unless that component already holds a value.  Sums,
+negations and rational scales likewise leave zero components untouched.
 """
 
 from __future__ import annotations
@@ -17,18 +29,43 @@ except ImportError:  # pragma: no cover
     QQ = Fraction
 
 _Q0 = QQ(0)
-_Q1 = QQ(1)
+
+
+# _UNIT[p][q] = (c, f): e_p * e_q = f * e_c over the basis 1, i, sqrt2, i sqrt2
+_UNIT = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, -1), (3, 1), (2, -1)),
+    ((2, 1), (3, 1), (0, 2), (1, 2)),
+    ((3, 1), (2, -1), (1, 2), (0, -2)),
+)
 
 
 def _quad_mul(x, y):
-    # basis 1, i, r (=sqrt2), ir with i*i = -1, r*r = 2
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
+    """x * y over Q(i, sqrt2), one product per pair of nonzero components."""
+    out = [_Q0, _Q0, _Q0, _Q0]
+    ys = [(q, v) for q, v in enumerate(y) if v]
+    for p, u in enumerate(x):
+        if not u:
+            continue
+        row = _UNIT[p]
+        for q, v in ys:
+            c, f = row[q]
+            t = u * v
+            if f != 1:
+                t = -t if f == -1 else t * f
+            out[c] = out[c] + t if out[c] else t
+    return tuple(out)
+
+
+def _quad_add(x, y):
+    """x + y, adding only where both components are nonzero."""
+    a0, a1, a2, a3 = x
+    b0, b1, b2, b3 = y
     return (
-        a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
-        a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
-        a1 * c2 + c1 * a2 - (b1 * d2 + d1 * b2),
-        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+        a0 + b0 if a0 and b0 else a0 or b0,
+        a1 + b1 if a1 and b1 else a1 or b1,
+        a2 + b2 if a2 and b2 else a2 or b2,
+        a3 + b3 if a3 and b3 else a3 or b3,
     )
 
 
@@ -98,8 +135,7 @@ class Scalar:
         out = dict(self.terms)
         for k, q in other.terms.items():
             if k in out:
-                p = out[k]
-                s = (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3])
+                s = _quad_add(out[k], q)
                 if any(s):
                     out[k] = s
                 else:
@@ -109,7 +145,7 @@ class Scalar:
         return Scalar(out)
 
     def __neg__(self):
-        return Scalar({k: (-a, -b, -c, -d) for k, (a, b, c, d) in self.terms.items()})
+        return Scalar({k: tuple(-t if t else t for t in q) for k, q in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -122,11 +158,7 @@ class Scalar:
             for k2, q2 in other.terms.items():
                 k = k1 + k2
                 prod = _quad_mul(q1, q2)
-                if k in out:
-                    p = out[k]
-                    out[k] = (p[0] + prod[0], p[1] + prod[1], p[2] + prod[2], p[3] + prod[3])
-                else:
-                    out[k] = prod
+                out[k] = _quad_add(out[k], prod) if k in out else prod
         return Scalar({k: q for k, q in out.items() if any(q)})
 
     def __rmul__(self, other):
@@ -136,7 +168,7 @@ class Scalar:
         r = QQ(r)
         if r == 0:
             return Scalar()
-        return Scalar({k: (a * r, b * r, c * r, d * r) for k, (a, b, c, d) in self.terms.items()})
+        return Scalar({k: tuple(t * r if t else t for t in q) for k, q in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -151,19 +183,18 @@ class Scalar:
         """Inverse, defined only for single-term scalars."""
         if len(self.terms) != 1:
             raise ValueError("only monomial scalars are invertible here")
-        (k, (a, b, c, d)), = self.terms.items()
-        # conjugate over i, then over sqrt2: norm is rational
-        # N = (a^2 + b^2 - 2c^2 - 2d^2)^2 + (2*(ac+bd)... ) use two-step conjugation
-        c1 = (a, -b, c, -d)  # conj over i
-        m1 = _quad_mul((a, b, c, d), c1)  # lies in Q(sqrt2): (x, 0, y, 0)
+        (k, quad), = self.terms.items()
+        a, b, c, d = quad
+        # conjugate over i, then over sqrt2: the norm is rational
+        c1 = (a, -b if b else b, c, -d if d else d)
+        m1 = _quad_mul(quad, c1)  # lies in Q(sqrt2): (x, 0, y, 0)
         x, _, y, _ = m1
-        c2 = (x, _Q0, -y, _Q0)
-        m2 = _quad_mul(m1, c2)  # rational: (n, 0, 0, 0)
-        n = m2[0]
+        c2 = (x, _Q0, -y if y else y, _Q0)
+        n = _quad_mul(m1, c2)[0]  # rational: (n, 0, 0, 0)
         if n == 0:
             raise ZeroDivisionError("scalar is zero")
         numer = _quad_mul(c1, c2)
-        return Scalar({-k: tuple(t / n for t in numer)})
+        return Scalar({-k: tuple(t / n if t else t for t in numer)})
 
     # -- predicates -----------------------------------------------------
 

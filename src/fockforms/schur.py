@@ -7,6 +7,7 @@ is a dict word -> QQ.  Two projectors act on such dicts:
   the row-major base tableau, then the signed column average, rescaled by
   kappa = prod hooks / (prod lam_i! prod lam'_j!) to an exact idempotent.
   The averages and kappa together scale the plain sums by 1 / prod hooks.
+  The row sum is taken one row orbit at a time, in time linear in its output.
 * harmonic_project_vec(vec, b1, lam) takes a lam-isotypic tensor to its
   traceless part for the symmetric bilinear form b1.  Let C_ij contract slots
   i < j with b1 and E_ij insert g = b1^-1 there, and Omega = sum E_ij C_ij.
@@ -33,6 +34,7 @@ matrix by brute force; it is the test oracle and on no production path.
 from __future__ import annotations
 
 import itertools
+import math
 
 from fockforms.linalg import RatMat, inverse
 from fockforms.scalars import QQ
@@ -171,11 +173,6 @@ def _group_from_blocks(blocks, ell):
     return group
 
 
-def row_group(lam):
-    ell = sum(lam)
-    return _group_from_blocks(base_tableau(lam), ell)
-
-
 def column_group(lam):
     ell = sum(lam)
     rows = base_tableau(lam)
@@ -213,13 +210,41 @@ def word_index(word, alphabet):
 # the Young projector
 # ---------------------------------------------------------------------------
 
+def _arrangements(letters):
+    """The distinct orderings of a sorted tuple of letters, each once."""
+    if not letters:
+        yield ()
+        return
+    for k, a in enumerate(letters):
+        if k and letters[k - 1] == a:
+            continue
+        for tail in _arrangements(letters[:k] + letters[k + 1:]):
+            yield (a,) + tail
+
+
 def young_apply_vec(lam, vec):
     """pi_lam on a dict word -> QQ: the row sum, then the signed column sum,
-    divided by prod hooks = kappa |R| |C|."""
+    divided by prod hooks = kappa |R| |C|.
+
+    The row sum goes one row orbit at a time: as r runs over R, r w runs over
+    the orbit of w, |Stab(w)| times each.  So every orbit, keyed by its
+    row-sorted word, collects v |Stab(w)| from each of its input words, and
+    that total lands on each distinct word of the orbit.
+    """
+    bounds = list(itertools.accumulate(lam, initial=0))
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    orbits = {}
+    for w, v in vec.items():
+        key = tuple(tuple(sorted(w[b])) for b in blocks)
+        stab = 1
+        for row in key:
+            for _, run in itertools.groupby(row):
+                stab *= math.factorial(len(list(run)))
+        _accum(orbits, key, v * stab)
     mid = {}
-    for perm in row_group(lam):
-        for w, v in vec.items():
-            _accum(mid, perm_act_word(perm, w), v)
+    for key, v in orbits.items():
+        for rows in itertools.product(*(list(_arrangements(row)) for row in key)):
+            mid[sum(rows, ())] = v
     out = {}
     scale = QQ(1, _hook_product(lam))
     for perm in column_group(lam):

@@ -222,6 +222,45 @@ def test_theta_payload_cap(monkeypatch, capsys, lattice, args):
     assert "payload needs" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("lattice,args,reason", [
+    ("z1.json", ("--genus", "17"), "--genus must be"),
+    ("z1.json", ("--genus", "1000000000"), "--genus must be"),
+    ("z4.json", ("--genus", "4", "--bound", "1"), "beta matrices"),
+    ("z4.json", ("--genus", "3", "--bound", "3"), "beta matrices"),
+    ("z1.json", ("--bound", "100000000"), "beta matrices"),
+    ("e8.json", ("--bound", "12"), "lattice vectors"),
+])
+def test_theta_work_cap(monkeypatch, capsys, lattice, args, reason):
+    """Too many betas or lattice vectors exit 2 before any enumeration starts."""
+    def no_series(*args, **kwargs):
+        raise AssertionError("enumeration started")
+    monkeypatch.setattr(theta, "series_table", no_series)
+    code, out, err = run_main(capsys, "theta", "--lattice", str(FIXTURES / lattice),
+                              *args)
+    assert code == 2 and out == ""
+    assert reason in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("lattice,args", [
+    ("e8.json", ("--lambda", "4", "--bound", "5")),
+    ("e8.json", ("--lambda", "4", "--bound", "3")),
+    ("e8.json", ("--genus", "2", "--bound", "1")),
+    ("e8.json", ("--bound", "11")),
+    ("z4.json", ("--genus", "3", "--bound", "1")),
+    ("z4.json", ("--genus", "2", "--bound", "2")),
+    ("z4.json", ("--genus", "2", "--lambda", "2,2", "--bound", "1")),
+    ("z4.json", ("--bound", "3")),
+    ("z1.json", ("--genus", "16")),
+    ("z1.json", ("--bound", "65535")),
+])
+def test_theta_work_cap_accepts(monkeypatch, capsys, lattice, args):
+    monkeypatch.setattr(theta, "series_table", lambda *args, **kwargs: [])
+    code, out, _ = run_main(capsys, "theta", "--lattice", str(FIXTURES / lattice),
+                            *args)
+    assert code == 0
+    assert json.loads(out)["rows"] == []
+
+
 def test_theta_missing_file(capsys):
     code, _, err = run_main(capsys, "theta", "--lattice", "no_such.json")
     assert code == 2

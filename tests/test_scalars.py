@@ -1,4 +1,4 @@
-"""Ring axioms and serialization for the exact coefficient scalars."""
+"""Ring axioms, serialization and the sparse kernels of the exact scalars."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockforms.scalars import MINUS_I_4PI, QQ, Scalar, rational_of
+from fockforms.scalars import MINUS_I_4PI, QQ, Scalar, _quad_mul, rational_of
 
 rationals = st.builds(
     lambda n, d: QQ(n, d),
@@ -51,6 +51,118 @@ def test_json_round_trip(x):
 def test_negation(x):
     assert (x + (-x)).is_zero()
     assert -(-x) == x
+
+
+# -- the dense oracle --------------------------------------------------------
+
+def dense_quad_mul(x, y):
+    """All 16 component products over the basis 1, i, r = sqrt2, ir."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (
+        a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
+        a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
+        a1 * c2 + c1 * a2 - (b1 * d2 + d1 * b2),
+        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+    )
+
+
+def _dense_sum(terms, k, quad):
+    old = terms.get(k, (0, 0, 0, 0))
+    terms[k] = tuple(u + v for u, v in zip(old, quad))
+
+
+def _nonzero(terms):
+    return {k: q for k, q in terms.items() if any(q)}
+
+
+def oracle_mul(x, y):
+    out = {}
+    for k1, q1 in x.items():
+        for k2, q2 in y.items():
+            _dense_sum(out, k1 + k2, dense_quad_mul(q1, q2))
+    return _nonzero(out)
+
+
+def oracle_add(x, y):
+    out = dict(x)
+    for k, q in y.items():
+        _dense_sum(out, k, q)
+    return _nonzero(out)
+
+
+def oracle_scale(x, r):
+    return _nonzero({k: tuple(t * r for t in q) for k, q in x.items()})
+
+
+def oracle_inverse(x):
+    (k, (a, b, c, d)), = x.items()
+    c1 = (a, -b, c, -d)
+    x1, _, y1, _ = dense_quad_mul((a, b, c, d), c1)
+    c2 = (x1, 0, -y1, 0)
+    n = dense_quad_mul((x1, 0, y1, 0), c2)[0]
+    return {-k: tuple(t / n for t in dense_quad_mul(c1, c2))}
+
+
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def sparse_scalars(draw):
+    """Quadruples with 0-4 nonzero components over a few pi-exponents."""
+    terms = {}
+    for k in draw(st.sets(st.integers(min_value=-3, max_value=3), max_size=3)):
+        support = draw(st.sets(st.integers(min_value=0, max_value=3), min_size=1))
+        quad = [QQ(0)] * 4
+        for c in support:
+            quad[c] = draw(nonzero_rationals)
+        terms[k] = tuple(quad)
+    return Scalar(terms)
+
+
+def _assert_layout(s):
+    for quad in s.terms.values():
+        assert type(quad) is tuple and len(quad) == 4
+        assert all(type(t) is QQ for t in quad)
+        assert any(quad)
+
+
+@given(sparse_scalars(), sparse_scalars(), nonzero_rationals)
+@settings(max_examples=300, deadline=None)
+def test_sparse_kernels_match_dense_oracle(x, y, r):
+    assert (x * y).terms == oracle_mul(x.terms, y.terms)
+    assert (x + y).terms == oracle_add(x.terms, y.terms)
+    assert (x - y).terms == oracle_add(x.terms, oracle_scale(y.terms, -1))
+    assert (-x).terms == oracle_scale(x.terms, -1)
+    assert x.scale(r).terms == oracle_scale(x.terms, r)
+    assert (x * r).terms == oracle_scale(x.terms, r)
+    for k, q in x.terms.items():
+        mono = Scalar({k: q})
+        assert mono.monomial_inverse().terms == oracle_inverse(mono.terms)
+        assert (mono ** -2).terms == oracle_mul(oracle_inverse(mono.terms),
+                                                oracle_inverse(mono.terms))
+
+
+def test_unit_pairs_match_dense_oracle():
+    one = QQ(1)
+    units = [tuple(one if c == p else QQ(0) for c in range(4)) for p in range(4)]
+    for x in units:
+        for y in units:
+            assert _quad_mul(x, y) == dense_quad_mul(x, y)
+            assert (Scalar({0: x}) * Scalar({1: y})).terms == {1: dense_quad_mul(x, y)}
+
+
+@given(sparse_scalars(), sparse_scalars(), nonzero_rationals)
+@settings(max_examples=100, deadline=None)
+def test_terms_layout(x, y, r):
+    """Values stay 4-tuples of QQ with a nonzero component: tracers read them so."""
+    for s in (x * y, x + y, x - y, -x, x.scale(r), x * x - x * x):
+        _assert_layout(s)
+
+
+def test_traced_methods_live_on_the_class():
+    """A tracer wraps these through vars(Scalar), so they may not be inherited."""
+    assert "__mul__" in vars(Scalar) and "__add__" in vars(Scalar)
 
 
 def test_basis_multiplication():
