@@ -23,10 +23,9 @@ LIMITS = {"p": 4, "q": 4, "n": 3, "ell": 6}
 # and harmonic projectors walk up to rank ** |lambda| words
 PAYLOAD_DEGREE = 8
 PAYLOAD_WORDS = 2 ** 16
-# theta work: series_betas tests (bound+1)^n (4 bound+1)^(n(n-1)/2) candidate
-# betas at genus n, each through 2^n - 1 principal minors, and the shells up to
-# the bound hold about vol(B_m) (2 bound)^(m/2) / sqrt(det G) vectors of a
-# rank-m lattice
+# theta work: THETA_GENUS bounds the size of each beta matrix, series_betas
+# tests (bound+1)^n (4 bound+1)^(n(n-1)/2) candidate betas at genus n, and the
+# shells up to the bound hold at most the theta bound of check_theta_work
 THETA_GENUS = 16
 THETA_BETAS = 2 ** 16
 THETA_POINTS = 2 ** 20
@@ -190,8 +189,12 @@ def cmd_theta(args):
 def check_theta_work(lat, n, bound):
     """Refuse a genus and bound whose beta list or shells would be too large.
 
-    The shell size is a float estimate in logarithms: it decides a refusal
-    and never an output.
+    For every t > 0, #{x : (x, x) <= 2 bound} <= e^{2 t bound} prod_i
+    theta(t d_i), with d_i the exact LDL diagonal of the gram and
+    theta(a) = sum_k e^{-a k^2}: weigh each x by e^{t (2 bound - (x, x))} and
+    sum out one coordinate at a time, since a shifted theta sum is largest
+    unshifted.  The float bound is rounded up: it decides a refusal and never
+    an output.
     """
     if n > THETA_GENUS:
         raise InputError(f"--genus must be <= {THETA_GENUS}")
@@ -203,15 +206,35 @@ def check_theta_work(lat, n, bound):
         return
     from fockforms.enumeration import exact_ldl
 
-    m = lat.rank
-    _, diag = exact_ldl(lat.gram)
-    log_det = sum(math.log(int(d.numerator)) - math.log(int(d.denominator))
-                  for d in diag)
-    log_points = (m / 2 * math.log(2 * math.pi * bound) - math.lgamma(m / 2 + 1)
-                  - log_det / 2)
+    # clamping d_i into [2^-900, 2^900] changes no refusal: lowering a d_i
+    # only raises the bound, and theta(a) >= sqrt(pi / a) puts the bound
+    # above 2^450 whenever some d_i <= 2^-900
+    diag = [float(min(max(d, 2.0 ** -900), 2.0 ** 900))
+            for d in exact_ldl(lat.gram)[1]]
+    # any t gives a bound, and 1e-6 exceeds its rounding error; the grid
+    # brackets lat.rank / (4 bound), the minimizer for small t d_i, by 2^10
+    t0 = lat.rank / (4 * bound)
+    log_points = 1e-6 + min(
+        2 * t * bound + sum(_log_theta(t * d) for d in diag)
+        for t in (t0 * 2 ** (s / 8) for s in range(-80, 81)))
     if log_points > math.log(THETA_POINTS):
-        raise InputError(f"--bound {bound} reaches about 2^{log_points / math.log(2):.1f} "
-                         f"lattice vectors; the cap is 2^20")
+        raise InputError(f"the shells up to --bound {bound} may hold "
+                         f"2^{log_points / math.log(2):.1f} lattice vectors; "
+                         f"the cap is 2^20")
+
+
+def _log_theta(a):
+    """An upper bound on log sum_k e^{-a k^2}, a > 0.
+
+    Below pi, Jacobi's theta(a) = sqrt(pi / a) theta(pi^2 / a) moves the
+    argument to b >= pi, where the terms |k| >= 3 sum to at most
+    2 e^{-9b} / (1 - e^{-7b}), as k^2 >= 9 + 7 (k - 3) for k >= 3.
+    """
+    scale = 0.0
+    if a < math.pi:
+        scale, a = 0.5 * math.log(math.pi / a), math.pi ** 2 / a
+    tail = math.exp(-9 * a) / -math.expm1(-7 * a)
+    return scale + math.log1p(2 * (math.exp(-a) + math.exp(-4 * a) + tail))
 
 
 def cmd_intertwine(args):

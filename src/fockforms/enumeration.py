@@ -45,27 +45,43 @@ def numba_enabled():
     return False
 
 
+def symmetric_pivots(rows):
+    """Fraction-free symmetric elimination (Bareiss, Math. Comp. 22, 1968) of
+    a square integer matrix: None unless it is positive semidefinite, else
+    (pivots, columns), columns[k] the entries below pivot k.  A zero pivot
+    with a zero remaining row is skipped (pivot 0) and the divisor kept, which
+    leaves the Bareiss state of the matrix without that index, so later
+    divisions stay exact.  The rank is the number of nonzero pivots."""
+    a = [list(row[:i + 1]) for i, row in enumerate(rows)]  # lower triangle
+    pivots, columns, prev = [], [], 1
+    for k, row in enumerate(a):
+        p, col = row[k], [r[k] for r in a[k + 1:]]
+        if p < 0 or (p == 0 and any(col)):
+            return None
+        pivots.append(p)
+        columns.append(col)
+        if p:
+            for r, c in zip(a[k + 1:], col):
+                r[k + 1:] = [(p * v - c * w) // prev for v, w in zip(r[k + 1:], col)]
+            prev = p
+    return pivots, columns
+
+
 def exact_ldl(gram):
     """G = L D L^T over the rationals; ValueError unless positive definite.
 
     gram: RatMat.  Returns (L rows, D diagonal) as nested lists of QQ.
     """
     m = gram.nrows
-    a = [[gram.entry(i, j) for j in range(m)] for i in range(m)]
-    lower = [[QQ(1) if i == j else QQ(0) for j in range(m)] for i in range(m)]
-    diag = [QQ(0)] * m
-    for k in range(m):
-        pivot = a[k][k]
-        for s in range(k):
-            pivot -= diag[s] * lower[k][s] * lower[k][s]
-        if pivot <= 0:
-            raise ValueError("form is not positive definite")
-        diag[k] = pivot
-        for i in range(k + 1, m):
-            v = a[i][k]
-            for s in range(k):
-                v -= diag[s] * lower[i][s] * lower[k][s]
-            lower[i][k] = v / pivot
+    den = math.lcm(*(int(v.denominator) for row in gram.rows for v in row.values()))
+    found = symmetric_pivots([[int(row.get(j, 0) * den) for j in range(m)]
+                              for row in gram.rows])
+    if found is None or not all(found[0]):
+        raise ValueError("form is not positive definite")
+    pivots, columns = found
+    lower = [[QQ(columns[k][i - k - 1], pivots[k]) if k < i else QQ(int(k == i))
+              for k in range(m)] for i in range(m)]
+    diag = [QQ(p, prev * den) for p, prev in zip(pivots, [1] + pivots)]
     return lower, diag
 
 

@@ -242,11 +242,6 @@ def h_prime(params, j):
                   for a in params.positive() for mu in params.negative())
 
 
-def h_second(params, j):
-    return op_sum((1, insert_letter(j, a) @ interior(a, mu) @ z_mul(mu, 1))
-                  for a in params.positive() for mu in params.negative())
-
-
 def h_op(params):
     return op_sum((1, interior(a, mu) @ z_mul(mu, 1) @ z_del(a, 1))
                   for a in params.positive() for mu in params.negative())

@@ -124,11 +124,6 @@ class Scalar:
             return Scalar.unit(a=base)
         return Scalar.unit(c=base)
 
-    @staticmethod
-    def minus_i_over(denom, pi_exp=-1):
-        """-i / (denom * pi**(-pi_exp)); default is -i/(denom*pi)."""
-        return Scalar.unit(b=QQ(-1, denom), pi_exp=pi_exp)
-
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):

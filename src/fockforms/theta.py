@@ -16,11 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fockforms.enumeration import INT64_SAFE, exact_ldl, shell_vectors
-from fockforms.linalg import RatMat, rank
+from fockforms.enumeration import INT64_SAFE, exact_ldl, shell_vectors, symmetric_pivots
+from fockforms.linalg import RatMat
 from fockforms.scalars import QQ
 from fockforms.schur import harmonic_project_vec, ssyt_enumerate, young_apply_vec
 from fockforms.workers import worker_count
+
+# largest rank a lattice document may have; it is refused before any
+# arithmetic, since validating and enumerating cost time cubic in the rank
+MAX_RANK = 128
 
 
 class Lattice:
@@ -74,6 +78,8 @@ class Lattice:
         rows = data.get("gram")
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError("gram must be a list of rows")
+        if len(rows) > MAX_RANK:
+            raise ValueError(f"gram has rank {len(rows)}; the cap is {MAX_RANK}")
         gram = [[_parse_entry(v) for v in row] for row in rows]
         coset = data.get("coset")
         if coset is None:
@@ -165,16 +171,13 @@ class BetaMatrix:
         return sum(self.doubled[i][i] for i in range(self.n)) // 2
 
     def is_psd(self):
-        mat = self.doubled
-        for size in range(1, self.n + 1):
-            for subset in itertools.combinations(range(self.n), size):
-                if _det_int([[mat[a][b] for b in subset] for a in subset]) < 0:
-                    return False
-        return True
+        return symmetric_pivots(self.doubled) is not None
 
     def rank(self):
-        return rank(RatMat.from_rows([[QQ(v) for v in row]
-                                      for row in self.doubled]))
+        found = symmetric_pivots(self.doubled)
+        if found is None:
+            raise ValueError("beta is not positive semidefinite")
+        return sum(1 for p in found[0] if p)
 
     def sort_key(self):
         return (self.trace(),) + tuple(itertools.chain.from_iterable(self.doubled))
@@ -191,19 +194,6 @@ class BetaMatrix:
 
     def __repr__(self):
         return f"BetaMatrix({self.doubled})"
-
-
-def _det_int(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        total += (-1) ** j * rows[0][j] * _det_int(minor)
-    return total
 
 
 def _emit_rational(r):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fockforms import cli, theta, workers
+from fockforms import cli, enumeration, theta, workers
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -229,6 +229,7 @@ def test_theta_payload_cap(monkeypatch, capsys, lattice, args):
     ("z4.json", ("--genus", "3", "--bound", "3"), "beta matrices"),
     ("z1.json", ("--bound", "100000000"), "beta matrices"),
     ("e8.json", ("--bound", "12"), "lattice vectors"),
+    ("e8.json", ("--bound", "11"), "lattice vectors"),  # 1,113,841 > 2^20
 ])
 def test_theta_work_cap(monkeypatch, capsys, lattice, args, reason):
     """Too many betas or lattice vectors exit 2 before any enumeration starts."""
@@ -245,7 +246,7 @@ def test_theta_work_cap(monkeypatch, capsys, lattice, args, reason):
     ("e8.json", ("--lambda", "4", "--bound", "5")),
     ("e8.json", ("--lambda", "4", "--bound", "3")),
     ("e8.json", ("--genus", "2", "--bound", "1")),
-    ("e8.json", ("--bound", "11")),
+    ("e8.json", ("--bound", "7")),  # 199,921; theta bound about 2^19.6
     ("z4.json", ("--genus", "3", "--bound", "1")),
     ("z4.json", ("--genus", "2", "--bound", "2")),
     ("z4.json", ("--genus", "2", "--lambda", "2,2", "--bound", "1")),
@@ -259,6 +260,42 @@ def test_theta_work_cap_accepts(monkeypatch, capsys, lattice, args):
                             *args)
     assert code == 0
     assert json.loads(out)["rows"] == []
+
+
+@pytest.mark.parametrize("scale,rank,bound,accepted", [
+    (1, 64, 2, False),  # 10,507,649 vectors
+    (2, 40, 3, True),   # 82,241 vectors
+])
+def test_theta_point_cap_generated(monkeypatch, capsys, tmp_path, scale, rank,
+                                   bound, accepted):
+    """The theta bound refuses shells past 2^20 vectors on high-rank lattices."""
+    monkeypatch.setattr(theta, "series_table", lambda *args, **kwargs: [])
+    doc = tmp_path / "lattice.json"
+    doc.write_text(json.dumps({"gram": [[scale * (i == j) for j in range(rank)]
+                                        for i in range(rank)]}))
+    code, out, err = run_main(capsys, "theta", "--lattice", str(doc),
+                              "--bound", str(bound))
+    if accepted:
+        assert code == 0 and json.loads(out)["rows"] == []
+    else:
+        assert code == 2 and out == ""
+        assert "lattice vectors" in json.loads(err)["error"]
+
+
+def test_theta_rank_cap(monkeypatch, capsys, tmp_path):
+    """A gram above the rank cap exits 2 before any arithmetic on it."""
+    def fail(*args, **kwargs):
+        raise AssertionError("arithmetic started")
+    for module, name in ((enumeration, "symmetric_pivots"),
+                         (theta, "symmetric_pivots"), (theta, "_parse_entry")):
+        monkeypatch.setattr(module, name, fail)
+    m = theta.MAX_RANK + 1
+    doc = tmp_path / "identity.json"
+    doc.write_text(json.dumps({"gram": [[int(i == j) for j in range(m)]
+                                        for i in range(m)]}))
+    code, out, err = run_main(capsys, "theta", "--lattice", str(doc))
+    assert code == 2 and out == ""
+    assert "the cap is 128" in json.loads(err)["error"]
 
 
 def test_theta_missing_file(capsys):

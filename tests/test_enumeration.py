@@ -39,6 +39,27 @@ def test_ldl_reconstructs():
                 assert v == mat.entry(i, j)
 
 
+def test_ldl_reconstructs_non_integral():
+    # (g + diag g) / 2 keeps the diagonal of g and halves the rest
+    rng = random.Random(11)
+    grams = [[[QQ(1), QQ(1, 2)], [QQ(1, 2), QQ(1)]],
+             [[QQ(1, 2), QQ(1, 3)], [QQ(1, 3), QQ(1)]]]
+    for _ in range(10):
+        g = random_pd_gram(rng, rng.randint(2, 4))
+        grams.append([[QQ(v) if i == j else QQ(v, 2) for j, v in enumerate(row)]
+                      for i, row in enumerate(g)])
+    for g in grams:
+        m = len(g)
+        lower, diag = exact_ldl(RatMat.from_rows(g))
+        for i in range(m):
+            assert diag[i] > 0 and lower[i][i] == 1
+            for j in range(m):
+                assert sum(lower[i][s] * diag[s] * lower[j][s]
+                           for s in range(m)) == g[i][j]
+                assert j <= i or lower[i][j] == 0
+    assert any(v.denominator != 1 for g in grams[2:] for row in g for v in row)
+
+
 @pytest.mark.parametrize("rows", [
     [[1, 2], [2, 1]],
     [[0, 0], [0, 1]],

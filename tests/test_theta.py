@@ -3,10 +3,15 @@ import json
 import math
 import pathlib
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fockforms.enumeration import symmetric_pivots
+from fockforms.linalg import RatMat, rank
 from fockforms.scalars import QQ
 from fockforms.theta import (
     BetaMatrix,
@@ -111,6 +116,87 @@ def test_beta_rank():
     assert BetaMatrix.diagonal([0]).rank() == 0
     assert BetaMatrix.diagonal([1, 2]).rank() == 2
     assert BetaMatrix.from_entries([[1, 1], [1, 1]]).rank() == 1
+
+
+def det_int(rows):
+    """Oracle: determinant by Laplace expansion along the first row."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    total = 0
+    for j in range(n):
+        if rows[0][j] == 0:
+            continue
+        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        total += (-1) ** j * rows[0][j] * det_int(minor)
+    return total
+
+
+def psd_by_minors(mat):
+    """Oracle: a symmetric matrix is PSD iff all 2^n - 1 principal minors are
+    nonnegative."""
+    n = len(mat)
+    return all(det_int([[mat[a][b] for b in sub] for a in sub]) >= 0
+               for size in range(1, n + 1)
+               for sub in itertools.combinations(range(n), size))
+
+
+@st.composite
+def doubled_betas(draw):
+    """Doubled symmetric integer matrices with even diagonal, n <= 5: Gram
+    matrices 2 A^T A of k x n matrices A (definite for most k >= n,
+    semidefinite otherwise), some indices zeroed so zero rows fall in the
+    middle, or arbitrary (mostly indefinite) ones."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["gram", "zeroed", "any"]))
+    if kind == "any":
+        mat = [[0] * n for _ in range(n)]
+        for i in range(n):
+            mat[i][i] = 2 * draw(st.integers(-3, 3))
+            for j in range(i + 1, n):
+                mat[i][j] = mat[j][i] = draw(st.integers(-4, 4))
+        return mat
+    k = draw(st.integers(0, n + 1))
+    a = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(k)]
+    mat = [[2 * sum(row[i] * row[j] for row in a) for j in range(n)]
+           for i in range(n)]
+    if kind == "zeroed":
+        for z in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+            for i in range(n):
+                mat[z][i] = mat[i][z] = 0
+    return mat
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mat=doubled_betas())
+def test_elimination_matches_minor_oracle(mat):
+    beta = BetaMatrix(mat)
+    psd = psd_by_minors(mat)
+    assert beta.is_psd() == psd
+    if not psd:
+        with pytest.raises(ValueError):
+            beta.rank()
+        return
+    assert beta.rank() == rank(RatMat.from_rows([[QQ(v) for v in row]
+                                                  for row in mat]))
+    # each nonzero pivot is the leading minor of the indices kept so far
+    pivots, columns = symmetric_pivots(mat)
+    kept = []
+    for k, p in enumerate(pivots):
+        if p:
+            kept.append(k)
+            assert p == det_int([[mat[a][b] for b in kept] for a in kept])
+        else:
+            assert not any(columns[k])
+
+
+def test_dense_beta_elimination_is_fast():
+    # diagonal 2, off-diagonal 1/2: all 4095 principal minors took seconds
+    # already at n = 9
+    beta = BetaMatrix([[4 if i == j else 1 for j in range(12)] for i in range(12)])
+    start = time.perf_counter()
+    assert beta.is_psd() and beta.rank() == 12
+    assert time.perf_counter() - start < 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +580,103 @@ def test_series_betas_off_diagonal_window():
     assert ((2, 2), (2, 4)) in seen
     assert all(abs(b.doubled[0][1]) <= math.isqrt(b.doubled[0][0] * b.doubled[1][1])
                for b in betas)
+
+
+def kronecker(a, n):
+    """Kronecker symbol (a / n) for n >= 1."""
+    sign = 1
+    while n % 2 == 0:
+        n //= 2
+        if a % 2 == 0:
+            return 0
+        if a % 8 in (3, 5):
+            sign = -sign
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def squarefree(n):
+    return all(n % (p * p) for p in range(2, math.isqrt(n) + 1))
+
+
+def fundamental(d):
+    if d % 4 == 1:
+        return squarefree(abs(d))
+    return d % 16 in (8, 12) and squarefree(abs(d) // 4)
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def mobius(n):
+    sign = 1
+    for p in range(2, n + 1):
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+    return sign
+
+
+def sigma(k, n):
+    return sum(d ** k for d in divisors(n))
+
+
+def cohen_h3(N):
+    """Cohen's H(3, N), N > 0 with -N a discriminant: write -N = D f^2 with D
+    fundamental; H = L(-2, chi_D) sum_{d | f} mu(d) chi_D(d) d^2 sigma_5(f / d),
+    L(-2, chi_D) = -B_{3, chi_D} / 3 and B_{3, chi} = |D|^2 sum_{a <= |D|}
+    chi(a) B_3(a / |D|), B_3(x) = x^3 - 3x^2/2 + x/2."""
+    f = max(f for f in range(1, math.isqrt(N) + 1)
+            if N % (f * f) == 0 and fundamental(-N // (f * f)))
+    D = -N // (f * f)
+    bern = sum(kronecker(D, a) * (x ** 3 - QQ(3, 2) * x ** 2 + x / 2)
+               for a in range(1, -D + 1) for x in [QQ(a, -D)]) * D * D
+    return -bern / 3 * sum(mobius(d) * kronecker(D, d) * d ** 2 * sigma(5, f // d)
+                           for d in divisors(f))
+
+
+def siegel_eisenstein_4(n, r, m):
+    """Coefficient of [[n, r/2], [r/2, m]] in the genus-2 Siegel Eisenstein
+    series of weight 4, which is the genus-2 theta series of E8."""
+    disc = 4 * n * m - r * r
+    if (n, r, m) == (0, 0, 0):
+        return 1
+    g = math.gcd(n, r, m)
+    if disc == 0:
+        return 240 * sigma(3, g)
+    return -60480 * sum(d ** 3 * cohen_h3(disc // (d * d)) for d in divisors(g))
+
+
+def test_kronecker_examples():
+    assert [kronecker(-3, a) for a in range(1, 7)] == [1, -1, 0, 1, -1, 0]
+    assert [kronecker(-4, a) for a in range(1, 5)] == [1, 0, -1, 0]
+    assert [kronecker(-8, a) for a in (1, 3, 5, 7)] == [1, 1, -1, -1]
+    assert cohen_h3(3) == QQ(-2, 9)
+
+
+def test_e8_genus_two_is_siegel_eisenstein(e8):
+    """Siegel-Weil: E8 is alone in its genus, so its genus-2 counts are the
+    Eisenstein coefficients; each row's rank follows 4nm - r^2."""
+    rows = series_table(e8, n=2, bound=2)
+    assert len(rows) == 29
+    for row in rows:
+        n, r, m = (row.beta.doubled[0][0] // 2, row.beta.doubled[0][1],
+                   row.beta.doubled[1][1] // 2)
+        assert row.count == siegel_eisenstein_4(n, r, m)
+        disc = 4 * n * m - r * r
+        assert row.rank_t == (2 if disc > 0 else 1 if (n, r, m) != (0, 0, 0) else 0)
 
 
 def test_series_table_matches_single_assembly(z2):
