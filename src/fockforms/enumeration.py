@@ -17,15 +17,12 @@ Cauchy-Schwarz.  The first coordinate is never scanned.  Given the others,
 x^T G x = target is the integer quadratic a x_0^2 + 2 b x_0 + q = target,
 and x_0 is accepted exactly when (a x_0 + b)^2 equals the discriminant
 b^2 - a (q - target).  This exact arithmetic runs in int64 when a bound
-taken from the box proves that it cannot overflow, and in Python ints
-otherwise.
-
-shell_vectors_box scans the whole box and serves as the test oracle.
+taken from the box and the gram's entries proves that it cannot overflow, and
+in Python ints otherwise.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -99,13 +96,17 @@ def shell_vectors(gram2, target):
     radii = _box_radii(gram2, target)
     if max(radii) >= INT64_SAFE:
         raise OverflowError("shell coordinates exceed int64")
-    # |partial forms| <= box_norm and |b| <= row_norms[0] on the whole box
+    # |partial forms| <= box_norm and |b| <= row_norms[0] on the whole box,
+    # and the entries of the gram itself must fit as well
     row_norms = [sum(abs(v) * r for v, r in zip(row, radii)) for row in g2]
     box_norm = sum(r * w for r, w in zip(radii, row_norms))
-    exact = np.int64 if row_norms[0] ** 2 + g2[0][0] * (box_norm + target) \
-        < INT64_SAFE else object
+    largest = max(row_norms[0] ** 2 + g2[0][0] * (box_norm + target),
+                  max(abs(v) for row in g2 for v in row))
+    exact = np.int64 if largest < INT64_SAFE else object
     G = np.array(g2, dtype=exact)
-    D = np.array([float(d) for d in diag])
+    # lowering a pivot only widens the float search, so a pivot beyond the
+    # float range is clamped to 2^900
+    D = np.array([float(min(d, 2 ** 900)) for d in diag])
     U = np.array([[float(lower[j][i]) for j in range(m)] for i in range(m)])
 
     # Rounding margins: c_i errs by far less than 1e-12 of sum_j |U_ij| R_j,
@@ -176,28 +177,6 @@ def _isqrt(d):
     s -= s * s > d
     s += (s + 1) * (s + 1) <= d
     return s
-
-
-def shell_vectors_box(gram2, target):
-    """Brute-force oracle: exact dual-diagonal box, exhaustive scan."""
-    m = gram2.nrows
-    if target < 0:
-        return np.zeros((0, m), dtype=np.int64)
-    g2_int = _integral_rows(gram2)
-    hits = []
-    for x in itertools.product(*[range(-r, r + 1)
-                                 for r in _box_radii(gram2, target)]):
-        acc = 0
-        for a in range(m):
-            row = 0
-            for b in range(m):
-                row += g2_int[a][b] * x[b]
-            acc += row * x[a]
-        if acc == target:
-            hits.append(x)
-    out = np.array(sorted(hits), dtype=np.int64) if hits \
-        else np.zeros((0, m), dtype=np.int64)
-    return out
 
 
 def _integral_rows(gram2):

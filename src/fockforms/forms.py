@@ -38,7 +38,8 @@ from fockforms.multilinear import (
     z_mul,
 )
 from fockforms.scalars import MINUS_I_4PI, QQ, Scalar
-from fockforms.schur import all_words, harmonic_project_vec, perm_sign, young_apply_vec
+from fockforms.schur import (all_words, harmonic_project_vec, perm_act_word, perm_sign,
+                             young_apply_vec)
 from fockforms.weil import LOWERING, omega, omega_kprime
 
 
@@ -128,21 +129,6 @@ def phi_linear(params, combo):
     return out
 
 
-class FormFamily:
-    """A word-indexed family of MixedForms with fixed tensor degree."""
-
-    __slots__ = ("params", "ell", "lam", "fn")
-
-    def __init__(self, params, ell, fn, lam=None):
-        self.params = params
-        self.ell = ell
-        self.lam = lam
-        self.fn = fn
-
-    def __call__(self, word):
-        return self.fn(tuple(word))
-
-
 @functools.lru_cache(maxsize=None)
 def signature_form(params):
     return RatMat.diagonal([params.eps(k) for k in range(1, params.m + 1)])
@@ -162,8 +148,8 @@ def apply_output_projector(form, lam):
 
 
 def phi_nq_bracket_lambda(params, lam):
-    """Harmonic Schur member: project the input word by the shape, the output
-    tensor slot by the harmonic Schur projector.
+    """Harmonic Schur member, as a function of the input word: project the
+    word by the shape, the output tensor slot by the harmonic Schur projector.
 
     Shapes with more rows than n give the zero family (no semistandard
     content); n <= p is still required.
@@ -182,7 +168,7 @@ def phi_nq_bracket_lambda(params, lam):
             return base
         return apply_output_projector(base, lam)
 
-    return FormFamily(params, ell, fn, lam=lam)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +244,15 @@ def psi_product(params, ell):
     """The (q-1)-form primitive, built from the degree-zero member."""
     coeff = QQ(-1, 2 * (params.p + params.q - 1))
     return (h_op(params)(phi_ell(params, 0)) * phi_0ell(params, (1,) * ell)).scale(coeff)
+
+
+def lowering_primitive(params, ell, conv=DEFAULT_CONVENTIONS):
+    """psi_product plus half the slot primitives: the exact primitive of the
+    lowering identity."""
+    primitive = psi_product(params, ell)
+    for j in range(1, ell + 1):
+        primitive = primitive + lambda_form(params, ell - 1, j, conv).scale(QQ(1, 2))
+    return primitive
 
 
 def psi_direct(params, ell):
@@ -425,10 +420,7 @@ def residual_lemma4b_ii(params, ell, conv=DEFAULT_CONVENTIONS):
 
 def residual_lowering(params, ell, conv=DEFAULT_CONVENTIONS):
     lhs = omega(LOWERING, params)(phi_ell(params, ell))
-    primitive = psi_product(params, ell)
-    for j in range(1, ell + 1):
-        primitive = primitive + lambda_form(params, ell - 1, j, conv).scale(QQ(1, 2))
-    rhs = d_operator(params, "full", conv)(primitive)
+    rhs = d_operator(params, "full", conv)(lowering_primitive(params, ell, conv))
     rhs = rhs - a_of_f(ell, "full")(phi_ell(params, ell - 2)).scale(
         Scalar.from_rational(QQ(1, 4), pi_exp=-1))
     return lhs - rhs
@@ -437,10 +429,7 @@ def residual_lowering(params, ell, conv=DEFAULT_CONVENTIONS):
 def residual_equivariance(params, word, perm):
     """phi(s . w) - (1 (x) 1 (x) s) phi(w) on the output slots."""
     word = tuple(word)
-    moved = [0] * len(word)
-    for s, letter in enumerate(word):
-        moved[perm[s] - 1] = letter
-    lhs = phi(params, tuple(moved))
+    lhs = phi(params, perm_act_word(perm, word))
     rhs = tensor_permute(perm)(phi(params, word))
     return lhs - rhs
 
@@ -483,17 +472,11 @@ def holomorphicity_residuals(params, ell, conv=DEFAULT_CONVENTIONS):
         raise ValueError("holomorphicity check is the n = 1 statement")
     lam = (ell,)
     lowering = omega(LOWERING, params)
+    primitive = lowering_primitive(params, ell, conv)
     if ell < 2:
-        base = phi_ell(params, ell)
-        primitive = psi_product(params, ell)
-        for j in range(1, ell + 1):
-            primitive = primitive + lambda_form(params, ell - 1, j, conv).scale(QQ(1, 2))
-        main = lowering(base) - d_operator(params, "full", conv)(primitive)
+        main = lowering(phi_ell(params, ell)) - d_operator(params, "full", conv)(primitive)
         return main, MixedForm(params)
     phi_br = apply_output_projector(phi_ell(params, ell), lam)
-    primitive = psi_product(params, ell)
-    for j in range(1, ell + 1):
-        primitive = primitive + lambda_form(params, ell - 1, j, conv).scale(QQ(1, 2))
     primitive = apply_output_projector(primitive, lam)
     correction = a_of_f(ell, "full")(phi_ell(params, ell - 2)).scale(
         Scalar.from_rational(QQ(-1, 4), pi_exp=-1))
@@ -537,15 +520,14 @@ def _residual_cases(identity, params, ell, conv, seed=0):
     """Yield (label, residual) pairs for one grid cell."""
     p, q, n = params.p, params.q, params.n
     if identity == "closedness":
-        words = itertools.product(range(1, n + 1), repeat=ell)
-        for word in words:
+        for word in all_words(n, ell):
             for variant in ("dF_prime", "dF_doubleprime", "dV"):
                 yield f"{variant} word={word}", residual_closedness(params, word, variant, conv)
     elif identity == "kprime":
         if n == 1:
             yield "weight", residual_kprime_weight(params, ell, conv)
             yield "weight_reversed", residual_kprime_weight_reversed(params, ell, conv)
-        for word in itertools.product(range(1, n + 1), repeat=ell):
+        for word in all_words(n, ell):
             for j in range(1, n + 1):
                 for k in range(1, n + 1):
                     yield (f"fock j={j} k={k} word={word}",
@@ -571,7 +553,7 @@ def _residual_cases(identity, params, ell, conv, seed=0):
         yield "i", residual_lemma4b_i(params, ell, conv)
         yield "ii", residual_lemma4b_ii(params, ell, conv)
     elif identity == "equivariance":
-        for word in itertools.product(range(1, n + 1), repeat=ell):
+        for word in all_words(n, ell):
             for s in range(1, ell):
                 perm = list(range(1, ell + 1))
                 perm[s - 1], perm[s] = perm[s], perm[s - 1]
@@ -581,7 +563,7 @@ def _residual_cases(identity, params, ell, conv, seed=0):
         rng = random.Random(seed + 1000 * p + 100 * q + 10 * n + ell)
         a_mat = _random_invertible(n, rng)
         test = phi_nq0(params)
-        for word in itertools.product(range(1, n + 1), repeat=min(ell, 2)):
+        for word in all_words(n, min(ell, 2)):
             yield f"word={word}", residual_sigma_gl(params, word, a_mat, test, conv)
     elif identity == "holomorphicity":
         main, killed = holomorphicity_residuals(params, ell, conv)

@@ -191,24 +191,3 @@ def inverse(mat):
     if len(pivots) != mat.nrows:
         raise ValueError("matrix is singular")
     return RatMat(mat.nrows, mat.ncols, aug)
-
-
-def solve(mat, rhs):
-    """Solve mat @ X = rhs for square nonsingular mat; rhs a RatMat."""
-    return inverse(mat) @ rhs
-
-
-def nullspace(mat):
-    """Basis of the right kernel, one RatMat column per free variable."""
-    rows = [dict(r) for r in mat.rows]
-    pivots = _eliminate(rows, mat.ncols)
-    pivot_set = set(pivots)
-    free = [j for j in range(mat.ncols) if j not in pivot_set]
-    basis = RatMat.zero(mat.ncols, len(free))
-    for k, j in enumerate(free):
-        basis.rows[j][k] = QQ(1)
-        for r, pc in enumerate(pivots):
-            v = rows[r].get(j)
-            if v:
-                basis.rows[pc][k] = -v
-    return basis

@@ -15,11 +15,13 @@ letters live in 1..m.  epsilon(k) = +1 for k <= p and -1 for k > p.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import operator
 from dataclasses import dataclass
 
 from fockforms.scalars import ONE, QQ, ZERO, Scalar
+from fockforms.schur import insert_pair_word, perm_act_word, remove_pair_word
 
 
 @dataclass(frozen=True)
@@ -54,63 +56,32 @@ class SpaceParams:
 # ---------------------------------------------------------------------------
 
 def _fock_mul(f1, f2):
+    """Product of two Fock monomials: exponents add, a zero exponent drops out."""
     if not f1:
         return f2
     if not f2:
         return f1
     acc = dict(f1)
     for key, e in f2:
-        acc[key] = acc.get(key, 0) + e
-    return tuple(sorted((k, e) for k, e in acc.items() if e))
-
-
-def _fock_bump(fock, key, delta):
-    acc = dict(fock)
-    e = acc.get(key, 0) + delta
-    if e:
-        acc[key] = e
-    else:
-        acc.pop(key, None)
+        e += acc.get(key, 0)
+        if e:
+            acc[key] = e
+        else:
+            del acc[key]
     return tuple(sorted(acc.items()))
 
 
-def _wedge_insert(wedge, gen):
-    """Left-multiply by one generator; returns (sign, new_wedge) or None."""
-    if gen in wedge:
-        return None
-    pos = 0
-    while pos < len(wedge) and wedge[pos] < gen:
-        pos += 1
-    sign = -1 if pos % 2 else 1
-    return sign, wedge[:pos] + (gen,) + wedge[pos:]
-
-
-def _wedge_merge(w1, w2):
-    """Sign-tracked merge of two sorted generator tuples; None if they collide."""
-    sign = 1
-    out = list(w1)
-    for gen in w2:
-        if gen in out:
-            return None
-        pos = 0
-        while pos < len(out) and out[pos] < gen:
-            pos += 1
-        if (len(out) - pos) % 2:
-            sign = -sign
-        out.insert(pos, gen)
-    return sign, tuple(out)
-
-
 def _sort_with_sign(gens):
-    """Sort an arbitrary generator list, counting transpositions; None on repeat."""
+    """Sort a generator tuple, tracking the sign of the permutation; None on repeat."""
     sign = 1
     out = []
     for gen in gens:
-        if gen in out:
+        if not out or out[-1] < gen:
+            out.append(gen)
+            continue
+        pos = bisect.bisect_left(out, gen)
+        if out[pos] == gen:
             return None
-        pos = 0
-        while pos < len(out) and out[pos] < gen:
-            pos += 1
         if (len(out) - pos) % 2:
             sign = -sign
         out.insert(pos, gen)
@@ -192,7 +163,7 @@ class MixedForm:
         out = MixedForm(self.params)
         for (f1, w1, t1), c1 in self.terms.items():
             for (f2, w2, t2), c2 in other.terms.items():
-                merged = _wedge_merge(w1, w2)
+                merged = _sort_with_sign(w1 + w2)
                 if merged is None:
                     continue
                 sign, wedge = merged
@@ -348,19 +319,22 @@ def _lift(term_fn):
 
 def z_mul(idx, col=1):
     """Multiplication by z_{idx,col}."""
+    up = (((idx, col), 1),)
     def term(params, key, c):
         fock, wedge, word = key
-        yield (_fock_bump(fock, (idx, col), 1), wedge, word), c
+        yield (_fock_mul(fock, up), wedge, word), c
     return _lift(term)
 
 
 def z_del(idx, col=1):
     """The derivation d/dz_{idx,col}."""
+    var = (idx, col)
+    down = ((var, -1),)
     def term(params, key, c):
         fock, wedge, word = key
         for fkey, e in fock:
-            if fkey == (idx, col):
-                yield (_fock_bump(fock, fkey, -1), wedge, word), c.scale(e)
+            if fkey == var:
+                yield (_fock_mul(fock, down), wedge, word), c.scale(e)
     return _lift(term)
 
 
@@ -369,7 +343,7 @@ def wedge_left(alpha, mu):
     gen = (alpha, mu)
     def term(params, key, c):
         fock, wedge, word = key
-        ins = _wedge_insert(wedge, gen)
+        ins = _sort_with_sign((gen,) + wedge)
         if ins is not None:
             sign, nw = ins
             yield (fock, nw, word), (-c if sign < 0 else c)
@@ -467,7 +441,7 @@ def insert_metric(i, j, mode="full"):
         if len(word) < hi - 2:
             raise ValueError(f"positions ({i},{j}) out of range")
         for letter, sign in _metric_letters(params, mode):
-            nw = word[:lo - 1] + (letter,) + word[lo - 1:hi - 2] + (letter,) + word[hi - 2:]
+            nw = insert_pair_word(word, lo, hi, letter, letter)
             yield (fock, wedge, nw), (c if sign > 0 else -c)
     return _lift(term)
 
@@ -475,14 +449,12 @@ def insert_metric(i, j, mode="full"):
 def metric_pair_insertion(j, k, mode="full"):
     """The composed insertion A_j(e) A_k(e) summed over the metric letters.
 
-    Literal composition: first insert at slot k of the operand (length L,
-    giving L+1), then at slot j of the result (giving L+2).  Requires
-    1 <= k <= L+1 and 1 <= j <= L+2.
+    Inserting at slot k of the operand (length L, giving L+1) and then at slot
+    j of the result (giving L+2) puts the two letters at result positions j
+    and k + 1 when j <= k, and at k and j otherwise.  Requires 1 <= k <= L+1
+    and 1 <= j <= L+2.
     """
-    def apply(form):
-        return op_sum((sign, insert_letter(j, letter) @ insert_letter(k, letter))
-                      for letter, sign in _metric_letters(form.params, mode))(form)
-    return LinearOperator(apply)
+    return insert_metric(j, k + 1, mode) if j <= k else insert_metric(k, j, mode)
 
 
 def a_of_f(ell, mode="full"):
@@ -496,12 +468,9 @@ def a_of_f(ell, mode="full"):
                   for i in range(1, ell + 1) for j in range(i + 1, ell + 1))
 
 
-def contraction(i, j, invariant_form=True):
-    """Pair tensor slots i < j with the bilinear form and remove them.
-
-    With invariant_form=True the signature form (e_k, e_k) = eps(k) is used;
-    with False the positive-definite majorant variant pairs (e_k, e_k) = 1.
-    """
+def contraction(i, j):
+    """Pair tensor slots i < j with the signature form (e_k, e_k) = eps(k)
+    and remove them."""
     if not i < j:
         raise ValueError("contraction wants i < j")
     def term(params, key, c):
@@ -511,9 +480,8 @@ def contraction(i, j, invariant_form=True):
         a, b = word[i - 1], word[j - 1]
         if a != b:
             return
-        val = params.eps(a) if invariant_form else 1
-        nw = word[:i - 1] + word[i:j - 1] + word[j:]
-        yield (fock, wedge, nw), (c if val > 0 else -c)
+        nw = remove_pair_word(word, i, j)
+        yield (fock, wedge, nw), (c if params.eps(a) > 0 else -c)
     return _lift(term)
 
 
@@ -537,10 +505,7 @@ def tensor_permute(perm):
         fock, wedge, word = key
         if len(word) != ell:
             raise ValueError("permutation length does not match word")
-        nw = [0] * ell
-        for s in range(ell):
-            nw[perm[s] - 1] = word[s]
-        yield (fock, wedge, tuple(nw)), c
+        yield (fock, wedge, perm_act_word(perm, word)), c
     return _lift(term)
 
 

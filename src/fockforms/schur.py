@@ -27,8 +27,6 @@ is a dict word -> QQ.  Two projectors act on such dicts:
   the form-orthogonal projection onto the traceless tensors.
 
 young_projector is the matrix of young_apply_vec on the basis words.
-harmonic_complement builds the harmonic projection as a dense word-space
-matrix by brute force; it is the test oracle and on no production path.
 """
 
 from __future__ import annotations
@@ -333,101 +331,3 @@ def harmonic_project_vec(vec, b1, lam):
         leftover = contract_vec(out, b1_rows, i, j)
         assert not leftover, f"trace survived harmonic projection at slots ({i},{j})"
     return out
-
-
-# ---------------------------------------------------------------------------
-# the brute-force oracle: dense word-space matrices
-# ---------------------------------------------------------------------------
-
-def kron_form(b1, ell):
-    """ell-fold product form: entries multiply slotwise."""
-    alphabet = b1.nrows
-    size = alphabet ** ell
-    out = RatMat.zero(size, size)
-    for w in all_words(alphabet, ell):
-        for w2 in all_words(alphabet, ell):
-            v = QQ(1)
-            for a, b in zip(w, w2):
-                v *= b1.entry(a - 1, b - 1)
-                if v == 0:
-                    break
-            if v != 0:
-                out.rows[word_index(w, alphabet)][word_index(w2, alphabet)] = v
-    return out
-
-
-def contraction_matrix(b1, ell, i, j):
-    """Pair slots i < j with the form and delete them."""
-    alphabet = b1.nrows
-    out = RatMat.zero(alphabet ** (ell - 2), alphabet ** ell)
-    for w in all_words(alphabet, ell):
-        v = b1.entry(w[i - 1] - 1, w[j - 1] - 1)
-        if v != 0:
-            out.rows[word_index(remove_pair_word(w, i, j), alphabet)][word_index(w, alphabet)] = v
-    return out
-
-
-def insertion_matrix(dual, ell, i, j):
-    """Insert the dual form tensor so its letters land at result slots i < j."""
-    alphabet = dual.nrows
-    out = RatMat.zero(alphabet ** ell, alphabet ** (ell - 2))
-    for w in all_words(alphabet, ell - 2):
-        col = word_index(w, alphabet)
-        for a in range(1, alphabet + 1):
-            for b in range(1, alphabet + 1):
-                v = dual.entry(a - 1, b - 1)
-                if v != 0:
-                    out.rows[word_index(insert_pair_word(w, i, j, a, b), alphabet)][col] = v
-    return out
-
-
-def harmonic_complement(b1, ell):
-    """Form-orthogonal projection onto tensors with every pair contraction zero.
-
-    Requires the restriction of the product form to the insertion span to be
-    nondegenerate; the inversion below fails loudly otherwise.
-    """
-    alphabet = b1.nrows
-    size = alphabet ** ell
-    if ell < 2:
-        return RatMat.identity(size)
-    b_ell = kron_form(b1, ell)
-    dual = inverse(b1)
-    cols = []
-    for i, j in pair_positions(ell):
-        ins = insertion_matrix(dual, ell, i, j)
-        for k in range(ins.ncols):
-            col = {}
-            for row_idx, row in enumerate(ins.rows):
-                v = row.get(k)
-                if v:
-                    col[row_idx] = v
-            cols.append(col)
-    # keep an independent subset of the insertion columns
-    basis = []
-    echelon = []
-    for col in cols:
-        vec = dict(col)
-        for piv, prow in echelon:
-            f = vec.get(piv)
-            if f:
-                for jj, v in prow.items():
-                    s = vec.get(jj, QQ(0)) - f * v
-                    if s == 0:
-                        vec.pop(jj, None)
-                    else:
-                        vec[jj] = s
-        if vec:
-            piv = min(vec)
-            inv = 1 / vec[piv]
-            echelon.append((piv, {jj: v * inv for jj, v in vec.items()}))
-            basis.append(col)
-    if not basis:
-        return RatMat.identity(size)
-    span = RatMat.zero(size, len(basis))
-    for k, col in enumerate(basis):
-        for row_idx, v in col.items():
-            span.rows[row_idx][k] = v
-    gram = span.transpose() @ b_ell @ span
-    proj = span @ inverse(gram) @ span.transpose() @ b_ell
-    return RatMat.identity(size) - proj

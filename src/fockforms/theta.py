@@ -31,15 +31,10 @@ class Lattice:
     """Positive definite integral lattice, optionally with a coset shift."""
 
     def __init__(self, gram, coset_h=None, modulus=None):
-        if isinstance(gram, RatMat):
-            self.gram = gram
-        else:
-            if not len(gram) or any(len(row) != len(gram) for row in gram):
-                raise ValueError("gram must be a non-empty square list of rows")
-            self.gram = RatMat.from_rows(gram)
+        if not len(gram) or any(len(row) != len(gram) for row in gram):
+            raise ValueError("gram must be a non-empty square list of rows")
+        self.gram = RatMat.from_rows(gram)
         m = self.gram.nrows
-        if self.gram.ncols != m:
-            raise ValueError("gram must be square")
         if self.gram.transpose() != self.gram:
             raise ValueError("gram must be symmetric")
         self.rank = m
@@ -206,8 +201,8 @@ def _emit_rational(r):
 # representation enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_representations(lat, beta, n=None):
-    """All ordered tuples (x_1..x_n) with (x_i, x_j) = 2 beta_{ij}.
+def enumerate_representations(lat, beta):
+    """All ordered tuples (x_1..x_n) with (x_i, x_j) = 2 beta_{ij}, n = beta.n.
 
     Returns a list of n-tuples of coordinate tuples, lexicographically
     ordered.  Negative diagonal targets give the empty list.  The search is
@@ -216,10 +211,7 @@ def enumerate_representations(lat, beta, n=None):
     in int64 when the largest possible product fits and in Python ints
     otherwise.
     """
-    if n is None:
-        n = beta.n
-    if n != beta.n:
-        raise ValueError("genus must match the beta size")
+    n = beta.n
     if lat.coset_h is not None and len(lat.coset_h) != n:
         raise ValueError("coset shift count must match the genus")
     if any(beta.doubled[i][i] < 0 for i in range(n)):
@@ -230,7 +222,8 @@ def enumerate_representations(lat, beta, n=None):
           for i in range(lat.rank)]
     shells = [lat.shell(beta.doubled[i][i], column=i) for i in range(n)]
     want = [[2 * v for v in row] for row in beta.doubled]
-    biggest = max(int(np.abs(s).max(initial=0)) for s in shells)
+    # at least 1, so that the limit covers the entries of g2 themselves
+    biggest = max(1, *(int(np.abs(s).max(initial=0)) for s in shells))
     limit = max(biggest * biggest * sum(abs(v) for row in g2 for v in row),
                 max(abs(v) for row in want for v in row))
     exact = np.int64 if limit < INT64_SAFE else object
@@ -303,7 +296,8 @@ def moment_tensor(reps, slot_values, m):
     """Sum over tuples of the outer product of the selected columns.
 
     slot_values: for each tensor slot, which column of the tuple to use
-    (1-based).  Exact by int64 accumulation with an overflow guard.
+    (1-based).  Exact: int64 accumulation when the largest possible sum fits,
+    Python ints otherwise.
     """
     ell = len(slot_values)
     if not reps:
@@ -311,8 +305,8 @@ def moment_tensor(reps, slot_values, m):
     arrays = [np.array([x[v - 1] for x in reps], dtype=np.int64)
               for v in slot_values]
     biggest = max(int(np.abs(a).max(initial=0)) for a in arrays)
-    if len(reps) * (max(biggest, 1) ** ell) >= 2 ** 62:
-        raise OverflowError("moment accumulation would overflow int64")
+    if len(reps) * (max(biggest, 1) ** ell) >= INT64_SAFE:
+        arrays = [a.astype(object) for a in arrays]
     letters = "abcdefgh"
     spec = ",".join(f"z{letters[s]}" for s in range(ell)) \
         + "->" + "".join(letters[:ell])
@@ -325,18 +319,16 @@ def moment_tensor(reps, slot_values, m):
     return out
 
 
-def assemble_coefficient(lat, beta, lam=(), n=None):
+def assemble_coefficient(lat, beta, lam=()):
     """Count plus the harmonic Schur payload for each semistandard filling."""
     lam = tuple(lam)
-    if n is None:
-        n = beta.n
-    if lam and len(lam) > n:
+    if lam and len(lam) > beta.n:
         raise ValueError("shape has more rows than the genus")
-    reps = enumerate_representations(lat, beta, n)
+    reps = enumerate_representations(lat, beta)
     coeff = GenusCoefficient(beta=beta, count=len(reps))
     if not lam:
         return coeff
-    for filling in ssyt_enumerate(lam, n):
+    for filling in ssyt_enumerate(lam, beta.n):
         slots = _column_major_values(lam, filling)
         raw = moment_tensor(reps, slots, lat.rank)
         shaped = young_apply_vec(lam, raw) if raw else {}
@@ -376,9 +368,9 @@ def series_table(lat, lam=(), n=1, bound=0, jobs=1):
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_assemble_star,
-                                 [(lat, b, lam, n) for b in betas]))
+                                 [(lat, b, lam) for b in betas]))
     else:
-        rows = [assemble_coefficient(lat, b, lam, n) for b in betas]
+        rows = [assemble_coefficient(lat, b, lam) for b in betas]
     return rows
 
 

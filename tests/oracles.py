@@ -1,0 +1,168 @@
+"""Brute-force constructions that serve only as test oracles.
+
+Each builds by exhaustion what a production routine computes directly:
+dense word-space matrices of the product form, of slot contractions and
+insertions, and of the harmonic projection (against schur's Young and
+harmonic projectors); the exhaustive box scan of the shell enumeration
+(against enumeration.shell_vectors); and solve and nullspace for exact
+rational matrices (against linalg's elimination).
+"""
+
+import itertools
+
+import numpy as np
+
+from fockforms.enumeration import _box_radii, _integral_rows
+from fockforms.linalg import RatMat, _eliminate, inverse
+from fockforms.scalars import QQ
+from fockforms.schur import (all_words, insert_pair_word, pair_positions, remove_pair_word,
+                             word_index)
+
+
+# ---------------------------------------------------------------------------
+# dense word-space matrices
+# ---------------------------------------------------------------------------
+
+def kron_form(b1, ell):
+    """ell-fold product form: entries multiply slotwise."""
+    alphabet = b1.nrows
+    size = alphabet ** ell
+    out = RatMat.zero(size, size)
+    for w in all_words(alphabet, ell):
+        for w2 in all_words(alphabet, ell):
+            v = QQ(1)
+            for a, b in zip(w, w2):
+                v *= b1.entry(a - 1, b - 1)
+                if v == 0:
+                    break
+            if v != 0:
+                out.rows[word_index(w, alphabet)][word_index(w2, alphabet)] = v
+    return out
+
+
+def contraction_matrix(b1, ell, i, j):
+    """Pair slots i < j with the form and delete them."""
+    alphabet = b1.nrows
+    out = RatMat.zero(alphabet ** (ell - 2), alphabet ** ell)
+    for w in all_words(alphabet, ell):
+        v = b1.entry(w[i - 1] - 1, w[j - 1] - 1)
+        if v != 0:
+            out.rows[word_index(remove_pair_word(w, i, j), alphabet)][word_index(w, alphabet)] = v
+    return out
+
+
+def insertion_matrix(dual, ell, i, j):
+    """Insert the dual form tensor so its letters land at result slots i < j."""
+    alphabet = dual.nrows
+    out = RatMat.zero(alphabet ** ell, alphabet ** (ell - 2))
+    for w in all_words(alphabet, ell - 2):
+        col = word_index(w, alphabet)
+        for a in range(1, alphabet + 1):
+            for b in range(1, alphabet + 1):
+                v = dual.entry(a - 1, b - 1)
+                if v != 0:
+                    out.rows[word_index(insert_pair_word(w, i, j, a, b), alphabet)][col] = v
+    return out
+
+
+def harmonic_complement(b1, ell):
+    """Form-orthogonal projection onto tensors with every pair contraction zero.
+
+    Requires the restriction of the product form to the insertion span to be
+    nondegenerate; the inversion below fails loudly otherwise.
+    """
+    alphabet = b1.nrows
+    size = alphabet ** ell
+    if ell < 2:
+        return RatMat.identity(size)
+    b_ell = kron_form(b1, ell)
+    dual = inverse(b1)
+    cols = []
+    for i, j in pair_positions(ell):
+        ins = insertion_matrix(dual, ell, i, j)
+        for k in range(ins.ncols):
+            col = {}
+            for row_idx, row in enumerate(ins.rows):
+                v = row.get(k)
+                if v:
+                    col[row_idx] = v
+            cols.append(col)
+    # keep an independent subset of the insertion columns
+    basis = []
+    echelon = []
+    for col in cols:
+        vec = dict(col)
+        for piv, prow in echelon:
+            f = vec.get(piv)
+            if f:
+                for jj, v in prow.items():
+                    s = vec.get(jj, QQ(0)) - f * v
+                    if s == 0:
+                        vec.pop(jj, None)
+                    else:
+                        vec[jj] = s
+        if vec:
+            piv = min(vec)
+            inv = 1 / vec[piv]
+            echelon.append((piv, {jj: v * inv for jj, v in vec.items()}))
+            basis.append(col)
+    if not basis:
+        return RatMat.identity(size)
+    span = RatMat.zero(size, len(basis))
+    for k, col in enumerate(basis):
+        for row_idx, v in col.items():
+            span.rows[row_idx][k] = v
+    gram = span.transpose() @ b_ell @ span
+    proj = span @ inverse(gram) @ span.transpose() @ b_ell
+    return RatMat.identity(size) - proj
+
+
+# ---------------------------------------------------------------------------
+# shell enumeration
+# ---------------------------------------------------------------------------
+
+def shell_vectors_box(gram2, target):
+    """Brute-force oracle: exact dual-diagonal box, exhaustive scan."""
+    m = gram2.nrows
+    if target < 0:
+        return np.zeros((0, m), dtype=np.int64)
+    g2_int = _integral_rows(gram2)
+    hits = []
+    for x in itertools.product(*[range(-r, r + 1)
+                                 for r in _box_radii(gram2, target)]):
+        acc = 0
+        for a in range(m):
+            row = 0
+            for b in range(m):
+                row += g2_int[a][b] * x[b]
+            acc += row * x[a]
+        if acc == target:
+            hits.append(x)
+    out = np.array(sorted(hits), dtype=np.int64) if hits \
+        else np.zeros((0, m), dtype=np.int64)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra
+# ---------------------------------------------------------------------------
+
+def solve(mat, rhs):
+    """Solve mat @ X = rhs for square nonsingular mat; rhs a RatMat."""
+    return inverse(mat) @ rhs
+
+
+def nullspace(mat):
+    """Basis of the right kernel, one RatMat column per free variable."""
+    rows = [dict(r) for r in mat.rows]
+    pivots = _eliminate(rows, mat.ncols)
+    pivot_set = set(pivots)
+    free = [j for j in range(mat.ncols) if j not in pivot_set]
+    basis = RatMat.zero(mat.ncols, len(free))
+    for k, j in enumerate(free):
+        basis.rows[j][k] = QQ(1)
+        for r, pc in enumerate(pivots):
+            v = rows[r].get(j)
+            if v:
+                basis.rows[pc][k] = -v
+    return basis

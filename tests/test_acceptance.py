@@ -20,14 +20,12 @@ from fockforms.forms import (
     phi_nq0,
     run_identity,
 )
-from fockforms.enumeration import exact_ldl, shell_vectors, shell_vectors_box
+from fockforms.enumeration import exact_ldl, shell_vectors
 from fockforms.linalg import RatMat, rank
 from fockforms.multilinear import MixedForm, SpaceParams
 from fockforms.scalars import QQ
 from fockforms.schur import (
     all_words,
-    contraction_matrix,
-    harmonic_complement,
     hook_content_count,
     partitions_of,
     ssyt_enumerate,
@@ -35,6 +33,7 @@ from fockforms.schur import (
 )
 from fockforms.theta import BetaMatrix, Lattice, assemble_coefficient, series_table
 from fockforms.weil import polarized_top_operator
+from oracles import contraction_matrix, harmonic_complement, shell_vectors_box
 
 GRID = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"

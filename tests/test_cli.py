@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -296,6 +297,53 @@ def test_theta_rank_cap(monkeypatch, capsys, tmp_path):
     code, out, err = run_main(capsys, "theta", "--lattice", str(doc))
     assert code == 2 and out == ""
     assert "the cap is 128" in json.loads(err)["error"]
+
+
+def test_theta_gram_entry_past_int64(capsys, tmp_path):
+    """A gram entry beyond int64 moves the exact arithmetic to Python ints."""
+    doc = tmp_path / "lattice.json"
+    doc.write_text(json.dumps({"gram": [[10 ** 602, 1], [1, 2]]}))
+    code, out, _ = run_main(capsys, "theta", "--lattice", str(doc), "--bound", "3")
+    assert code == 0
+    assert [r["count"] for r in json.loads(out)["rows"]] == [1, 2, 0, 0]
+
+
+def test_theta_payload_past_int64(capsys, tmp_path):
+    """Z^2 in the Fibonacci basis (F12, F11), (F13, F12): its degree-8 moments
+    pass int64 and are summed exactly."""
+    fib = [0, 1]
+    while len(fib) < 14:
+        fib.append(fib[-1] + fib[-2])
+    basis = [[fib[12], fib[11]], [fib[13], fib[12]]]
+    gram = [[2 * sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+    assert gram == [[57314, 92736], [92736, 150050]]
+    doc = tmp_path / "lattice.json"
+    doc.write_text(json.dumps({"gram": gram}))
+    code, out, _ = run_main(capsys, "theta", "--lattice", str(doc),
+                            "--lambda", "8", "--bound", "1")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["count"] for r in rows] == [1, 4]
+    assert len(rows[1]["payload"]["1,1,1,1,1,1,1,1"]) == 256
+
+
+# sha256 of the stdout of each subcommand run with no options
+STDOUT_SHA256 = {
+    "verify": "a833be960eafeaca62978a3c6b90eacc9607d756a767695d73d11f5f287bf7be",
+    "dims": "d25892ecb1d6b7770e2360aaf5267109e95651aa3f13db81f6b012d9702a0199",
+    "intertwine-check": "473500f96addba01adea97444a260f85f6b2eb6279b88a21d20913510e91f465",
+}
+
+
+def test_stdout_digests(capsys):
+    """stdout stays byte-identical for the default verify, dims and
+    intertwine-check runs."""
+    digests = {}
+    for command in STDOUT_SHA256:
+        code, out, _ = run_main(capsys, command)
+        assert code == 0, command
+        digests[command] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == STDOUT_SHA256
 
 
 def test_theta_missing_file(capsys):

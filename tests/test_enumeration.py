@@ -5,9 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from fockforms.enumeration import exact_ldl, shell_vectors, shell_vectors_box
+from fockforms.enumeration import exact_ldl, shell_vectors
 from fockforms.linalg import RatMat
 from fockforms.scalars import QQ
+from oracles import shell_vectors_box
 
 
 def random_pd_gram(rng, m):

@@ -8,11 +8,8 @@ import pytest
 from fockforms.linalg import RatMat, rank
 from fockforms.schur import (
     all_words,
-    contraction_matrix,
-    harmonic_complement,
     harmonic_project_vec,
     hook_content_count,
-    insertion_matrix,
     partitions_of,
     ssyt_enumerate,
     word_index,
@@ -20,6 +17,7 @@ from fockforms.schur import (
     young_projector,
 )
 from fockforms.scalars import QQ
+from oracles import contraction_matrix, harmonic_complement, insertion_matrix
 
 
 def test_partitions():
