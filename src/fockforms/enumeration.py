@@ -37,6 +37,14 @@ CHUNK = 1024
 INT64_SAFE = 2 ** 62
 
 
+def exact_dtype(bound, rows=()):
+    """int64 when |bound| and every entry of rows lie below INT64_SAFE, else
+    object (Python ints).  bound: a proven bound on the exact intermediate
+    values; rows: the integer matrix they are computed from."""
+    fits = abs(bound) < INT64_SAFE and all(abs(v) < INT64_SAFE for row in rows for v in row)
+    return np.int64 if fits else object
+
+
 def numba_enabled():
     """Always False: the shell kernel is plain numpy.  Kept for backend records."""
     return False
@@ -93,20 +101,23 @@ def shell_vectors(gram2, target):
         return np.zeros((0, m), dtype=np.int64)
     g2 = _integral_rows(gram2)
     lower, diag = exact_ldl(gram2)
+    if target == 0:  # the form is positive definite
+        return np.zeros((1, m), dtype=np.int64)
     radii = _box_radii(gram2, target)
     if max(radii) >= INT64_SAFE:
         raise OverflowError("shell coordinates exceed int64")
-    # |partial forms| <= box_norm and |b| <= row_norms[0] on the whole box,
-    # and the entries of the gram itself must fit as well
+    # |partial forms| <= box_norm and |b| <= row_norms[0] on the whole box
     row_norms = [sum(abs(v) * r for v, r in zip(row, radii)) for row in g2]
     box_norm = sum(r * w for r, w in zip(radii, row_norms))
-    largest = max(row_norms[0] ** 2 + g2[0][0] * (box_norm + target),
-                  max(abs(v) for row in g2 for v in row))
-    exact = np.int64 if largest < INT64_SAFE else object
+    exact = exact_dtype(row_norms[0] ** 2 + g2[0][0] * (box_norm + target), g2)
     G = np.array(g2, dtype=exact)
     # lowering a pivot only widens the float search, so a pivot beyond the
-    # float range is clamped to 2^900
+    # float range is clamped to 2^900; one that rounds to 0 would make every
+    # margin nan (1/D_i <= (gram2^{-1})_{ii}, so the box check above already
+    # rules it out for target >= 1)
     D = np.array([float(min(d, 2 ** 900)) for d in diag])
+    if not D.all():
+        raise OverflowError("a pivot of the form is below the float range")
     U = np.array([[float(lower[j][i]) for j in range(m)] for i in range(m)])
 
     # Rounding margins: c_i errs by far less than 1e-12 of sum_j |U_ij| R_j,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fockforms.enumeration import INT64_SAFE, exact_ldl, shell_vectors, symmetric_pivots
+from fockforms.enumeration import exact_dtype, exact_ldl, shell_vectors, symmetric_pivots
 from fockforms.linalg import RatMat
 from fockforms.scalars import QQ
 from fockforms.schur import harmonic_project_vec, ssyt_enumerate, young_apply_vec
@@ -222,11 +222,9 @@ def enumerate_representations(lat, beta):
           for i in range(lat.rank)]
     shells = [lat.shell(beta.doubled[i][i], column=i) for i in range(n)]
     want = [[2 * v for v in row] for row in beta.doubled]
-    # at least 1, so that the limit covers the entries of g2 themselves
-    biggest = max(1, *(int(np.abs(s).max(initial=0)) for s in shells))
-    limit = max(biggest * biggest * sum(abs(v) for row in g2 for v in row),
-                max(abs(v) for row in want for v in row))
-    exact = np.int64 if limit < INT64_SAFE else object
+    biggest = max(int(np.abs(s).max(initial=0)) for s in shells)
+    exact = exact_dtype(max(biggest * biggest * sum(abs(v) for row in g2 for v in row),
+                            max(abs(v) for row in want for v in row)), g2)
     g2 = np.array(g2, dtype=exact)
     vecs = [s.astype(exact, copy=False) for s in shells]
     # row tuples built from the columns, without a temporary list per row
@@ -305,8 +303,8 @@ def moment_tensor(reps, slot_values, m):
     arrays = [np.array([x[v - 1] for x in reps], dtype=np.int64)
               for v in slot_values]
     biggest = max(int(np.abs(a).max(initial=0)) for a in arrays)
-    if len(reps) * (max(biggest, 1) ** ell) >= INT64_SAFE:
-        arrays = [a.astype(object) for a in arrays]
+    exact = exact_dtype(len(reps) * max(biggest, 1) ** ell)
+    arrays = [a.astype(exact, copy=False) for a in arrays]
     letters = "abcdefgh"
     spec = ",".join(f"z{letters[s]}" for s in range(ell)) \
         + "->" + "".join(letters[:ell])

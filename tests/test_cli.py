@@ -308,6 +308,16 @@ def test_theta_gram_entry_past_int64(capsys, tmp_path):
     assert [r["count"] for r in json.loads(out)["rows"]] == [1, 2, 0, 0]
 
 
+def test_theta_pivot_below_float_range(capsys, tmp_path):
+    """det 1, but the doubled gram's pivots are about 2*10^400 and 2*10^-400:
+    neither is a finite nonzero float, and the zero shell still holds 0."""
+    doc = tmp_path / "lattice.json"
+    doc.write_text(json.dumps({"gram": [[10 ** 400 + 1, 10 ** 200], [10 ** 200, 1]]}))
+    code, out, _ = run_main(capsys, "theta", "--lattice", str(doc), "--bound", "0")
+    assert code == 0
+    assert [r["count"] for r in json.loads(out)["rows"]] == [1]
+
+
 def test_theta_payload_past_int64(capsys, tmp_path):
     """Z^2 in the Fibonacci basis (F12, F11), (F13, F12): its degree-8 moments
     pass int64 and are summed exactly."""

@@ -160,6 +160,27 @@ def test_a_of_f_matches_half_double_sum():
         assert direct == double.scale(QQ(1, 2)), ell
 
 
+def test_metric_pair_insertion_is_literal_composition():
+    # A_j(e) A_k(e): insert at slot k of the operand, then at slot j
+    rng = random.Random(19)
+    for params in (P21, P22, SpaceParams(3, 1, 1)):
+        letters = {
+            "plus": [(a, 1) for a in params.positive()],
+            "minus": [(mu, 1) for mu in params.negative()],
+            "full": [(a, 1) for a in params.positive()]
+                    + [(mu, -1) for mu in params.negative()],
+        }
+        for length in (0, 1, 2):
+            f = random_form(params, rng, nterms=4, ell=length)
+            for mode, pairs in letters.items():
+                for j in range(1, length + 3):
+                    for k in range(1, length + 2):
+                        literal = op_sum((sign, insert_letter(j, l) @ insert_letter(k, l))
+                                         for l, sign in pairs)
+                        assert metric_pair_insertion(j, k, mode)(f) == literal(f), \
+                            (params, length, mode, j, k)
+
+
 def test_insert_letter_slots():
     f = MixedForm.monomial(P21, t=(2,))
     assert insert_letter(1, 1)(f) == MixedForm.monomial(P21, t=(1, 2))
