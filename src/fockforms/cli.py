@@ -19,8 +19,9 @@ from fockforms.schur import partitions_of
 from fockforms.workers import worker_count
 
 LIMITS = {"p": 4, "q": 4, "n": 3, "ell": 6}
-# theta payloads: moment_tensor names at most 8 einsum slots, and the Young
-# and harmonic projectors walk up to rank ** |lambda| words
+# theta payloads: the moment kernel and the Brauer product hold dense integer
+# arrays of rank ** |lambda| entries, and the Young projector walks their
+# nonzero words and up to |lambda|! column permutations
 PAYLOAD_DEGREE = 8
 PAYLOAD_WORDS = 2 ** 16
 # theta work: THETA_GENUS bounds the size of each beta matrix, series_betas

@@ -13,8 +13,10 @@ most CHUNK rows at a time, so memory stays bounded whatever the shell size.
 Floats only decide where to look.  Every interval is widened by a margin
 that covers its rounding error and clipped to the exact dual-diagonal box
 |x_i|^2 <= target (G^{-1})_{ii}, which holds every solution by
-Cauchy-Schwarz.  The first coordinate is never scanned.  Given the others,
-x^T G x = target is the integer quadratic a x_0^2 + 2 b x_0 + q = target,
+Cauchy-Schwarz; G^{-1} = adj G / det G comes from the integer adjugate,
+computed once per gram (gram_dual) and only for nonzero targets.  The first
+coordinate is never scanned.  Given the others, x^T G x = target is the
+integer quadratic a x_0^2 + 2 b x_0 + q = target,
 and x_0 is accepted exactly when (a x_0 + b)^2 equals the discriminant
 b^2 - a (q - target).  This exact arithmetic runs in int64 when a bound
 taken from the box and the gram's entries proves that it cannot overflow, and
@@ -23,11 +25,11 @@ in Python ints otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from fockforms.linalg import inverse
 from fockforms.scalars import QQ
 
 # partial vectors generated per step; bounds the kernel's working memory
@@ -72,6 +74,36 @@ def symmetric_pivots(rows):
     return pivots, columns
 
 
+def adjugate(rows):
+    """(adj A, det A) of a square integer matrix A whose leading principal
+    minors are nonzero, as every positive definite one has: fraction-free
+    Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) of [A | I] in
+    Python ints.  Each step divides exactly by the previous pivot; column k
+    of A is dropped once it is eliminated, the last pivot is det A and the
+    rows end as adj A = det A . A^{-1}.  ValueError on a zero leading minor."""
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        pivot = a[k]
+        p = pivot[0]
+        if not p:
+            raise ValueError("a leading principal minor is zero")
+        a = [row[1:] if i == k else
+             [(p * v - row[0] * w) // prev for v, w in zip(row[1:], pivot[1:])]
+             for i, row in enumerate(a)]
+        prev = p
+    return a, prev
+
+
+@functools.lru_cache(maxsize=16)
+def gram_dual(rows):
+    """adjugate(rows) of an integer gram given as a tuple of row tuples,
+    computed once per gram: the shells of a lattice and its harmonic
+    payloads share it."""
+    return adjugate(rows)
+
+
 def exact_ldl(gram):
     """G = L D L^T over the rationals; ValueError unless positive definite.
 
@@ -99,11 +131,11 @@ def shell_vectors(gram2, target):
     m = gram2.nrows
     if target < 0:
         return np.zeros((0, m), dtype=np.int64)
-    g2 = _integral_rows(gram2)
+    g2 = integral_rows(gram2)
     lower, diag = exact_ldl(gram2)
     if target == 0:  # the form is positive definite
         return np.zeros((1, m), dtype=np.int64)
-    radii = _box_radii(gram2, target)
+    radii = _box_radii(gram_dual(tuple(map(tuple, g2))), target)
     if max(radii) >= INT64_SAFE:
         raise OverflowError("shell coordinates exceed int64")
     # |partial forms| <= box_norm and |b| <= row_norms[0] on the whole box
@@ -121,12 +153,13 @@ def shell_vectors(gram2, target):
     U = np.array([[float(lower[j][i]) for j in range(m)] for i in range(m)])
 
     # Rounding margins: c_i errs by far less than 1e-12 of sum_j |U_ij| R_j,
-    # and the budget by far less than tol.
+    # and the budget by far less than tol.  Level 0 is solved exactly, so its
+    # margin stays out of tol.
     top = float(target)
     delta = [1e-9 + 1e-12 * (float(np.abs(U[i, i + 1:]) @ radii[i + 1:])
                              + math.sqrt((top + 1.0) / D[i])) for i in range(m)]
     tol = 1e-6 + 1e-12 * top + sum(2.0 * math.sqrt(D[i] * (top + 1.0)) * delta[i]
-                                   for i in range(m))
+                                   for i in range(1, m))
     found = []
 
     def descend(i, fixed, q, budget):
@@ -190,7 +223,7 @@ def _isqrt(d):
     return s
 
 
-def _integral_rows(gram2):
+def integral_rows(gram2):
     """The doubled gram as nested Python ints; ValueError unless integral."""
     rows = [[gram2.entry(i, j) for j in range(gram2.ncols)]
             for i in range(gram2.nrows)]
@@ -199,20 +232,12 @@ def _integral_rows(gram2):
     return [[int(v) for v in row] for row in rows]
 
 
-def _box_radii(gram2, target):
-    """Exact R_i = floor(sqrt(target (gram2^{-1})_{ii})).
+def _box_radii(dual, target):
+    """Exact R_i = floor(sqrt(target (gram2^{-1})_{ii})) from dual = (adj, det)
+    of gram2, as floor(sqrt(target adj_ii det)) // det.
 
     Cauchy-Schwarz in the gram2 inner product gives |x_i| <= R_i for every
     solution, so the box never clips one.
     """
-    dual = inverse(gram2)
-    return [_isqrt_rational(QQ(target) * dual.entry(i, i))
-            for i in range(gram2.nrows)]
-
-
-def _isqrt_rational(r):
-    """floor(sqrt(num/den)) for a nonnegative rational."""
-    num, den = int(r.numerator), int(r.denominator)
-    if num < 0:
-        raise ValueError("negative radicand")
-    return math.isqrt(num * den) // den
+    adj, det = dual
+    return [math.isqrt(target * row[i] * det) // det for i, row in enumerate(adj)]

@@ -24,7 +24,8 @@ is a dict word -> QQ.  Two projectors act on such dicts:
   Harmonic Function Theory, ch. 5).  Every copy that occurs has c > 0 (for
   a definite form Omega is positive semidefinite, and c does not depend on the
   form), so prod (1 - Omega / c) over the distinct positive c is pi_[lam],
-  the form-orthogonal projection onto the traceless tensors.
+  the form-orthogonal projection onto the traceless tensors.  theta applies
+  the same product, with these eigenvalues, to integer moment arrays.
 
 young_projector is the matrix of young_apply_vec on the basis words.
 """
@@ -291,7 +292,7 @@ def contract_vec(vec, b1_rows, i, j):
     return out
 
 
-def _omega_eigenvalues(lam, n):
+def omega_eigenvalues(lam, n):
     """The distinct positive eigenvalues of Omega on lam-isotypic tensors."""
     ell = sum(lam)
     cont = _content(lam)
@@ -324,10 +325,16 @@ def harmonic_project_vec(vec, b1, lam):
     g = inverse(b1)
     g_entries = [(a + 1, b + 1, v) for a, row in enumerate(g.rows) for b, v in row.items()]
     out = dict(vec)
-    for c in _omega_eigenvalues(lam, n):
+    for c in omega_eigenvalues(lam, n):
         for w, v in _omega(out, b1_rows, g_entries, ell).items():
             _accum(out, w, -v / c)
-    for i, j in pair_positions(ell):
-        leftover = contract_vec(out, b1_rows, i, j)
-        assert not leftover, f"trace survived harmonic projection at slots ({i},{j})"
+    assert_traceless(out, b1_rows, ell)
     return out
+
+
+def assert_traceless(vec, b1_rows, ell):
+    """The exit check of harmonic projection: every slot-pair contraction of
+    vec with the form b1_rows (nested lists) is zero."""
+    for i, j in pair_positions(ell):
+        leftover = contract_vec(vec, b1_rows, i, j)
+        assert not leftover, f"trace survived harmonic projection at slots ({i},{j})"

@@ -9,6 +9,7 @@ arithmetic on betas and payloads is exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -16,10 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fockforms.enumeration import exact_dtype, exact_ldl, shell_vectors, symmetric_pivots
+from fockforms.enumeration import (exact_dtype, exact_ldl, gram_dual, integral_rows,
+                                   shell_vectors, symmetric_pivots)
 from fockforms.linalg import RatMat
 from fockforms.scalars import QQ
-from fockforms.schur import harmonic_project_vec, ssyt_enumerate, young_apply_vec
+from fockforms.schur import (assert_traceless, omega_eigenvalues, ssyt_enumerate,
+                             young_apply_vec)
 from fockforms.workers import worker_count
 
 # largest rank a lattice document may have; it is refused before any
@@ -39,12 +42,12 @@ class Lattice:
             raise ValueError("gram must be symmetric")
         self.rank = m
         self.gram2 = self.gram.scale(QQ(2))
-        for i in range(m):
-            for j in range(m):
-                if self.gram2.entry(i, j).denominator != 1:
-                    raise ValueError("entries must be half-integral")
-            if self.gram.entry(i, i).denominator != 1:
-                raise ValueError("diagonal must be integral")
+        try:
+            self.gram2_rows = tuple(map(tuple, integral_rows(self.gram2)))
+        except ValueError:
+            raise ValueError("entries must be half-integral") from None
+        if any(self.gram.entry(i, i).denominator != 1 for i in range(m)):
+            raise ValueError("diagonal must be integral")
         exact_ldl(self.gram)  # positive definite or ValueError
         if (coset_h is None) != (modulus is None):
             raise ValueError("coset needs both shift vectors and modulus")
@@ -218,8 +221,7 @@ def enumerate_representations(lat, beta):
         return []
     if n == 0:
         return [()]
-    g2 = [[int(lat.gram2.entry(i, j)) for j in range(lat.rank)]
-          for i in range(lat.rank)]
+    g2 = lat.gram2_rows
     shells = [lat.shell(beta.doubled[i][i], column=i) for i in range(n)]
     want = [[2 * v for v in row] for row in beta.doubled]
     biggest = max(int(np.abs(s).max(initial=0)) for s in shells)
@@ -291,29 +293,121 @@ def _column_major_values(lam, filling):
 
 
 def moment_tensor(reps, slot_values, m):
-    """Sum over tuples of the outer product of the selected columns.
+    """Sum over tuples of the outer product of the selected columns, as the
+    dict of its nonzero entries (word -> QQ, words over 1..m).
 
     slot_values: for each tensor slot, which column of the tuple to use
-    (1-based).  Exact: int64 accumulation when the largest possible sum fits,
-    Python ints otherwise.
+    (1-based).  The nonzero view of the moment kernel of assemble_coefficient.
     """
-    ell = len(slot_values)
     if not reps:
         return {}
-    arrays = [np.array([x[v - 1] for x in reps], dtype=np.int64)
-              for v in slot_values]
-    biggest = max(int(np.abs(a).max(initial=0)) for a in arrays)
-    exact = exact_dtype(len(reps) * max(biggest, 1) ** ell)
-    arrays = [a.astype(exact, copy=False) for a in arrays]
-    letters = "abcdefgh"
-    spec = ",".join(f"z{letters[s]}" for s in range(ell)) \
-        + "->" + "".join(letters[:ell])
-    dense = np.einsum(spec, *arrays)
-    out = {}
-    for idx in itertools.product(range(m), repeat=ell):
-        v = int(dense[idx])
-        if v:
-            out[tuple(i + 1 for i in idx)] = QQ(v)
+    coords = np.array(reps, dtype=np.int64).reshape(len(reps), -1, m)
+    return _nonzero_terms(_moments(coords, slot_values, m), 1)
+
+
+def _nonzero_terms(arr, den):
+    """The nonzero entries of an integer array divided by den, as a dict
+    word -> QQ with letters counted from 1."""
+    return {tuple(int(i) + 1 for i in idx): QQ(int(arr[idx]), den)
+            for idx in zip(*np.nonzero(arr))}
+
+
+# entries of one chunk's product block in the moment kernel; bounds its memory
+MOMENT_ENTRIES = 2 ** 14
+
+
+def _moments(coords, slot_values, m):
+    """The dense moment array of shape (m,)*ell: the sum over the rows of
+    coords (reps, n, m) of the outer product of the columns named by
+    slot_values (1-based).
+
+    Slots that read one column are symmetric, so each group of them is
+    formed only on sorted index tuples (330 instead of 4,096 at m = 8,
+    ell = 4), summed over the representations a chunk at a time and
+    expanded to every word by one gather.  Exact: int64 when the largest
+    possible sum fits, Python ints otherwise.
+    """
+    groups = {}
+    for slot, column in enumerate(slot_values):
+        groups.setdefault(column, []).append(slot)
+    combos, gather = _symmetric_layout(m, tuple(map(tuple, groups.values())))
+    biggest = int(np.abs(coords).max(initial=0))
+    exact = exact_dtype(len(coords) * max(biggest, 1) ** len(slot_values))
+    widths = [len(combo) for combo in combos]
+    rows = max(1, MOMENT_ENTRIES // math.prod(widths))
+    total = np.zeros((math.prod(widths[:-1]), widths[-1]), dtype=exact)
+    for start in range(0, len(coords), rows):
+        part = coords[start:start + rows].astype(exact)
+        blocks = [part[:, column - 1][:, combo].prod(axis=2)
+                  for column, combo in zip(groups, combos)]
+        left = np.ones((len(part), 1), dtype=exact)
+        for block in blocks[:-1]:
+            left = (left[:, :, None] * block[:, None, :]).reshape(len(part), -1)
+        total += left.T @ blocks[-1]
+    return total.ravel()[gather].reshape((m,) * len(slot_values))
+
+
+@functools.lru_cache(maxsize=16)
+def _symmetric_layout(m, groups):
+    """For slot groups (tuples of slots), the sorted index tuples of each
+    group, and for every word of (m,)*ell in C order the flat position of its
+    entry in the product of the groups' blocks: each group's sorted letters
+    are ranked among its tuples, and the ranks combined in mixed radix."""
+    ell = sum(map(len, groups))
+    words = np.indices((m,) * ell).reshape(ell, -1)
+    combos, flat = [], np.zeros(m ** ell, dtype=np.int64)
+    for slots in groups:
+        k = len(slots)
+        combo = np.array(list(itertools.combinations_with_replacement(range(m), k)),
+                         dtype=np.int64)
+        radix = m ** np.arange(k - 1, -1, -1)
+        rank = np.zeros(m ** k, dtype=np.int64)
+        rank[combo @ radix] = np.arange(len(combo))
+        flat = flat * len(combo) + rank[radix @ np.sort(words[list(slots)], axis=0)]
+        combos.append(combo)
+    return combos, flat
+
+
+def _harmonic_payload(lat, lam, moments):
+    """pi_[lam] pi_lam of a moment array, as a dict word -> QQ.
+
+    With G = G2 / 2 and g = G^{-1} = 2 adj(G2) / det(G2), Omega = sum_{i<j}
+    E_ij(g) C_ij(G) is Omega~ / det(G2), where Omega~ = sum_{i<j} E_ij(adj G2)
+    C_ij(G2) is an integer operator.  So the Brauer product over c of
+    (1 - Omega / c) (see schur) maps N / D to (c det N - Omega~ N) / (c det D)
+    factor by factor, on integer arrays.  Omega commutes with the slot
+    permutations, so the Young projector runs once, on the quotient; the
+    trace check of harmonic projection is its exit check.
+    """
+    if not moments.any():
+        return {}
+    adj, det = gram_dual(lat.gram2_rows)
+    g2 = lat.gram2_rows
+    ell = sum(lam)
+    # |Omega~ N| <= step max |N| entrywise
+    step = (math.comb(ell, 2) * max(abs(v) for row in adj for v in row)
+            * sum(abs(v) for row in g2 for v in row))
+    num, den, bound = moments, 1, int(np.abs(moments).max())
+    for c in omega_eigenvalues(lam, lat.rank):
+        bound *= c * det + step
+        exact = exact_dtype(bound, [*adj, *g2])
+        num = num.astype(exact, copy=False)
+        num = c * det * num - _omega_tilde(num, np.array(g2, dtype=exact),
+                                           np.array(adj, dtype=exact))
+        den *= c * det
+    terms = _nonzero_terms(num, den)
+    payload = young_apply_vec(lam, terms) if terms else {}
+    assert_traceless(payload, g2, ell)
+    return payload
+
+
+def _omega_tilde(t, g2, adj):
+    """sum over slot pairs i < j of E_ij(adj) C_ij(g2) on a dense tensor:
+    contract axes i, j with g2, then insert adj there."""
+    out = np.zeros_like(t)
+    for i, j in itertools.combinations(range(t.ndim), 2):
+        traced = np.tensordot(t, g2, axes=([i, j], [0, 1]))
+        out += np.moveaxis(np.multiply.outer(traced, adj), (-2, -1), (i, j))
     return out
 
 
@@ -326,12 +420,10 @@ def assemble_coefficient(lat, beta, lam=()):
     coeff = GenusCoefficient(beta=beta, count=len(reps))
     if not lam:
         return coeff
+    coords = np.array(reps, dtype=np.int64).reshape(len(reps), beta.n, lat.rank)
     for filling in ssyt_enumerate(lam, beta.n):
-        slots = _column_major_values(lam, filling)
-        raw = moment_tensor(reps, slots, lat.rank)
-        shaped = young_apply_vec(lam, raw) if raw else {}
-        projected = harmonic_project_vec(shaped, lat.gram, lam) if shaped else {}
-        coeff.payload[filling_key(filling)] = projected
+        moments = _moments(coords, _column_major_values(lam, filling), lat.rank)
+        coeff.payload[filling_key(filling)] = _harmonic_payload(lat, lam, moments)
     return coeff
 
 

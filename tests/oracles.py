@@ -4,15 +4,17 @@ Each builds by exhaustion what a production routine computes directly:
 dense word-space matrices of the product form, of slot contractions and
 insertions, and of the harmonic projection (against schur's Young and
 harmonic projectors); the exhaustive box scan of the shell enumeration
-(against enumeration.shell_vectors); and solve and nullspace for exact
+(against enumeration.shell_vectors, with box radii from the rational inverse
+rather than the adjugate); and solve and nullspace for exact
 rational matrices (against linalg's elimination).
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from fockforms.enumeration import _box_radii, _integral_rows
+from fockforms.enumeration import integral_rows
 from fockforms.linalg import RatMat, _eliminate, inverse
 from fockforms.scalars import QQ
 from fockforms.schur import (all_words, insert_pair_word, pair_positions, remove_pair_word,
@@ -121,15 +123,26 @@ def harmonic_complement(b1, ell):
 # shell enumeration
 # ---------------------------------------------------------------------------
 
+def inverse_radii(gram2, target):
+    """floor(sqrt(target (gram2^{-1})_{ii})) through the rational inverse."""
+    dual = inverse(gram2)
+    out = []
+    for i in range(gram2.nrows):
+        r = QQ(target) * dual.entry(i, i)
+        num, den = int(r.numerator), int(r.denominator)
+        out.append(math.isqrt(num * den) // den)
+    return out
+
+
 def shell_vectors_box(gram2, target):
     """Brute-force oracle: exact dual-diagonal box, exhaustive scan."""
     m = gram2.nrows
     if target < 0:
         return np.zeros((0, m), dtype=np.int64)
-    g2_int = _integral_rows(gram2)
+    g2_int = integral_rows(gram2)
     hits = []
     for x in itertools.product(*[range(-r, r + 1)
-                                 for r in _box_radii(gram2, target)]):
+                                 for r in inverse_radii(gram2, target)]):
         acc = 0
         for a in range(m):
             row = 0

@@ -337,23 +337,57 @@ def test_theta_payload_past_int64(capsys, tmp_path):
     assert len(rows[1]["payload"]["1,1,1,1,1,1,1,1"]) == 256
 
 
-# sha256 of the stdout of each subcommand run with no options
+# sha256 of the stdout of each subcommand run with no options, and of theta
+# payload runs (lattice file, then options)
 STDOUT_SHA256 = {
-    "verify": "a833be960eafeaca62978a3c6b90eacc9607d756a767695d73d11f5f287bf7be",
-    "dims": "d25892ecb1d6b7770e2360aaf5267109e95651aa3f13db81f6b012d9702a0199",
-    "intertwine-check": "473500f96addba01adea97444a260f85f6b2eb6279b88a21d20913510e91f465",
+    ("verify",): "a833be960eafeaca62978a3c6b90eacc9607d756a767695d73d11f5f287bf7be",
+    ("dims",): "d25892ecb1d6b7770e2360aaf5267109e95651aa3f13db81f6b012d9702a0199",
+    ("intertwine-check",): "473500f96addba01adea97444a260f85f6b2eb6279b88a21d20913510e91f465",
+}
+THETA_SHA256 = {
+    ("e8.json", "--lambda", "4", "--bound", "3"):
+        "756c101fed6859ec560ccedb3e87e37040c3678c246e2382c0a19d9de63d52cb",
+    ("e8.json", "--lambda", "4", "--bound", "5"):
+        "e73da4f6ca6853bea0b2c9ab8ce1dc75b695ee0036388c570af460d6e1273763",
+    ("e8.json", "--lambda", "2", "--bound", "2"):
+        "a06ebeeefa4fc9ea160b720cf9094e070ac8feb22805a3e8b2cce22df6287360",
+    ("z4.json", "--genus", "2", "--lambda", "2,2", "--bound", "1"):
+        "915860b7b4b4cce2cb69126dcbbbcd61732b83f2e830a740e95196ae00908763",
+    ("z4.json", "--genus", "2", "--lambda", "2,1", "--bound", "1"):
+        "507ca5e9b329f7d734f0140ceb0c03562cebbd39e32cefcea196229d783210b5",
+    ("z4.json", "--genus", "2", "--lambda", "3,1", "--bound", "1"):
+        "e07af3398f562f31dd4ef1c0b697da7442cc403cf42164bdfceb70bb57dc641c",
+    ("z4.json", "--genus", "3", "--lambda", "2,1,1", "--bound", "1"):
+        "4c0b4f5e4c51608a762778386cc90e6571a6ab595a2d30533357d9625d5ad73d",
+    ("z4.json", "--lambda", "3", "--bound", "3"):
+        "4018a24f3fd8cfbf31c1abc69213284a54ed4ed8af8d8c997ae701416134511b",
+    ("z2.json", "--genus", "2", "--lambda", "1,1", "--bound", "2"):
+        "d3b9a19a58b45fb5d945d7c4acf9001973c05c133a4fcf89b78f12df66072dbd",
+    ("z2.json", "--lambda", "4", "--bound", "4"):
+        "7e57d3f426be77153588f16ddc4aa8648bbaa1604fcedbfb45a07a9935dc240b",
+    ("z2.json", "--lambda", "5", "--bound", "3"):
+        "8838e326523016dd60d5d573e344a628dcc58b339d513e02a5807f9a2e6ef261",
+    ("z2.json", "--lambda", "6", "--bound", "3"):
+        "6cd0c870c47c61e7c35452864ff8ded2611c0d5da100b79b66c4c029e1fc2e47",
+    ("z2.json", "--lambda", "8", "--bound", "2"):
+        "9d88aaa0c22fff4113293c1ebc283f526d32435da0263fee62161373dde4443e",
+    ("z2_coset.json", "--lambda", "2", "--bound", "4"):
+        "22ae7198d1518017a6428346f4115a627950a914aef638fc89f0347a8ac0edbe",
 }
 
 
 def test_stdout_digests(capsys):
     """stdout stays byte-identical for the default verify, dims and
-    intertwine-check runs."""
+    intertwine-check runs and for the theta payload runs."""
+    runs = dict(STDOUT_SHA256)
+    runs.update({("theta", "--lattice", str(FIXTURES / key[0])) + key[1:]: digest
+                 for key, digest in THETA_SHA256.items()})
     digests = {}
-    for command in STDOUT_SHA256:
-        code, out, _ = run_main(capsys, command)
-        assert code == 0, command
-        digests[command] = hashlib.sha256(out.encode()).hexdigest()
-    assert digests == STDOUT_SHA256
+    for argv in runs:
+        code, out, _ = run_main(capsys, *argv)
+        assert code == 0, argv
+        digests[argv] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == runs
 
 
 def test_theta_missing_file(capsys):

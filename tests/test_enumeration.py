@@ -1,14 +1,17 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
-from fockforms.enumeration import exact_ldl, shell_vectors
-from fockforms.linalg import RatMat
+from fockforms import enumeration
+from fockforms.enumeration import _box_radii, adjugate, exact_ldl, shell_vectors
+from fockforms.linalg import RatMat, inverse
 from fockforms.scalars import QQ
-from oracles import shell_vectors_box
+from fockforms.theta import Lattice
+from oracles import inverse_radii, shell_vectors_box
 
 
 def random_pd_gram(rng, m):
@@ -168,3 +171,95 @@ def test_box_radius_covers_cauchy_schwarz():
         if q == target:
             sols.add(x)
     assert sols == {tuple(r) for r in shell_vectors(mat, target)}
+
+
+def dense_gram(rng, m):
+    # A^T A + m I: dense, positive definite, entries of all sizes up to ~3m
+    a = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+    return [[sum(a[k][i] * a[k][j] for k in range(m)) + m * (i == j)
+             for j in range(m)] for i in range(m)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_adjugate_matches_rational_inverse(seed):
+    rng = random.Random(2000 + seed)
+    g = dense_gram(rng, rng.randint(1, 7)) if seed % 2 else random_pd_gram(rng, rng.randint(1, 4))
+    m = len(g)
+    mat = RatMat.from_rows([[QQ(2 * v) for v in row] for row in g])
+    adj, det = adjugate([[2 * v for v in row] for row in g])
+    dual = inverse(mat)
+    assert all(QQ(adj[i][j], det) == dual.entry(i, j)
+               for i in range(m) for j in range(m))
+    for target in (0, 1, 6, 2 * 10 ** 9 + 7):
+        assert _box_radii((adj, det), target) == inverse_radii(mat, target)
+
+
+def test_adjugate_rejects_zero_leading_minor():
+    with pytest.raises(ValueError):
+        adjugate([[0, 1], [1, 0]])
+
+
+def _count_adjugates(monkeypatch):
+    """The row counts of the adjugates computed from here on."""
+    calls = []
+    real = enumeration.adjugate
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    enumeration.gram_dual.cache_clear()
+    monkeypatch.setattr(enumeration, "adjugate", counted)
+    return calls
+
+
+def test_zero_shell_computes_no_adjugate(monkeypatch):
+    calls = _count_adjugates(monkeypatch)
+    lat = Lattice(dense_gram(random.Random(65), 12))
+    assert lat.shell(0).tolist() == [[0] * 12]
+    assert calls == []
+    lat.shell(2)
+    assert calls == [12]
+
+
+def test_dense_rank_64_shells_are_fast(monkeypatch):
+    """The box radii come from one integer adjugate per gram.  Budget: 3 s
+    for two shells of a dense rank-64 gram (the rational Gauss-Jordan inverse
+    took over 4 s per shell on a 2-core Xeon)."""
+    calls = _count_adjugates(monkeypatch)
+    lat = Lattice(dense_gram(random.Random(64), 64))
+    start = time.perf_counter()
+    shells = [lat.shell(2), lat.shell(4)]
+    elapsed = time.perf_counter() - start
+    assert calls == [64]
+    # every diagonal entry is at least 64, so no vector has norm 4 or 8
+    assert [s.shape for s in shells] == [(0, 64), (0, 64)]
+    assert elapsed < 3.0, f"{elapsed:.2f} s"
+
+
+def test_large_leading_pivot_keeps_pruning(monkeypatch):
+    """The level-0 margin stays out of the float tolerance, so a huge first
+    diagonal entry does not widen the search at the other levels: the rows
+    handed to the exact first-level solve do not grow with it."""
+    sent = []
+    real = enumeration._solve_first
+
+    def spy(fixed, q, G, target):
+        sent.append(len(fixed))
+        return real(fixed, q, G, target)
+
+    monkeypatch.setattr(enumeration, "_solve_first", spy)
+    shells, rows = [], []
+    for b in (10 ** 3, 10 ** 18):
+        sent.clear()
+        g = [[2 * b if i == j == 0 else 2 * (i == j) for j in range(9)]
+             for i in range(9)]
+        shells.append(shell_vectors(RatMat.from_rows([[QQ(v) for v in row] for row in g]), 16))
+        rows.append(sum(sent))
+    assert rows[0] == rows[1]
+    assert len(shells[0]) == 9328 and (shells[0] == shells[1]).all()
+    # and against the box scan on a smaller rank
+    g = [[2 * 10 ** 18 if i == j == 0 else 2 * (i == j) for j in range(5)]
+         for i in range(5)]
+    mat = RatMat.from_rows([[QQ(v) for v in row] for row in g])
+    assert shell_vectors(mat, 8).tolist() == shell_vectors_box(mat, 8).tolist()

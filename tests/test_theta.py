@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockforms import theta
 from fockforms.enumeration import symmetric_pivots
 from fockforms.linalg import RatMat, rank
 from fockforms.scalars import QQ
+from fockforms.schur import harmonic_project_vec, partitions_of, ssyt_enumerate, young_apply_vec
 from fockforms.theta import (
     BetaMatrix,
     GenusCoefficient,
     Lattice,
+    _column_major_values,
     assemble_coefficient,
     enumerate_representations,
     filling_key,
@@ -458,6 +461,89 @@ def test_payload_filling_count(z4):
     assert sorted(c2.payload) == ["1,1", "1,2", "2,2"]
 
 
+def dict_path_payload(lat, beta, lam):
+    """The composition the integer-array path replaces: for each filling,
+    harmonic_project_vec(young_apply_vec(lam, moment_tensor(...)), gram, lam)."""
+    reps = enumerate_representations(lat, beta)
+    out = {}
+    for filling in ssyt_enumerate(lam, beta.n):
+        raw = moment_tensor(reps, _column_major_values(lam, filling), lat.rank)
+        shaped = young_apply_vec(lam, raw) if raw else {}
+        out[filling_key(filling)] = (harmonic_project_vec(shaped, lat.gram, lam)
+                                     if shaped else {})
+    return out
+
+
+def fibonacci_z2():
+    """Z^2 in the basis (F12, F11), (F13, F12): short vectors have
+    coordinates in the hundreds, so moments and the Brauer product leave int64."""
+    return Lattice([[57314, 92736], [92736, 150050]])
+
+
+def array_path_cases():
+    """(lattice, beta) pairs with beta represented, up to four per lattice and
+    genus.  Rank 3 and 4 reach the two-row and three-row harmonic shapes,
+    which vanish when lam'_1 + lam'_2 exceeds the rank."""
+    half = Lattice([[1, "1/2"], ["1/2", 2]])
+    q23 = Lattice([[4, 1], [1, 6]])
+    rank3 = Lattice([[2, 1, 0], [1, 2, 1], [0, 1, 4]])
+    rank4 = Lattice([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 4, 1], [0, 0, 1, 6]])
+    coset1 = Lattice.load(FIXTURES / "z2_coset.json")
+    coset2 = Lattice([[1, 0], [0, 1]], coset_h=[[1, 0], [1, 1]], modulus=2)
+    rng = random.Random(8)
+    cases = []
+    for n, bound, lattices in ((1, 3, (half, q23, rank3, coset1, fibonacci_z2())),
+                               (2, 3, (half, q23, rank3, rank4, coset2, fibonacci_z2())),
+                               (3, 1, (rank3, rank4))):
+        betas = [b for b in series_betas(n, bound) if b.trace()]
+        for lat in lattices:
+            hit = [b for b in betas if enumerate_representations(lat, b)]
+            k = 4 if lat.rank < 4 else 2
+            cases.extend((lat, b) for b in rng.sample(hit, min(k, len(hit))))
+    return cases
+
+
+def test_array_path_matches_dict_path():
+    """assemble_coefficient (symmetric moments, the Brauer product on integer
+    arrays, one Young projection) equals the dict composition on every shape
+    of degree <= 4 at genus <= 3, on integral, half-integral, coset and
+    past-int64 lattices."""
+    nonzero = set()
+    for lat, beta in array_path_cases():
+        for ell in range(1, 5):
+            for lam in partitions_of(ell):
+                if len(lam) > beta.n:
+                    continue
+                got = assemble_coefficient(lat, beta, lam=lam).payload
+                assert got == dict_path_payload(lat, beta, lam), (lat.gram, beta, lam)
+                if any(got.values()):
+                    nonzero.add(lam)
+    # odd degrees vanish (x -> -x); every even shape is met with a nonzero payload
+    assert nonzero >= {(2,), (1, 1), (4,), (3, 1), (2, 2)}
+
+
+def test_array_path_leaves_int64(monkeypatch):
+    """The Fibonacci basis forces Python ints in the moment kernel at degree 8
+    and in the Brauer product at degree 4; both still equal the dict path."""
+    chosen = []
+    real = theta.exact_dtype
+
+    def spy(bound, rows=()):
+        chosen.append(real(bound, rows))
+        return chosen[-1]
+
+    monkeypatch.setattr(theta, "exact_dtype", spy)
+    lat = fibonacci_z2()
+    for lam, beta in (((4,), BetaMatrix.diagonal([1])),
+                      ((8,), BetaMatrix.diagonal([1])),
+                      ((4,), BetaMatrix.diagonal([1, 1]))):
+        chosen.clear()
+        got = assemble_coefficient(lat, beta, lam=lam).payload
+        assert object in chosen, lam
+        assert got == dict_path_payload(lat, beta, lam)
+        assert any(got.values())
+
+
 # ---------------------------------------------------------------------------
 # symmetry
 # ---------------------------------------------------------------------------
@@ -672,6 +758,65 @@ def test_e8_genus_two_is_siegel_eisenstein(e8):
         assert row.count == siegel_eisenstein_4(n, r, m)
         disc = 4 * n * m - r * r
         assert row.rank_t == (2 if disc > 0 else 1 if (n, r, m) != (0, 0, 0) else 0)
+
+
+def pochhammer(a, k):
+    out = QQ(1)
+    for t in range(k):
+        out *= a + t
+    return out
+
+
+def zonal_sum(shell, gram, beta, y, ell):
+    """P_beta(y) = sum over x in the shell of sum_j (-1)^j (alpha)_{ell-j}
+    / (j! (ell-2j)!) 2^{ell-2j} (x, y)^{ell-2j} (2 beta (y, y))^j, with
+    alpha = m/2 - 1: each term is the Gegenbauer polynomial
+    |x|^ell |y|^ell C^alpha_ell((x, y) / |x||y|) (Stein & Weiss, Fourier
+    Analysis on Euclidean Spaces, ch. IV)."""
+    m = len(gram)
+    alpha = QQ(m, 2) - 1
+    gy = [sum(gram[i][k] * y[k] for k in range(m)) for i in range(m)]
+    yy = sum(a * b for a, b in zip(y, gy))
+    total = QQ(0)
+    for x in shell:
+        xy = sum(a * b for a, b in zip(x, gy))
+        for j in range(ell // 2 + 1):
+            total += ((-1) ** j * pochhammer(alpha, ell - j)
+                      / (math.factorial(j) * math.factorial(ell - 2 * j))
+                      * 2 ** (ell - 2 * j) * xy ** (ell - 2 * j) * (2 * beta * yy) ** j)
+    return total
+
+
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+
+@pytest.mark.parametrize("gram,ell,constant", [
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], 4, QQ(8, 35)),
+    ([[2, 1, 0], [1, 2, 1], [0, 1, 4]], 4, QQ(8, 35)),
+    (D4, 6, QQ(1, 64)),
+])
+def test_single_row_payload_is_zonal(gram, ell, constant):
+    """Zonal-harmonic oracle, without the Brauer projector: for rank m >= 3
+    the lambda=(ell) payload paired with (Gy)^ell is the harmonic part of
+    sum_x (x, y)^ell, which is P_beta(y) times ell! / (2^ell (alpha)_ell)."""
+    lat = Lattice(gram)
+    m = len(gram)
+    assert constant == QQ(math.factorial(ell)) / (2 ** ell * pochhammer(QQ(m, 2) - 1, ell))
+    key = ",".join(["1"] * ell)
+    nonzero = 0
+    for b in range(1, 5):
+        beta = BetaMatrix.diagonal([b])
+        payload = assemble_coefficient(lat, beta, lam=(ell,)).payload[key]
+        shell = [rep[0] for rep in enumerate_representations(lat, beta)]
+        for y in ((1, 0, 0, 0), (1, 2, -1, 1), (3, -1, 2, -2)):
+            y = y[:m]
+            gy = [sum(gram[i][k] * y[k] for k in range(m)) for i in range(m)]
+            paired = sum((v * math.prod(gy[i - 1] for i in w) for w, v in payload.items()),
+                         QQ(0))
+            zonal = zonal_sum(shell, gram, b, y, ell)
+            assert paired == constant * zonal, (b, y)
+            nonzero += zonal != 0
+    assert nonzero >= 6
 
 
 def test_series_table_matches_single_assembly(z2):
