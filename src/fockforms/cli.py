@@ -97,7 +97,8 @@ def cmd_verify(args):
         identity = canonical_identity(args.identity)
         if args.p is None or args.q is None:
             raise InputError("--identity needs --p and --q")
-        p, q, n, ell = args.p, args.q, args.n or 1, args.ell or 0
+        p, q, ell = args.p, args.q, args.ell or 0
+        n = 1 if args.n is None else args.n
         for key, val in (("p", p), ("q", q), ("n", n)):
             if not 1 <= val <= LIMITS[key]:
                 raise InputError(f"--{key} must be in 1..{LIMITS[key]}")
@@ -277,8 +278,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     ver = sub.add_parser("verify", help="run identity checks")
-    ver.add_argument("--grid", default="default", choices=["default"],
-                     help="named parameter grid (used when no --identity)")
     ver.add_argument("--identity", help="single identity name")
     ver.add_argument("--p", type=int)
     ver.add_argument("--q", type=int)

@@ -21,24 +21,27 @@ from dataclasses import dataclass
 
 from fockforms.linalg import RatMat, inverse
 from fockforms.multilinear import (
+    LinearOperator,
     MixedForm,
     SpaceParams,
     a_of_f,
     compose,
+    contraction,
+    expansion,
     identity_op,
     insert_letter,
     interior,
     metric_pair_insertion,
     op_sum,
     rho_x,
-    tensor_matrix_apply,
     tensor_permute,
     wedge_left,
     z_del,
     z_mul,
 )
 from fockforms.scalars import MINUS_I_4PI, QQ, Scalar
-from fockforms.schur import (all_words, harmonic_project_vec, perm_act_word, perm_sign,
+from fockforms.schur import (all_words, column_group, hook_product, omega_eigenvalues,
+                             pair_positions, perm_act_word, perm_sign, row_group,
                              young_apply_vec)
 from fockforms.weil import LOWERING, omega, omega_kprime
 
@@ -129,22 +132,34 @@ def phi_linear(params, combo):
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def signature_form(params):
-    return RatMat.diagonal([params.eps(k) for k in range(1, params.m + 1)])
+def output_projector(lam, m):
+    """pi_[lam] pi_lam on the output tensor slot, for V = Q^m with the
+    signature form.
 
+    The Young projector pi_lam is the signed column sum after the row sum of
+    slot permutations, divided by the hook product.  Then the Brauer product
+    prod_c (1 - Omega / c) over schur.omega_eigenvalues, with
+    Omega = sum_{i<j} expansion(i, j) contraction(i, j), removes the traces;
+    its exit check is that every slot-pair contraction of the image is zero.
+    """
+    ell = sum(lam)
+    pairs = pair_positions(ell)
+    young = compose([
+        op_sum((QQ(perm_sign(perm), hook_product(lam)), tensor_permute(perm))
+               for perm in column_group(lam)),
+        op_sum((1, tensor_permute(perm)) for perm in row_group(lam)),
+    ])
+    omega_op = op_sum((1, expansion(i, j) @ contraction(i, j)) for i, j in pairs)
+    project = compose([op_sum([(1, identity_op()), (QQ(-1, c), omega_op)])
+                       for c in omega_eigenvalues(lam, m)] + [young])
 
-@functools.lru_cache(maxsize=None)
-def harmonic_word_map(lam, params):
-    """pi_[lam] on the output tensor slot, column-keyed over letters 1..m."""
-    b1 = signature_form(params)
-    return {word: harmonic_project_vec(young_apply_vec(lam, {word: QQ(1)}), b1, lam)
-            for word in all_words(params.m, sum(lam))}
-
-
-def apply_output_projector(form, lam):
-    wmap = harmonic_word_map(tuple(lam), form.params)
-    return tensor_matrix_apply(form, wmap, sum(lam), form.params.m)
+    def apply(form):
+        out = project(form)
+        for i, j in pairs:
+            assert contraction(i, j)(out).is_zero(), \
+                f"trace survived harmonic projection at slots ({i},{j})"
+        return out
+    return LinearOperator(apply)
 
 
 def phi_nq_bracket_lambda(params, lam):
@@ -158,15 +173,13 @@ def phi_nq_bracket_lambda(params, lam):
     ell = sum(lam)
     if params.n > params.p:
         raise ValueError("needs n <= p")
+    project = output_projector(lam, params.m)
 
     def fn(word):
         if len(word) != ell:
             raise ValueError("word length must match the shape size")
         shaped = young_apply_vec(lam, {tuple(word): QQ(1)})
-        base = phi_linear(params, shaped)
-        if ell < 2:
-            return base
-        return apply_output_projector(base, lam)
+        return project(phi_linear(params, shaped))
 
     return fn
 
@@ -470,17 +483,13 @@ def holomorphicity_residuals(params, ell, conv=DEFAULT_CONVENTIONS):
     exact primitive, killed is the projection of the metric correction."""
     if params.n != 1:
         raise ValueError("holomorphicity check is the n = 1 statement")
-    lam = (ell,)
+    project = output_projector((ell,), params.m)
     lowering = omega(LOWERING, params)
-    primitive = lowering_primitive(params, ell, conv)
-    if ell < 2:
-        main = lowering(phi_ell(params, ell)) - d_operator(params, "full", conv)(primitive)
-        return main, MixedForm(params)
-    phi_br = apply_output_projector(phi_ell(params, ell), lam)
-    primitive = apply_output_projector(primitive, lam)
+    phi_br = project(phi_ell(params, ell))
+    primitive = project(lowering_primitive(params, ell, conv))
     correction = a_of_f(ell, "full")(phi_ell(params, ell - 2)).scale(
         Scalar.from_rational(QQ(-1, 4), pi_exp=-1))
-    killed = apply_output_projector(correction, lam)
+    killed = project(correction)
     main = lowering(phi_br) - d_operator(params, "full", conv)(primitive) - killed
     return main, killed
 

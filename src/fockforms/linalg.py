@@ -129,9 +129,9 @@ class RatMat:
         return f"RatMat({self.nrows}x{self.ncols}, nnz={sum(len(r) for r in self.rows)})"
 
 
-def _eliminate(rows, ncols, augment=None):
-    """Row-reduce in place; returns pivot column list.  augment, if given,
-    is a parallel list of row dicts receiving the same row operations."""
+def _eliminate(rows, ncols):
+    """Row-reduce in place, pivoting in columns 0..ncols-1; entries in later
+    columns take the same row operations.  Returns the pivot column list."""
     pivots = []
     rank = 0
     for col in range(ncols):
@@ -143,12 +143,8 @@ def _eliminate(rows, ncols, augment=None):
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        if augment is not None:
-            augment[rank], augment[piv] = augment[piv], augment[rank]
         inv = 1 / rows[rank][col]
         rows[rank] = {j: v * inv for j, v in rows[rank].items()}
-        if augment is not None:
-            augment[rank] = {j: v * inv for j, v in augment[rank].items()}
         for i in range(len(rows)):
             if i == rank:
                 continue
@@ -163,15 +159,6 @@ def _eliminate(rows, ncols, augment=None):
                     dst.pop(j, None)
                 else:
                     dst[j] = s
-            if augment is not None:
-                srca = augment[rank]
-                dsta = augment[i]
-                for j, v in srca.items():
-                    s = dsta.get(j, QQ(0)) - f * v
-                    if s == 0:
-                        dsta.pop(j, None)
-                    else:
-                        dsta[j] = s
         pivots.append(col)
         rank += 1
     return pivots
@@ -183,11 +170,11 @@ def rank(mat):
 
 
 def inverse(mat):
+    """Reduce [A | I] in the columns of A; A^-1 is left in the other half."""
     if mat.nrows != mat.ncols:
         raise ValueError("only square matrices invert")
-    rows = [dict(r) for r in mat.rows]
-    aug = [dict(r) for r in RatMat.identity(mat.nrows).rows]
-    pivots = _eliminate(rows, mat.ncols, augment=aug)
-    if len(pivots) != mat.nrows:
+    n = mat.nrows
+    rows = [{**r, n + i: QQ(1)} for i, r in enumerate(mat.rows)]
+    if len(_eliminate(rows, n)) != n:
         raise ValueError("matrix is singular")
-    return RatMat(mat.nrows, mat.ncols, aug)
+    return RatMat(n, n, [{j - n: v for j, v in r.items() if j >= n} for r in rows])

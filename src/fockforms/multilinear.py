@@ -508,21 +508,3 @@ def tensor_permute(perm):
         yield (fock, wedge, perm_act_word(perm, word)), c
     return _lift(term)
 
-
-def tensor_matrix_apply(form, matrix, ell, alphabet):
-    """Apply a word-basis matrix to the tensor slot.
-
-    matrix maps column word -> dict(row word -> rational), over words of
-    length ell in letters 1..alphabet; other-length terms pass through only
-    if ell matches, else an error is raised.
-    """
-    out = MixedForm(form.params)
-    for (fock, wedge, word), c in form.terms.items():
-        if len(word) != ell:
-            raise ValueError("tensor matrix applied to word of wrong length")
-        col = matrix.get(word)
-        if col is None:
-            raise ValueError(f"word {word} outside matrix domain")
-        for row_word, r in col.items():
-            out._accum((fock, wedge, row_word), c.scale(r))
-    return out

@@ -1,31 +1,37 @@
-"""Young symmetrizers, semistandard counting, and harmonic projection.
+"""Young symmetrizers, semistandard counting, and the Brauer eigenvalues of
+harmonic projection.
 
 Words of length ell over the alphabet 1..N index the tensor space; a tensor
-is a dict word -> QQ.  Two projectors act on such dicts:
+is a dict word -> QQ.
 
-* young_apply_vec(lam, vec) is the Young projector pi_lam: the row average of
-  the row-major base tableau, then the signed column average, rescaled by
-  kappa = prod hooks / (prod lam_i! prod lam'_j!) to an exact idempotent.
-  The averages and kappa together scale the plain sums by 1 / prod hooks.
-  The row sum is taken one row orbit at a time, in time linear in its output.
-* harmonic_project_vec(vec, b1, lam) takes a lam-isotypic tensor to its
-  traceless part for the symmetric bilinear form b1.  Let C_ij contract slots
-  i < j with b1 and E_ij insert g = b1^-1 there, and Omega = sum E_ij C_ij.
-  Omega is self-adjoint for the product form and its kernel is the traceless
+* young_apply_vec(lam, vec) is the one projector on such dicts, the Young
+  projector pi_lam: the row average of the row-major base tableau, then the
+  signed column average, rescaled by kappa = prod hooks / (prod lam_i!
+  prod lam'_j!) to an exact idempotent.  The averages and kappa together
+  scale the plain sums by 1 / prod hooks.  The row sum is taken one row
+  orbit at a time, in time linear in its output.
+* omega_eigenvalues(lam, n) lists the factors of the harmonic projector
+  pi_[lam], which takes a lam-isotypic tensor to its traceless part for a
+  symmetric bilinear form b1.  Let C_ij contract slots i < j with b1 and
+  E_ij insert g = b1^-1 there, and Omega = sum E_ij C_ij.  Omega is
+  self-adjoint for the product form and its kernel is the traceless
   tensors.  On the copy of g^k (x) [mu] inside the lam-isotypic tensors, for
   mu contained in lam with |lam| - |mu| = 2k, it acts by
 
       c = cont(lam) - cont(mu) + k (n - 1),
 
-  where cont sums column - row over the boxes and n = b1.nrows.  These are
+  where cont sums column - row over the boxes and n = dim V.  These are
   eigenvalues of Jucys-Murphy elements of the Brauer algebra (Nazarov,
   J. Algebra 182, 1996); for lam = (ell) they give the classical expansion of
   the harmonic part as sum_j c_j |x|^2j Delta^j (Axler, Bourdon & Ramey,
   Harmonic Function Theory, ch. 5).  Every copy that occurs has c > 0 (for
   a definite form Omega is positive semidefinite, and c does not depend on the
   form), so prod (1 - Omega / c) over the distinct positive c is pi_[lam],
-  the form-orthogonal projection onto the traceless tensors.  theta applies
-  the same product, with these eigenvalues, to integer moment arrays.
+  the form-orthogonal projection onto the traceless tensors.
+  forms.output_projector applies this product as operators on MixedForm,
+  and theta applies it to integer moment arrays.
+* assert_traceless(vec, b1_rows, ell) is the exit check of harmonic
+  projection on a dict tensor: every slot-pair contraction is zero.
 
 young_projector is the matrix of young_apply_vec on the basis words.
 """
@@ -35,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from fockforms.linalg import RatMat, inverse
+from fockforms.linalg import RatMat
 from fockforms.scalars import QQ
 
 
@@ -66,7 +72,7 @@ def _content(lam):
     return sum(j - i for i, part in enumerate(lam) for j in range(part))
 
 
-def _hook_product(lam):
+def hook_product(lam):
     conj = conjugate(lam)
     out = 1
     for i, part in enumerate(lam):
@@ -83,7 +89,7 @@ def hook_content_count(lam, n):
             num *= n + j - i
     if num == 0:
         return 0
-    count, rem = divmod(num, _hook_product(lam))
+    count, rem = divmod(num, hook_product(lam))
     assert rem == 0
     return count
 
@@ -172,6 +178,10 @@ def _group_from_blocks(blocks, ell):
     return group
 
 
+def row_group(lam):
+    return _group_from_blocks(base_tableau(lam), sum(lam))
+
+
 def column_group(lam):
     ell = sum(lam)
     rows = base_tableau(lam)
@@ -245,7 +255,7 @@ def young_apply_vec(lam, vec):
         for rows in itertools.product(*(list(_arrangements(row)) for row in key)):
             mid[sum(rows, ())] = v
     out = {}
-    scale = QQ(1, _hook_product(lam))
+    scale = QQ(1, hook_product(lam))
     for perm in column_group(lam):
         sgn = perm_sign(perm)
         for w, v in mid.items():
@@ -265,7 +275,7 @@ def young_projector(lam, alphabet):
 
 
 # ---------------------------------------------------------------------------
-# the harmonic projector
+# slot pairs and the harmonic projector's eigenvalues
 # ---------------------------------------------------------------------------
 
 def pair_positions(ell):
@@ -305,31 +315,6 @@ def omega_eigenvalues(lam, n):
         if c > 0:
             values.add(c)
     return sorted(values)
-
-
-def _omega(vec, b1_rows, g_entries, ell):
-    """sum over slot pairs i < j of E_ij C_ij; g_entries lists (a, b, g_ab)."""
-    out = {}
-    for i, j in pair_positions(ell):
-        for rest, u in contract_vec(vec, b1_rows, i, j).items():
-            for a, b, g in g_entries:
-                _accum(out, insert_pair_word(rest, i, j, a, b), g * u)
-    return out
-
-
-def harmonic_project_vec(vec, b1, lam):
-    """pi_[lam] on a lam-isotypic dict tensor: prod over c of (1 - Omega / c)."""
-    ell = sum(lam)
-    n = b1.nrows
-    b1_rows = [[b1.entry(i, j) for j in range(n)] for i in range(n)]
-    g = inverse(b1)
-    g_entries = [(a + 1, b + 1, v) for a, row in enumerate(g.rows) for b, v in row.items()]
-    out = dict(vec)
-    for c in omega_eigenvalues(lam, n):
-        for w, v in _omega(out, b1_rows, g_entries, ell).items():
-            _accum(out, w, -v / c)
-    assert_traceless(out, b1_rows, ell)
-    return out
 
 
 def assert_traceless(vec, b1_rows, ell):

@@ -292,19 +292,6 @@ def _column_major_values(lam, filling):
     return vals
 
 
-def moment_tensor(reps, slot_values, m):
-    """Sum over tuples of the outer product of the selected columns, as the
-    dict of its nonzero entries (word -> QQ, words over 1..m).
-
-    slot_values: for each tensor slot, which column of the tuple to use
-    (1-based).  The nonzero view of the moment kernel of assemble_coefficient.
-    """
-    if not reps:
-        return {}
-    coords = np.array(reps, dtype=np.int64).reshape(len(reps), -1, m)
-    return _nonzero_terms(_moments(coords, slot_values, m), 1)
-
-
 def _nonzero_terms(arr, den):
     """The nonzero entries of an integer array divided by den, as a dict
     word -> QQ with letters counted from 1."""

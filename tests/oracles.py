@@ -2,11 +2,14 @@
 
 Each builds by exhaustion what a production routine computes directly:
 dense word-space matrices of the product form, of slot contractions and
-insertions, and of the harmonic projection (against schur's Young and
-harmonic projectors); the exhaustive box scan of the shell enumeration
-(against enumeration.shell_vectors, with box radii from the rational inverse
-rather than the adjugate); and solve and nullspace for exact
-rational matrices (against linalg's elimination).
+insertions, and of the harmonic projection (against schur's Young projector
+and the dict harmonic projector below); harmonic_project_vec, the Brauer
+product on dict tensors (against forms.output_projector and theta's
+integer-array payloads); the moment tensor as a Python-int sum of outer
+products (against theta's moment kernel); the exhaustive box scan of the
+shell enumeration (against enumeration.shell_vectors, with box radii from
+the rational inverse rather than the adjugate); and solve and nullspace for
+exact rational matrices (against linalg's elimination).
 """
 
 import itertools
@@ -17,8 +20,9 @@ import numpy as np
 from fockforms.enumeration import integral_rows
 from fockforms.linalg import RatMat, _eliminate, inverse
 from fockforms.scalars import QQ
-from fockforms.schur import (all_words, insert_pair_word, pair_positions, remove_pair_word,
-                             word_index)
+from fockforms.schur import (_accum, all_words, assert_traceless, contract_vec,
+                             insert_pair_word, omega_eigenvalues, pair_positions,
+                             remove_pair_word, word_index)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +121,48 @@ def harmonic_complement(b1, ell):
     gram = span.transpose() @ b_ell @ span
     proj = span @ inverse(gram) @ span.transpose() @ b_ell
     return RatMat.identity(size) - proj
+
+
+# ---------------------------------------------------------------------------
+# harmonic projection and moments on dict tensors
+# ---------------------------------------------------------------------------
+
+def _omega(vec, b1_rows, g_entries, ell):
+    """sum over slot pairs i < j of E_ij C_ij; g_entries lists (a, b, g_ab)."""
+    out = {}
+    for i, j in pair_positions(ell):
+        for rest, u in contract_vec(vec, b1_rows, i, j).items():
+            for a, b, g in g_entries:
+                _accum(out, insert_pair_word(rest, i, j, a, b), g * u)
+    return out
+
+
+def harmonic_project_vec(vec, b1, lam):
+    """pi_[lam] on a lam-isotypic dict tensor: prod over c of (1 - Omega / c)."""
+    ell = sum(lam)
+    n = b1.nrows
+    b1_rows = [[b1.entry(i, j) for j in range(n)] for i in range(n)]
+    g = inverse(b1)
+    g_entries = [(a + 1, b + 1, v) for a, row in enumerate(g.rows) for b, v in row.items()]
+    out = dict(vec)
+    for c in omega_eigenvalues(lam, n):
+        for w, v in _omega(out, b1_rows, g_entries, ell).items():
+            _accum(out, w, -v / c)
+    assert_traceless(out, b1_rows, ell)
+    return out
+
+
+def moment_oracle(reps, slot_values, m):
+    """The sum over tuples of the outer product of the selected columns,
+    word by word in Python ints, as the dict of its nonzero entries
+    (word -> QQ, words over 1..m).  slot_values names, for each tensor slot,
+    the column of the tuple it reads (1-based)."""
+    out = {}
+    for rep in reps:
+        for w in itertools.product(range(1, m + 1), repeat=len(slot_values)):
+            v = math.prod(rep[col - 1][letter - 1] for col, letter in zip(slot_values, w))
+            out[w] = out.get(w, 0) + v
+    return {w: QQ(v) for w, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------

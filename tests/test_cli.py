@@ -58,6 +58,16 @@ def test_verify_bounds(capsys):
     assert code == 2
 
 
+def test_verify_rejects_zero_columns(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("a refused cell must start no work")
+    monkeypatch.setattr(cli, "run_identity", fail)
+    code, _, err = run_main(capsys, "verify", "--identity", "closedness",
+                            "--p", "1", "--q", "1", "--n", "0", "--ell", "1")
+    assert code == 2
+    assert "--n must be in 1..3" in json.loads(err)["error"]
+
+
 def test_grid_deterministic_across_jobs(capsys):
     code1, out1, _ = run_main(capsys, "verify")
     code2, out2, _ = run_main(capsys, "verify", "--jobs", "3")

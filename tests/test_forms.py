@@ -27,7 +27,9 @@ from fockforms.multilinear import (
     z_mul,
 )
 from fockforms.scalars import MINUS_I_4PI, QQ, Scalar
+from fockforms.schur import all_words, partitions_of, young_apply_vec
 from fockforms.weil import O_P, omega
+from oracles import harmonic_project_vec
 
 GRID = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
 
@@ -362,6 +364,34 @@ def test_bracket_row_shape_is_traceless():
         v = fam((1, 1))
         assert not v.is_zero()
         assert contraction(1, 2)(v).is_zero()
+
+
+def _word_oracle(lam, pr):
+    """The per-word composition: harmonic_project_vec of the Young projection
+    of each basis word, for the signature form diag(eps)."""
+    eps = RatMat.diagonal([pr.eps(k) for k in pr.letters()])
+    return {w: harmonic_project_vec(young_apply_vec(lam, {w: QQ(1)}), eps, lam)
+            for w in all_words(pr.m, sum(lam))}
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (2, 2), (3, 1)])
+def test_output_projector_matches_word_oracle(p, q):
+    """output_projector equals the dict Young-then-harmonic projection word by
+    word, on the symmetric phi_ell and the non-symmetric lowering primitive,
+    for every shape of degree <= 4, and it is idempotent."""
+    pr = params_n1(p, q)
+    for ell in range(1, 5):
+        for lam in partitions_of(ell):
+            project = F.output_projector(lam, pr.m)
+            oracle = _word_oracle(lam, pr)
+            for form in (F.phi_ell(pr, ell), F.lowering_primitive(pr, ell)):
+                want = MixedForm(pr)
+                for (fock, wedge, word), c in form.terms.items():
+                    for target, r in oracle[word].items():
+                        want._accum((fock, wedge, target), c.scale(r))
+                got = project(form)
+                assert got == want, (p, q, lam)
+                assert project(got) == got, (p, q, lam)
 
 
 def test_bracket_hook_shape_is_traceless():

@@ -8,7 +8,6 @@ import pytest
 from fockforms.linalg import RatMat, rank
 from fockforms.schur import (
     all_words,
-    harmonic_project_vec,
     hook_content_count,
     partitions_of,
     ssyt_enumerate,
@@ -17,7 +16,7 @@ from fockforms.schur import (
     young_projector,
 )
 from fockforms.scalars import QQ
-from oracles import contraction_matrix, harmonic_complement, insertion_matrix
+from oracles import contraction_matrix, harmonic_complement, harmonic_project_vec, insertion_matrix
 
 
 def test_partitions():

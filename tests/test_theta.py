@@ -14,7 +14,7 @@ from fockforms import theta
 from fockforms.enumeration import symmetric_pivots
 from fockforms.linalg import RatMat, rank
 from fockforms.scalars import QQ
-from fockforms.schur import harmonic_project_vec, partitions_of, ssyt_enumerate, young_apply_vec
+from fockforms.schur import partitions_of, ssyt_enumerate, young_apply_vec
 from fockforms.theta import (
     BetaMatrix,
     GenusCoefficient,
@@ -23,10 +23,10 @@ from fockforms.theta import (
     assemble_coefficient,
     enumerate_representations,
     filling_key,
-    moment_tensor,
     series_betas,
     series_table,
 )
+from oracles import harmonic_project_vec, moment_oracle
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -462,12 +462,14 @@ def test_payload_filling_count(z4):
 
 
 def dict_path_payload(lat, beta, lam):
-    """The composition the integer-array path replaces: for each filling,
-    harmonic_project_vec(young_apply_vec(lam, moment_tensor(...)), gram, lam)."""
+    """The dict composition that the integer-array path must equal: for each
+    filling, harmonic_project_vec(young_apply_vec(lam, moment_oracle(...)),
+    gram, lam), all three independent of theta's moment kernel and Brauer
+    product."""
     reps = enumerate_representations(lat, beta)
     out = {}
     for filling in ssyt_enumerate(lam, beta.n):
-        raw = moment_tensor(reps, _column_major_values(lam, filling), lat.rank)
+        raw = moment_oracle(reps, _column_major_values(lam, filling), lat.rank)
         shaped = young_apply_vec(lam, raw) if raw else {}
         out[filling_key(filling)] = (harmonic_project_vec(shaped, lat.gram, lam)
                                      if shaped else {})
@@ -857,4 +859,5 @@ def test_moment_overflow_guard():
         for w in itertools.product((1, 2), repeat=4):
             want[w] = want.get(w, 0) + math.prod(x[i - 1] for i in w)
     want = {w: QQ(v) for w, v in want.items() if v}
-    assert moment_tensor(reps, [1, 1, 1, 1], 2) == want
+    moments = theta._moments(np.array(reps, dtype=np.int64), [1, 1, 1, 1], 2)
+    assert theta._nonzero_terms(moments, 1) == moment_oracle(reps, [1, 1, 1, 1], 2) == want
