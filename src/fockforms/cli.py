@@ -3,6 +3,12 @@
 All output is JSON on stdout.  Exit status: 0 when every check passes, 1 when
 some identity or cross-check fails, 2 on malformed input.  Reports carry no
 timing so runs are byte-identical across repetition and job counts.
+
+Each subcommand imports only the layers it runs, inside the function that
+runs them: `theta` loads numpy and the lattice layers but not the form layers
+(`forms`, `weil`, `multilinear`); `verify`, `dims` and `intertwine-check`
+load no numpy; and the process pool is imported only when more than one
+worker will start, since start-up is a large share of a short command.
 """
 
 from __future__ import annotations
@@ -12,9 +18,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from fockforms.forms import IDENTITIES, default_grid, run_identity
 from fockforms.schur import partitions_of
 from fockforms.workers import worker_count
 
@@ -55,6 +59,8 @@ def parse_partition(text):
 
 
 def canonical_identity(name):
+    from fockforms.forms import IDENTITIES
+
     name = IDENTITY_ALIASES.get(name, name)
     if name not in IDENTITIES:
         known = sorted(set(IDENTITIES) | set(IDENTITY_ALIASES))
@@ -63,6 +69,8 @@ def canonical_identity(name):
 
 
 def _run_cell(cell):
+    from fockforms.forms import run_identity
+
     identity, p, q, n, ell = cell
     return run_identity(identity, p, q, n, ell)
 
@@ -77,6 +85,8 @@ def run_cells(cells, jobs, fail_fast):
             if fail_fast and not rep.passed:
                 break
         return reports
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for rep in pool.map(_run_cell, cells, chunksize=1):
             reports.append(rep)
@@ -93,6 +103,8 @@ def report_row(rep):
 
 
 def cmd_verify(args):
+    from fockforms.forms import default_grid
+
     if args.identity:
         identity = canonical_identity(args.identity)
         if args.p is None or args.q is None:

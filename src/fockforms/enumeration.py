@@ -107,18 +107,27 @@ def gram_dual(rows):
 def exact_ldl(gram):
     """G = L D L^T over the rationals; ValueError unless positive definite.
 
-    gram: RatMat.  Returns (L rows, D diagonal) as nested lists of QQ.
+    gram: RatMat.  Returns (L rows, D diagonal) as tuples of QQ.
     """
     m = gram.nrows
     den = math.lcm(*(int(v.denominator) for row in gram.rows for v in row.values()))
-    found = symmetric_pivots([[int(row.get(j, 0) * den) for j in range(m)]
-                              for row in gram.rows])
+    return _ldl(tuple(tuple(int(row.get(j, 0) * den) for j in range(m))
+                      for row in gram.rows), den)
+
+
+@functools.lru_cache(maxsize=16)
+def _ldl(rows, den):
+    """exact_ldl of the gram rows / den, rows a tuple of integer row tuples,
+    computed once per gram: every shell of a lattice needs it.  The result is
+    shared between callers, so it is made of tuples."""
+    found = symmetric_pivots(rows)
     if found is None or not all(found[0]):
         raise ValueError("form is not positive definite")
     pivots, columns = found
-    lower = [[QQ(columns[k][i - k - 1], pivots[k]) if k < i else QQ(int(k == i))
-              for k in range(m)] for i in range(m)]
-    diag = [QQ(p, prev * den) for p, prev in zip(pivots, [1] + pivots)]
+    m = len(rows)
+    lower = tuple(tuple(QQ(columns[k][i - k - 1], pivots[k]) if k < i else QQ(int(k == i))
+                        for k in range(m)) for i in range(m))
+    diag = tuple(QQ(p, prev * den) for p, prev in zip(pivots, [1] + pivots))
     return lower, diag
 
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fockforms import cli, enumeration, theta, workers
+from fockforms import cli, enumeration, forms, theta, workers
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def run_main(capsys, *argv):
@@ -61,7 +63,7 @@ def test_verify_bounds(capsys):
 def test_verify_rejects_zero_columns(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise AssertionError("a refused cell must start no work")
-    monkeypatch.setattr(cli, "run_identity", fail)
+    monkeypatch.setattr(forms, "run_identity", fail)
     code, _, err = run_main(capsys, "verify", "--identity", "closedness",
                             "--p", "1", "--q", "1", "--n", "0", "--ell", "1")
     assert code == 2
@@ -108,7 +110,7 @@ def _no_pool(*args, **kwargs):
 
 
 def test_single_cell_runs_without_pool(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     code, out, _ = run_main(capsys, "verify", "--identity", "closedness",
                             "--p", "1", "--q", "1", "--jobs", "4")
     assert code == 0 and json.loads(out)["cells"] == 1
@@ -515,6 +517,51 @@ def test_jobs_validation(capsys):
     code, _, err = run_main(capsys, "verify", "--identity", "psi_base",
                             "--p", "1", "--q", "1", "--jobs", "0")
     assert code == 2
+
+
+# runs the code of argv[1] in a fresh interpreter and prints the loaded module
+# names to stderr (stdout carries the command's own output)
+LOAD_PROBE = """
+import json, sys
+exec(sys.argv[1])
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+def test_subcommands_load_only_their_layers():
+    """Each subcommand imports the layers it runs and no others: start-up is
+    a large share of a short command, and numpy or the form layers alone
+    cost more than a bare interpreter."""
+    cases = [
+        ("import fockforms.cli",
+         {"fockforms.cli"},
+         {"numpy", "fockforms.forms", "fockforms.multilinear", "fockforms.weil",
+          "concurrent.futures", "multiprocessing"}),
+        ("import fockforms.cli; fockforms.cli.main(['theta', '--lattice', "
+         f"{str(FIXTURES / 'z4.json')!r}, '--jobs', '1'])",
+         {"numpy", "fockforms.theta", "fockforms.enumeration"},
+         {"fockforms.forms", "fockforms.multilinear", "fockforms.weil",
+          "concurrent.futures", "multiprocessing"}),
+        ("import fockforms.cli; fockforms.cli.main(['verify', '--identity', "
+         "'closedness', '--p', '1', '--q', '1'])",
+         {"fockforms.forms", "fockforms.weil"},
+         {"numpy", "concurrent.futures", "multiprocessing"}),
+        ("import fockforms.cli; fockforms.cli.main(['dims'])",
+         {"fockforms.schur", "fockforms.linalg"},
+         {"numpy", "fockforms.forms", "multiprocessing"}),
+        ("import fockforms; assert 'fockforms.multilinear' not in sys.modules; "
+         "from fockforms import Scalar, QQ, MixedForm, SpaceParams",
+         {"fockforms.scalars", "fockforms.multilinear"},
+         {"numpy"}),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for code, loaded, absent in cases:
+        proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (code, proc.stderr[-2000:])
+        modules = set(json.loads(proc.stderr.splitlines()[-1]))
+        assert loaded <= modules, (code, loaded - modules)
+        assert not absent & modules, (code, absent & modules)
 
 
 def test_module_entry_point():

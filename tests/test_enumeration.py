@@ -237,6 +237,30 @@ def test_dense_rank_64_shells_are_fast(monkeypatch):
     assert elapsed < 3.0, f"{elapsed:.2f} s"
 
 
+def test_shells_share_one_ldl(monkeypatch):
+    """The doubled gram's LDL is computed once per gram, not once per shell,
+    and the shared result cannot be changed by a caller."""
+    calls = []
+    real = enumeration.symmetric_pivots
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    enumeration._ldl.cache_clear()
+    monkeypatch.setattr(enumeration, "symmetric_pivots", counted)
+    # the root lattice A4
+    lat = Lattice([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+    shells = [lat.shell(2), lat.shell(4)]
+    assert sum(tuple(map(tuple, rows)) == lat.gram2_rows for rows in calls) == 1
+    assert [s.tolist() for s in shells] == [
+        shell_vectors_box(lat.gram2, 2 * k).tolist() for k in (2, 4)]
+    assert len(shells[0]) == 20
+    lower, diag = exact_ldl(lat.gram2)
+    assert isinstance(lower, tuple) and all(isinstance(row, tuple) for row in lower)
+    assert isinstance(diag, tuple)
+
+
 def test_large_leading_pivot_keeps_pruning(monkeypatch):
     """The level-0 margin stays out of the float tolerance, so a huge first
     diagonal entry does not widen the search at the other levels: the rows
