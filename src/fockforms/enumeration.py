@@ -134,17 +134,18 @@ def _ldl(rows, den):
 def shell_vectors(gram2, target):
     """All integer vectors with x^T gram2 x == target, rows sorted lex.
 
-    gram2: RatMat, the doubled gram, integral; target: nonnegative integer.
+    gram2: the doubled gram, integral, as a tuple of integer row tuples (as
+    Lattice.gram2_rows) or a RatMat; target: nonnegative integer.
     OverflowError if a coordinate of the box does not fit in int64.
     """
-    m = gram2.nrows
+    g2 = gram2 if isinstance(gram2, tuple) else tuple(map(tuple, integral_rows(gram2)))
+    m = len(g2)
     if target < 0:
         return np.zeros((0, m), dtype=np.int64)
-    g2 = integral_rows(gram2)
-    lower, diag = exact_ldl(gram2)
-    if target == 0:  # the form is positive definite
+    _ldl(g2, 1)  # positive definite or ValueError
+    if target == 0:
         return np.zeros((1, m), dtype=np.int64)
-    radii = _box_radii(gram_dual(tuple(map(tuple, g2))), target)
+    radii = _box_radii(gram_dual(g2), target)
     if max(radii) >= INT64_SAFE:
         raise OverflowError("shell coordinates exceed int64")
     # |partial forms| <= box_norm and |b| <= row_norms[0] on the whole box
@@ -152,14 +153,7 @@ def shell_vectors(gram2, target):
     box_norm = sum(r * w for r, w in zip(radii, row_norms))
     exact = exact_dtype(row_norms[0] ** 2 + g2[0][0] * (box_norm + target), g2)
     G = np.array(g2, dtype=exact)
-    # lowering a pivot only widens the float search, so a pivot beyond the
-    # float range is clamped to 2^900; one that rounds to 0 would make every
-    # margin nan (1/D_i <= (gram2^{-1})_{ii}, so the box check above already
-    # rules it out for target >= 1)
-    D = np.array([float(min(d, 2 ** 900)) for d in diag])
-    if not D.all():
-        raise OverflowError("a pivot of the form is below the float range")
-    U = np.array([[float(lower[j][i]) for j in range(m)] for i in range(m)])
+    D, U = _float_ldl(g2)
 
     # Rounding margins: c_i errs by far less than 1e-12 of sum_j |U_ij| R_j,
     # and the budget by far less than tol.  Level 0 is solved exactly, so its
@@ -202,6 +196,27 @@ def shell_vectors(gram2, target):
     out = np.concatenate(found)
     found.clear()
     return out[np.lexsort(out.T[::-1])]
+
+
+@functools.lru_cache(maxsize=16)
+def _float_ldl(rows):
+    """(D, U) of G = U^T diag(D) U in floats, from the exact LDL of an
+    integral doubled gram given as a tuple of row tuples, computed once per
+    gram: every shell of a lattice needs it.  The arrays are shared between
+    callers, so they are read-only."""
+    lower, diag = _ldl(rows, 1)
+    m = len(rows)
+    # lowering a pivot only widens the float search, so a pivot beyond the
+    # float range is clamped to 2^900; one that rounds to 0 would make every
+    # margin nan (1/D_i <= (gram2^{-1})_{ii}, so the box check that
+    # shell_vectors makes first already rules it out for target >= 1)
+    D = np.array([float(min(d, 2 ** 900)) for d in diag])
+    if not D.all():
+        raise OverflowError("a pivot of the form is below the float range")
+    U = np.array([[float(lower[j][i]) for j in range(m)] for i in range(m)])
+    D.setflags(write=False)
+    U.setflags(write=False)
+    return D, U
 
 
 def _solve_first(fixed, q, G, target):

@@ -1,34 +1,40 @@
 """The coefficient ring Q(i, sqrt2)[pi, 1/pi].
 
 A Scalar is a finite Laurent polynomial in a formal symbol pi whose
-coefficients are elements of Q(i, sqrt2), stored as quadruples
-(a, b, c, d) meaning a + b*i + c*sqrt2 + d*i*sqrt2.  The ring is an
-integral domain (Laurent polynomials over a field), so exact zero tests
-are honest: a residual is zero iff every stored quadruple is zero.
+coefficients are elements of Q(i, sqrt2).  Each coefficient is stored
+sparsely, as a tuple of entries (unit, num, den) meaning num/den * e_unit
+over the basis e_0, e_1, e_2, e_3 = 1, i, sqrt2, i sqrt2.  The layout is
+canonical:
 
-Every ring operation touches only the nonzero components of a quadruple.
-The one product kernel, _quad_mul, walks the nonzero components of both
-factors and reads each pairwise product of basis elements from a 4x4 unit
-table, e_p * e_q = f * e_c:
+  * units are strictly increasing within a tuple;
+  * num != 0 and den > 0 are Python ints with gcd(num, den) = 1;
+  * a zero component has no entry, and a zero coefficient no pi-exponent.
+
+So equal values have equal terms and equal hashes.  The ring is an integral
+domain (Laurent polynomials over a field), so exact zero tests are honest: a
+residual is zero iff it has no terms.
+
+The one product kernel, _quad_mul, reads each pairwise product of basis
+elements from a 4x4 unit table, e_p * e_q = f * e_c:
 
     i * i = -1,  i * sqrt2 = i sqrt2,  i * i sqrt2 = -sqrt2,
     sqrt2 * sqrt2 = 2,  sqrt2 * i sqrt2 = 2i,  i sqrt2 * i sqrt2 = -2,
 
-so a zero component is never multiplied, and a product lands in an output
-component by assignment unless that component already holds a value.  Sums,
-negations and rational scales likewise leave zero components untouched.
+once per pair of entries, so a zero component is never multiplied.  Every
+fraction is kept reduced by math.gcd on machine integers (Knuth, TAOCP
+vol. 2, 4.5.1).  QQ values appear only at the boundaries: the constructors,
+rational_of, JSON and repr.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 try:
     from gmpy2 import mpq as QQ  # same arithmetic, much faster
 except ImportError:  # pragma: no cover
     QQ = Fraction
-
-_Q0 = QQ(0)
 
 
 # _UNIT[p][q] = (c, f): e_p * e_q = f * e_c over the basis 1, i, sqrt2, i sqrt2
@@ -40,33 +46,67 @@ _UNIT = (
 )
 
 
+def _entry(unit, num, den):
+    """The reduced entry num/den * e_unit; den > 0 and num != 0."""
+    g = gcd(num, den)
+    return (unit, num // g, den // g) if g != 1 else (unit, num, den)
+
+
+def _entries(values):
+    """The entries of a dense quadruple of ints or rationals."""
+    return tuple((c, int(v.numerator), int(v.denominator))
+                 for c, v in enumerate(values) if v)
+
+
+def _dense(entries):
+    """The quadruple (a, b, c, d) of QQ that a tuple of entries stands for."""
+    quad = [QQ(0)] * 4
+    for c, n, d in entries:
+        quad[c] = QQ(n, d)
+    return tuple(quad)
+
+
 def _quad_mul(x, y):
-    """x * y over Q(i, sqrt2), one product per pair of nonzero components."""
-    out = [_Q0, _Q0, _Q0, _Q0]
-    ys = [(q, v) for q, v in enumerate(y) if v]
-    for p, u in enumerate(x):
-        if not u:
-            continue
+    """x * y over Q(i, sqrt2), one unit-table product per pair of entries."""
+    if len(x) == 1 == len(y):  # one product: nothing to collect
+        (p, n1, d1), = x
+        (q, n2, d2), = y
+        c, f = _UNIT[p][q]
+        return (_entry(c, f * n1 * n2, d1 * d2),)
+    out = {}
+    for p, n1, d1 in x:
         row = _UNIT[p]
-        for q, v in ys:
+        for q, n2, d2 in y:
             c, f = row[q]
-            t = u * v
-            if f != 1:
-                t = -t if f == -1 else t * f
-            out[c] = out[c] + t if out[c] else t
-    return tuple(out)
+            n, d = f * n1 * n2, d1 * d2
+            if c in out:
+                n0, d0 = out[c]
+                n, d = (n0 + n, d) if d0 == d else (n0 * d + n * d0, d0 * d)
+            out[c] = n, d
+    return tuple(_entry(c, n, d) for c, (n, d) in sorted(out.items()) if n)
 
 
 def _quad_add(x, y):
-    """x + y, adding only where both components are nonzero."""
-    a0, a1, a2, a3 = x
-    b0, b1, b2, b3 = y
-    return (
-        a0 + b0 if a0 and b0 else a0 or b0,
-        a1 + b1 if a1 and b1 else a1 or b1,
-        a2 + b2 if a2 and b2 else a2 or b2,
-        a3 + b3 if a3 and b3 else a3 or b3,
-    )
+    """x + y, merging entries by unit; only a summed entry is reduced."""
+    out = {e[0]: e for e in x}
+    for e in y:
+        old = out.get(e[0])
+        if old is None:
+            out[e[0]] = e
+            continue
+        c, n0, d0 = old
+        _, n, d = e
+        n, d = (n0 + n, d) if d0 == d else (n0 * d + n * d0, d0 * d)
+        if n:
+            out[c] = _entry(c, n, d)
+        else:
+            del out[c]
+    return tuple(sorted(out.values()))
+
+
+def _quad_scale(x, num, den):
+    """x * num/den for integers num != 0 and den > 0."""
+    return tuple(_entry(c, n * num, d * den) for c, n, d in x)
 
 
 class Scalar:
@@ -75,24 +115,21 @@ class Scalar:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms: dict pi_exponent -> (a, b, c, d), zero quadruples dropped
+        # terms: dict pi_exponent -> tuple of reduced (unit, num, den) entries
         self.terms = terms if terms is not None else {}
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_rational(r, pi_exp=0):
-        r = QQ(r)
-        if r == 0:
+        if not r:
             return Scalar()
-        return Scalar({pi_exp: (r, _Q0, _Q0, _Q0)})
+        return Scalar({pi_exp: ((0, int(r.numerator), int(r.denominator)),)})
 
     @staticmethod
     def unit(a=0, b=0, c=0, d=0, pi_exp=0):
-        quad = (QQ(a), QQ(b), QQ(c), QQ(d))
-        if not any(quad):
-            return Scalar()
-        return Scalar({pi_exp: quad})
+        entries = _entries((a, b, c, d))
+        return Scalar({pi_exp: entries} if entries else {})
 
     @staticmethod
     def zero():
@@ -119,7 +156,7 @@ class Scalar:
         """2**(q/2) for integer q >= 0: 2**(q//2) times sqrt2 when q is odd."""
         if q < 0:
             raise ValueError("negative half-power of 2")
-        base = QQ(2) ** (q // 2)
+        base = 2 ** (q // 2)
         if q % 2 == 0:
             return Scalar.unit(a=base)
         return Scalar.unit(c=base)
@@ -131,7 +168,7 @@ class Scalar:
         for k, q in other.terms.items():
             if k in out:
                 s = _quad_add(out[k], q)
-                if any(s):
+                if s:
                     out[k] = s
                 else:
                     del out[k]
@@ -140,7 +177,8 @@ class Scalar:
         return Scalar(out)
 
     def __neg__(self):
-        return Scalar({k: tuple(-t if t else t for t in q) for k, q in self.terms.items()})
+        return Scalar({k: tuple((c, -n, d) for c, n, d in q)
+                       for k, q in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -152,18 +190,24 @@ class Scalar:
         for k1, q1 in self.terms.items():
             for k2, q2 in other.terms.items():
                 k = k1 + k2
-                prod = _quad_mul(q1, q2)
-                out[k] = _quad_add(out[k], prod) if k in out else prod
-        return Scalar({k: q for k, q in out.items() if any(q)})
+                prod = _quad_mul(q1, q2)  # nonzero: Q(i, sqrt2) is a field
+                if k in out:
+                    prod = _quad_add(out[k], prod)
+                    if not prod:
+                        del out[k]
+                        continue
+                out[k] = prod
+        return Scalar(out)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, r):
-        r = QQ(r)
-        if r == 0:
+        """self * r for an int or rational r."""
+        num, den = int(r.numerator), int(r.denominator)
+        if not num:
             return Scalar()
-        return Scalar({k: tuple(t * r if t else t for t in q) for k, q in self.terms.items()})
+        return Scalar({k: _quad_scale(q, num, den) for k, q in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -179,17 +223,13 @@ class Scalar:
         if len(self.terms) != 1:
             raise ValueError("only monomial scalars are invertible here")
         (k, quad), = self.terms.items()
-        a, b, c, d = quad
         # conjugate over i, then over sqrt2: the norm is rational
-        c1 = (a, -b if b else b, c, -d if d else d)
-        m1 = _quad_mul(quad, c1)  # lies in Q(sqrt2): (x, 0, y, 0)
-        x, _, y, _ = m1
-        c2 = (x, _Q0, -y if y else y, _Q0)
-        n = _quad_mul(m1, c2)[0]  # rational: (n, 0, 0, 0)
-        if n == 0:
-            raise ZeroDivisionError("scalar is zero")
+        c1 = tuple((c, -n if c in (1, 3) else n, d) for c, n, d in quad)
+        m1 = _quad_mul(quad, c1)  # lies in Q(sqrt2): units 0 and 2 only
+        c2 = tuple((c, -n if c == 2 else n, d) for c, n, d in m1)
+        (_, nn, nd), = _quad_mul(m1, c2)  # the rational norm nn/nd
         numer = _quad_mul(c1, c2)
-        return Scalar({-k: tuple(t / n if t else t for t in numer)})
+        return Scalar({-k: _quad_scale(numer, nd if nn > 0 else -nd, abs(nn))})
 
     # -- predicates -----------------------------------------------------
 
@@ -202,16 +242,15 @@ class Scalar:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted((k, tuple(q)) for k, q in self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     # -- serialization --------------------------------------------------
 
     def to_json(self):
         out = []
         for k in sorted(self.terms):
-            a, b, c, d = self.terms[k]
             row = [k]
-            for x in (a, b, c, d):
+            for x in _dense(self.terms[k]):
                 row.append(int(x.numerator))
                 row.append(int(x.denominator))
             out.append(row)
@@ -221,10 +260,9 @@ class Scalar:
     def from_json(data):
         terms = {}
         for row in data:
-            k = row[0]
-            quad = tuple(QQ(row[1 + 2 * j], row[2 + 2 * j]) for j in range(4))
-            if any(quad):
-                terms[int(k)] = quad
+            entries = _entries(QQ(row[1 + 2 * j], row[2 + 2 * j]) for j in range(4))
+            if entries:
+                terms[int(row[0])] = entries
         return Scalar(terms)
 
     def __repr__(self):
@@ -232,7 +270,7 @@ class Scalar:
             return "0"
         parts = []
         for k in sorted(self.terms):
-            a, b, c, d = self.terms[k]
+            a, b, c, d = _dense(self.terms[k])
             atoms = []
             if a:
                 atoms.append(str(a))
@@ -262,7 +300,7 @@ def rational_of(s: Scalar):
         return QQ(0)
     if len(s.terms) != 1 or 0 not in s.terms:
         raise ValueError(f"not rational: {s!r}")
-    a, b, c, d = s.terms[0]
+    a, b, c, d = _dense(s.terms[0])
     if b or c or d:
         raise ValueError(f"not rational: {s!r}")
     return a

@@ -105,7 +105,7 @@ class Lattice:
         cached = self._shell_cache.get(key)
         if cached is not None:
             return cached
-        raw = shell_vectors(self.gram2, 2 * norm2)
+        raw = shell_vectors(self.gram2_rows, 2 * norm2)
         if self.coset_h is not None:
             h = self.coset_h[column]
             b = self.modulus

@@ -261,6 +261,25 @@ def test_shells_share_one_ldl(monkeypatch):
     assert isinstance(diag, tuple)
 
 
+def test_later_shells_reuse_the_prepared_gram(monkeypatch):
+    """A lattice's shells are keyed by its integer rows: after the first
+    shell, a shell reads no rational entry and converts no pivot to float."""
+    calls = []
+    real = enumeration.integral_rows
+
+    def counted(gram2):
+        calls.append(gram2)
+        return real(gram2)
+
+    lat = Lattice(dense_gram(random.Random(66), 10))
+    enumeration._float_ldl.cache_clear()
+    monkeypatch.setattr(enumeration, "integral_rows", counted)
+    lat.shell(2)
+    lat.shell(4)
+    assert calls == []
+    assert enumeration._float_ldl.cache_info().misses == 1
+
+
 def test_large_leading_pivot_keeps_pruning(monkeypatch):
     """The level-0 margin stays out of the float tolerance, so a huge first
     diagonal entry does not widen the search at the other levels: the rows

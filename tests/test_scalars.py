@@ -1,5 +1,6 @@
 """Ring axioms, serialization and the sparse kernels of the exact scalars."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,32 @@ def test_json_round_trip(x):
 def test_negation(x):
     assert (x + (-x)).is_zero()
     assert -(-x) == x
+
+
+# -- a dense view of the entry layout ----------------------------------------
+
+def entries_of(quad):
+    """The (unit, num, den) entries of a dense quadruple of rationals."""
+    return tuple((c, int(v.numerator), int(v.denominator))
+                 for c, v in enumerate(map(QQ, quad)) if v)
+
+
+def quad_of(entries):
+    """The dense quadruple of QQ that a tuple of entries stands for."""
+    quad = [QQ(0)] * 4
+    for c, n, d in entries:
+        quad[c] = QQ(n, d)
+    return tuple(quad)
+
+
+def from_dense(terms):
+    """A Scalar from a dict pi-exponent -> dense quadruple."""
+    return Scalar({k: entries_of(q) for k, q in terms.items() if any(q)})
+
+
+def dense(s):
+    """The dict pi-exponent -> dense quadruple of a Scalar."""
+    return {k: quad_of(q) for k, q in s.terms.items()}
 
 
 # -- the dense oracle --------------------------------------------------------
@@ -117,30 +144,35 @@ def sparse_scalars(draw):
         for c in support:
             quad[c] = draw(nonzero_rationals)
         terms[k] = tuple(quad)
-    return Scalar(terms)
+    return from_dense(terms)
 
 
 def _assert_layout(s):
-    for quad in s.terms.values():
-        assert type(quad) is tuple and len(quad) == 4
-        assert all(type(t) is QQ for t in quad)
-        assert any(quad)
+    for entries in s.terms.values():
+        assert type(entries) is tuple and entries
+        units = [e[0] for e in entries]
+        assert units == sorted(set(units)) and set(units) <= {0, 1, 2, 3}
+        for _, num, den in entries:
+            assert type(num) is int and type(den) is int
+            assert num != 0 and den > 0 and math.gcd(num, den) == 1
+        # one truthy item per nonzero component: a tracer counts them so
+        assert sum(1 for e in entries if e) == sum(1 for v in quad_of(entries) if v)
 
 
 @given(sparse_scalars(), sparse_scalars(), nonzero_rationals)
 @settings(max_examples=300, deadline=None)
 def test_sparse_kernels_match_dense_oracle(x, y, r):
-    assert (x * y).terms == oracle_mul(x.terms, y.terms)
-    assert (x + y).terms == oracle_add(x.terms, y.terms)
-    assert (x - y).terms == oracle_add(x.terms, oracle_scale(y.terms, -1))
-    assert (-x).terms == oracle_scale(x.terms, -1)
-    assert x.scale(r).terms == oracle_scale(x.terms, r)
-    assert (x * r).terms == oracle_scale(x.terms, r)
-    for k, q in x.terms.items():
-        mono = Scalar({k: q})
-        assert mono.monomial_inverse().terms == oracle_inverse(mono.terms)
-        assert (mono ** -2).terms == oracle_mul(oracle_inverse(mono.terms),
-                                                oracle_inverse(mono.terms))
+    assert dense(x * y) == oracle_mul(dense(x), dense(y))
+    assert dense(x + y) == oracle_add(dense(x), dense(y))
+    assert dense(x - y) == oracle_add(dense(x), oracle_scale(dense(y), -1))
+    assert dense(-x) == oracle_scale(dense(x), -1)
+    assert dense(x.scale(r)) == oracle_scale(dense(x), r)
+    assert dense(x * r) == oracle_scale(dense(x), r)
+    for k, q in dense(x).items():
+        mono = from_dense({k: q})
+        assert dense(mono.monomial_inverse()) == oracle_inverse({k: q})
+        assert dense(mono ** -2) == oracle_mul(oracle_inverse({k: q}),
+                                               oracle_inverse({k: q}))
 
 
 def test_unit_pairs_match_dense_oracle():
@@ -148,16 +180,31 @@ def test_unit_pairs_match_dense_oracle():
     units = [tuple(one if c == p else QQ(0) for c in range(4)) for p in range(4)]
     for x in units:
         for y in units:
-            assert _quad_mul(x, y) == dense_quad_mul(x, y)
-            assert (Scalar({0: x}) * Scalar({1: y})).terms == {1: dense_quad_mul(x, y)}
+            assert quad_of(_quad_mul(entries_of(x), entries_of(y))) == dense_quad_mul(x, y)
+            assert dense(from_dense({0: x}) * from_dense({1: y})) == {1: dense_quad_mul(x, y)}
 
 
 @given(sparse_scalars(), sparse_scalars(), nonzero_rationals)
 @settings(max_examples=100, deadline=None)
 def test_terms_layout(x, y, r):
-    """Values stay 4-tuples of QQ with a nonzero component: tracers read them so."""
+    """Entries stay reduced, with den > 0, num != 0 and strictly increasing
+    units, and a zero coefficient leaves no pi-exponent."""
     for s in (x * y, x + y, x - y, -x, x.scale(r), x * x - x * x):
         _assert_layout(s)
+
+
+@given(sparse_scalars(), sparse_scalars())
+@settings(max_examples=100, deadline=None)
+def test_equal_values_have_equal_terms(x, y):
+    """The layout is canonical, so equality and hashing are dict comparisons:
+    values reached by different routes have identical terms."""
+    pairs = [(x.scale(QQ(6, 4)), x.scale(QQ(2, 3)).scale(QQ(9, 4))),
+             (x + y - y, x), (x * y + x * y, (x + x) * y)]
+    for k, q in y.terms.items():
+        m = Scalar({k: q})
+        pairs.append(((x * m) * m.monomial_inverse(), x))
+    for a, b in pairs:
+        assert a.terms == b.terms and a == b and hash(a) == hash(b)
 
 
 def test_traced_methods_live_on_the_class():
