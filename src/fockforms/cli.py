@@ -218,13 +218,14 @@ def check_theta_work(lat, n, bound):
                          f"beta matrices; the cap is 2^16")
     if bound == 0:
         return
-    from fockforms.enumeration import exact_ldl
+    from fockforms.enumeration import _ldl
 
+    # the doubled gram's LDL is the one the shells share, and D(2G) = 2 D(G).
     # clamping d_i into [2^-900, 2^900] changes no refusal: lowering a d_i
     # only raises the bound, and theta(a) >= sqrt(pi / a) puts the bound
     # above 2^450 whenever some d_i <= 2^-900
-    diag = [float(min(max(d, 2.0 ** -900), 2.0 ** 900))
-            for d in exact_ldl(lat.gram)[1]]
+    diag = [float(min(max(d / 2, 2.0 ** -900), 2.0 ** 900))
+            for d in _ldl(lat.gram2_rows, 1)[1]]
     # any t gives a bound, and 1e-6 exceeds its rounding error; the grid
     # brackets lat.rank / (4 bound), the minimizer for small t d_i, by 2^10
     t0 = lat.rank / (4 * bound)

@@ -40,9 +40,8 @@ from fockforms.multilinear import (
     z_mul,
 )
 from fockforms.scalars import MINUS_I_4PI, QQ, Scalar
-from fockforms.schur import (all_words, column_group, hook_product, omega_eigenvalues,
-                             pair_positions, perm_act_word, perm_sign, row_group,
-                             young_apply_vec)
+from fockforms.schur import (all_words, omega_eigenvalues, pair_positions, perm_act_word,
+                             perm_sign, young_apply_vec)
 from fockforms.weil import LOWERING, omega, omega_kprime
 
 
@@ -136,22 +135,28 @@ def output_projector(lam, m):
     """pi_[lam] pi_lam on the output tensor slot, for V = Q^m with the
     signature form.
 
-    The Young projector pi_lam is the signed column sum after the row sum of
-    slot permutations, divided by the hook product.  Then the Brauer product
+    The Young projector pi_lam is schur.young_apply_vec, applied once to the
+    words of each (fock, wedge) part of the form.  Then the Brauer product
     prod_c (1 - Omega / c) over schur.omega_eigenvalues, with
     Omega = sum_{i<j} expansion(i, j) contraction(i, j), removes the traces;
     its exit check is that every slot-pair contraction of the image is zero.
     """
     ell = sum(lam)
     pairs = pair_positions(ell)
-    young = compose([
-        op_sum((QQ(perm_sign(perm), hook_product(lam)), tensor_permute(perm))
-               for perm in column_group(lam)),
-        op_sum((1, tensor_permute(perm)) for perm in row_group(lam)),
-    ])
+
+    def young(form):
+        parts = {}
+        for (fock, wedge, word), c in form.terms.items():
+            parts.setdefault((fock, wedge), {})[word] = c
+        out = MixedForm(form.params)
+        for (fock, wedge), vec in parts.items():
+            for word, c in young_apply_vec(lam, vec).items():
+                out._accum((fock, wedge, word), c)
+        return out
+
     omega_op = op_sum((1, expansion(i, j) @ contraction(i, j)) for i, j in pairs)
     project = compose([op_sum([(1, identity_op()), (QQ(-1, c), omega_op)])
-                       for c in omega_eigenvalues(lam, m)] + [young])
+                       for c in omega_eigenvalues(lam, m)] + [LinearOperator(young)])
 
     def apply(form):
         out = project(form)

@@ -236,6 +236,9 @@ class Scalar:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented

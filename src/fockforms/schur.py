@@ -2,14 +2,16 @@
 harmonic projection.
 
 Words of length ell over the alphabet 1..N index the tensor space; a tensor
-is a dict word -> QQ.
+is a dict word -> value, the value a QQ or a Scalar.
 
-* young_apply_vec(lam, vec) is the one projector on such dicts, the Young
-  projector pi_lam: the row average of the row-major base tableau, then the
-  signed column average, rescaled by kappa = prod hooks / (prod lam_i!
-  prod lam'_j!) to an exact idempotent.  The averages and kappa together
-  scale the plain sums by 1 / prod hooks.  The row sum is taken one row
-  orbit at a time, in time linear in its output.
+* young_apply_vec(lam, vec) is the one Young projector pi_lam: the row
+  average of the row-major base tableau, then the signed column average,
+  rescaled by kappa = prod hooks / (prod lam_i! prod lam'_j!) to an exact
+  idempotent.  The averages and kappa together scale the plain sums by
+  1 / prod hooks.  The row sum is taken one row orbit at a time, in time
+  linear in its output.  It serves both layers: theta applies it to the
+  rational payloads and forms.output_projector to the words of each
+  (fock, wedge) part of a MixedForm.
 * omega_eigenvalues(lam, n) lists the factors of the harmonic projector
   pi_[lam], which takes a lam-isotypic tensor to its traceless part for a
   symmetric bilinear form b1.  Let C_ij contract slots i < j with b1 and
@@ -178,10 +180,6 @@ def _group_from_blocks(blocks, ell):
     return group
 
 
-def row_group(lam):
-    return _group_from_blocks(base_tableau(lam), sum(lam))
-
-
 def column_group(lam):
     ell = sum(lam)
     rows = base_tableau(lam)
@@ -232,8 +230,8 @@ def _arrangements(letters):
 
 
 def young_apply_vec(lam, vec):
-    """pi_lam on a dict word -> QQ: the row sum, then the signed column sum,
-    divided by prod hooks = kappa |R| |C|.
+    """pi_lam on a dict word -> QQ or Scalar: the row sum, then the signed
+    column sum, divided by prod hooks = kappa |R| |C|.
 
     The row sum goes one row orbit at a time: as r runs over R, r w runs over
     the orbit of w, |Stab(w)| times each.  So every orbit, keyed by its

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fockforms.enumeration import (exact_dtype, exact_ldl, gram_dual, integral_rows,
+from fockforms.enumeration import (_ldl, exact_dtype, gram_dual, integral_rows,
                                    shell_vectors, symmetric_pivots)
 from fockforms.linalg import RatMat
 from fockforms.scalars import QQ
@@ -48,7 +48,7 @@ class Lattice:
             raise ValueError("entries must be half-integral") from None
         if any(self.gram.entry(i, i).denominator != 1 for i in range(m)):
             raise ValueError("diagonal must be integral")
-        exact_ldl(self.gram)  # positive definite or ValueError
+        _ldl(self.gram2_rows, 1)  # positive definite or ValueError; shared by the shells
         if (coset_h is None) != (modulus is None):
             raise ValueError("coset needs both shift vectors and modulus")
         if coset_h is not None:

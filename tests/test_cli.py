@@ -355,6 +355,9 @@ STDOUT_SHA256 = {
     ("verify",): "a833be960eafeaca62978a3c6b90eacc9607d756a767695d73d11f5f287bf7be",
     ("dims",): "d25892ecb1d6b7770e2360aaf5267109e95651aa3f13db81f6b012d9702a0199",
     ("intertwine-check",): "473500f96addba01adea97444a260f85f6b2eb6279b88a21d20913510e91f465",
+    # a single-row cell whose row orbits hold repeated letters
+    ("verify", "--identity", "holomorphicity", "--p", "2", "--q", "1", "--ell", "5"):
+        "cbb527e8104de2a959a8ba85206492c2b48b2e35c19930305c31021de8ea3208",
 }
 THETA_SHA256 = {
     ("e8.json", "--lambda", "4", "--bound", "3"):

@@ -238,8 +238,9 @@ def test_dense_rank_64_shells_are_fast(monkeypatch):
 
 
 def test_shells_share_one_ldl(monkeypatch):
-    """The doubled gram's LDL is computed once per gram, not once per shell,
-    and the shared result cannot be changed by a caller."""
+    """The doubled gram's LDL is computed once per gram, not once per shell
+    nor again to validate the lattice, and the shared result cannot be
+    changed by a caller."""
     calls = []
     real = enumeration.symmetric_pivots
 
@@ -253,6 +254,7 @@ def test_shells_share_one_ldl(monkeypatch):
     lat = Lattice([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
     shells = [lat.shell(2), lat.shell(4)]
     assert sum(tuple(map(tuple, rows)) == lat.gram2_rows for rows in calls) == 1
+    assert len(calls) == 1  # the lattice's validation is that same elimination
     assert [s.tolist() for s in shells] == [
         shell_vectors_box(lat.gram2, 2 * k).tolist() for k in (2, 4)]
     assert len(shells[0]) == 20

@@ -394,6 +394,25 @@ def test_output_projector_matches_word_oracle(p, q):
                 assert project(got) == got, (p, q, lam)
 
 
+def test_output_projector_permutes_no_slots(monkeypatch):
+    """The Young step of output_projector is young_apply_vec on each
+    (fock, wedge) part: with tensor_permute refusing every call, the
+    projections of the symmetric phi_ell and of phi on the mixed word
+    (1, 2, 1), whose (2, 1) part is nonzero, are unchanged."""
+    pr = params_n1(2, 1)
+    forms = (F.phi_ell(pr, 3), F.phi(SpaceParams(2, 1, 2), (1, 2, 1)))
+    shapes = [(3,), (2, 1)]
+    want = {lam: [F.output_projector(lam, pr.m)(f) for f in forms] for lam in shapes}
+    assert not want[(2, 1)][1].is_zero()
+
+    def refuse(perm):
+        raise AssertionError("output_projector permuted tensor slots")
+    monkeypatch.setattr(F, "tensor_permute", refuse)
+    for lam in shapes:
+        project = F.output_projector(lam, pr.m)
+        assert [project(f) for f in forms] == want[lam], lam
+
+
 def test_bracket_hook_shape_is_traceless():
     pr = SpaceParams(3, 1, 3)
     fam = F.phi_nq_bracket_lambda(pr, (2, 1, 1))

@@ -15,7 +15,7 @@ from fockforms.schur import (
     young_apply_vec,
     young_projector,
 )
-from fockforms.scalars import QQ
+from fockforms.scalars import QQ, Scalar
 from oracles import contraction_matrix, harmonic_complement, harmonic_project_vec, insertion_matrix
 
 
@@ -58,6 +58,13 @@ def test_projector_idempotent():
             vec = {w: QQ(rng.randint(-3, 3)) for w in all_words(max(2, len(lam)), ell)}
             once = young_apply_vec(lam, vec)
             assert once and young_apply_vec(lam, once) == once, lam
+
+
+def test_cancelled_scalar_word_is_dropped():
+    """A word whose Scalar value cancels leaves the dict: (1, 1) has no
+    antisymmetric part, so the column shape maps it to the empty tensor."""
+    assert not Scalar.zero() and Scalar.one()
+    assert young_apply_vec((1, 1), {(1, 1): Scalar.one()}) == {}
 
 
 def test_symmetric_antisymmetric_special_cases():
