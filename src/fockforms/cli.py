@@ -103,7 +103,7 @@ def report_row(rep):
 
 
 def cmd_verify(args):
-    from fockforms.forms import default_grid
+    from fockforms.forms import cell_error, default_grid
 
     if args.identity:
         identity = canonical_identity(args.identity)
@@ -116,6 +116,9 @@ def cmd_verify(args):
                 raise InputError(f"--{key} must be in 1..{LIMITS[key]}")
         if not 0 <= ell <= LIMITS["ell"]:
             raise InputError(f"--ell must be in 0..{LIMITS['ell']}")
+        error = cell_error(identity, p, n)
+        if error:
+            raise InputError(error)
         cells = [(identity, p, q, n, ell)]
     else:
         cells = default_grid()

@@ -39,7 +39,7 @@ from fockforms.multilinear import (
     z_del,
     z_mul,
 )
-from fockforms.scalars import MINUS_I_4PI, QQ, Scalar
+from fockforms.scalars import MINUS_I_4PI, QQ, Scalar, _accum
 from fockforms.schur import (all_words, omega_eigenvalues, pair_positions, perm_act_word,
                              perm_sign, young_apply_vec)
 from fockforms.weil import LOWERING, omega, omega_kprime
@@ -69,7 +69,7 @@ def phi_nq0(params):
         raise ValueError("phi_nq0 needs n <= p")
     p, q, n = params.p, params.q, params.n
     coeff = Scalar.two_pow_half(n * q) * MINUS_I_4PI ** (n * q)
-    total = MixedForm(params)
+    terms = {}
     for alphas in itertools.product(itertools.product(params.positive(), repeat=q), repeat=n):
         z = {}
         w = []
@@ -82,8 +82,8 @@ def phi_nq0(params):
                                    z=[(idx, col, e) for (idx, col), e in z.items()],
                                    w=w, t=(), coeff=coeff)
         for key, c in piece.terms.items():
-            total._accum(key, c)
-    return total
+            _accum(terms, key, c)
+    return MixedForm(params, terms)
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,7 +94,7 @@ def phi_0ell(params, word):
             raise ValueError(f"input column {col} outside 1..{params.n}")
     ell = len(word)
     coeff = MINUS_I_4PI ** ell
-    total = MixedForm(params)
+    terms = {}
     for beta in itertools.product(params.positive(), repeat=ell):
         z = {}
         for b, col in zip(beta, word):
@@ -103,8 +103,8 @@ def phi_0ell(params, word):
                                    z=[(idx, col, e) for (idx, col), e in z.items()],
                                    w=(), t=beta, coeff=coeff)
         for key, c in piece.terms.items():
-            total._accum(key, c)
-    return total
+            _accum(terms, key, c)
+    return MixedForm(params, terms)
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,11 +124,11 @@ def phi_ell(params, ell):
 
 def phi_linear(params, combo):
     """phi extended linearly over a dict word -> rational."""
-    out = MixedForm(params)
+    terms = {}
     for word, r in combo.items():
         for key, c in phi(params, tuple(word)).terms.items():
-            out._accum(key, c.scale(r))
-    return out
+            _accum(terms, key, c.scale(r))
+    return MixedForm(params, terms)
 
 
 def output_projector(lam, m):
@@ -148,11 +148,11 @@ def output_projector(lam, m):
         parts = {}
         for (fock, wedge, word), c in form.terms.items():
             parts.setdefault((fock, wedge), {})[word] = c
-        out = MixedForm(form.params)
+        terms = {}
         for (fock, wedge), vec in parts.items():
             for word, c in young_apply_vec(lam, vec).items():
-                out._accum((fock, wedge, word), c)
-        return out
+                _accum(terms, (fock, wedge, word), c)
+        return MixedForm(form.params, terms)
 
     omega_op = op_sum((1, expansion(i, j) @ contraction(i, j)) for i, j in pairs)
     project = compose([op_sum([(1, identity_op()), (QQ(-1, c), omega_op)])
@@ -458,11 +458,13 @@ def sigma_word_plain(params, cols, conv=DEFAULT_CONVENTIONS):
 
 
 def sigma_word_transformed(params, cols, a_mat, conv=DEFAULT_CONVENTIONS):
-    """sigma((a^{-1} eps)_word) with the argument substituted by x a.
+    """One a_sigma_combo per letter of cols, with weights a (a^{-1} e_col).
 
-    Substituting x -> x a turns the coordinate atoms of column k into the
-    a-weighted combination over columns; the input vectors pick up a^{-1}.
-    Exact cancellation against sigma_word_plain is the invariance statement.
+    Those weights are e_col for every invertible a, so each atom is
+    a_sigma(col) and the result equals sigma_word_plain by construction.
+    This tests the column bookkeeping of a_sigma_combo, not a property of the
+    forms: a real GL_n statement would also substitute z -> z a in the
+    multiplications and act on d/dz by the contragredient a^{-T}.
     """
     a_inv = inverse(a_mat)
     atoms = []
@@ -479,6 +481,11 @@ def sigma_word_transformed(params, cols, a_mat, conv=DEFAULT_CONVENTIONS):
 
 
 def residual_sigma_gl(params, cols, a_mat, test_form, conv=DEFAULT_CONVENTIONS):
+    """sigma_word_transformed minus sigma_word_plain on test_form.
+
+    Zero for every a and every test form by construction (see
+    sigma_word_transformed): the sigma_gl cell checks no property of the forms.
+    """
     return (sigma_word_transformed(params, cols, a_mat, conv)(test_form)
             - sigma_word_plain(params, cols, conv)(test_form))
 
@@ -600,6 +607,23 @@ def _random_invertible(n, rng):
 IDENTITIES = ("closedness", "kprime", "recursion", "lem3a", "prop3a", "lowering",
               "psi_base", "psi_consistency", "lemma4a", "lemma4b", "equivariance",
               "sigma_gl", "holomorphicity")
+
+# identities stated for one input column only
+N_ONE_IDENTITIES = frozenset({"recursion", "lem3a", "prop3a", "lowering", "psi_base",
+                              "psi_consistency", "lemma4a", "lemma4b", "holomorphicity"})
+
+
+def cell_error(identity, p, n):
+    """Why the identity is not defined at (p, n), or None when it is.
+
+    Every form starts from phi_nq0, which needs n <= p; the N_ONE_IDENTITIES
+    need n = 1 as well.
+    """
+    if n > p:
+        return f"{identity} needs --n <= --p"
+    if n != 1 and identity in N_ONE_IDENTITIES:
+        return f"{identity} is stated for --n 1 only"
+    return None
 
 
 def run_identity(identity, p, q, n, ell, conv=DEFAULT_CONVENTIONS, seed=0):

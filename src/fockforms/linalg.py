@@ -7,7 +7,7 @@ so exact arithmetic with gmpy2-backed rationals is fast enough.
 
 from __future__ import annotations
 
-from fockforms.scalars import QQ
+from fockforms.scalars import QQ, _accum
 
 
 class RatMat:
@@ -68,14 +68,9 @@ class RatMat:
 
     def __add__(self, other):
         out = self.copy()
-        for i, r in enumerate(other.rows):
-            tr = out.rows[i]
+        for tr, r in zip(out.rows, other.rows):
             for j, v in r.items():
-                s = tr.get(j, QQ(0)) + v
-                if s == 0:
-                    tr.pop(j, None)
-                else:
-                    tr[j] = s
+                _accum(tr, j, v)
         return out
 
     def __sub__(self, other):
@@ -93,16 +88,10 @@ class RatMat:
             raise ValueError("shape mismatch")
         out = RatMat.zero(self.nrows, other.ncols)
         orows = other.rows
-        for i, r in enumerate(self.rows):
-            acc = {}
+        for acc, r in zip(out.rows, self.rows):
             for k, a in r.items():
                 for j, b in orows[k].items():
-                    s = acc.get(j, QQ(0)) + a * b
-                    if s == 0:
-                        acc.pop(j, None)
-                    else:
-                        acc[j] = s
-            out.rows[i] = acc
+                    _accum(acc, j, a * b)
         return out
 
     def transpose(self):
@@ -151,14 +140,9 @@ def _eliminate(rows, ncols):
             f = rows[i].get(col)
             if not f:
                 continue
-            src = rows[rank]
             dst = rows[i]
-            for j, v in src.items():
-                s = dst.get(j, QQ(0)) - f * v
-                if s == 0:
-                    dst.pop(j, None)
-                else:
-                    dst[j] = s
+            for j, v in rows[rank].items():
+                _accum(dst, j, -f * v)
         pivots.append(col)
         rank += 1
     return pivots

@@ -20,7 +20,7 @@ import functools
 import operator
 from dataclasses import dataclass
 
-from fockforms.scalars import ONE, QQ, ZERO, Scalar
+from fockforms.scalars import ONE, QQ, ZERO, Scalar, _accum
 from fockforms.schur import insert_pair_word, perm_act_word, remove_pair_word
 
 
@@ -120,30 +120,17 @@ class MixedForm:
             return MixedForm(params)
         return MixedForm(params, {(fock, wedge, tuple(t)): c})
 
-    def _accum(self, key, coeff):
-        if coeff.is_zero():
-            return
-        cur = self.terms.get(key)
-        if cur is None:
-            self.terms[key] = coeff
-        else:
-            s = cur + coeff
-            if s.is_zero():
-                del self.terms[key]
-            else:
-                self.terms[key] = s
-
     def __add__(self, other):
-        out = MixedForm(self.params, dict(self.terms))
+        terms = dict(self.terms)
         for key, c in other.terms.items():
-            out._accum(key, c)
-        return out
+            _accum(terms, key, c)
+        return MixedForm(self.params, terms)
 
     def __sub__(self, other):
-        out = MixedForm(self.params, dict(self.terms))
+        terms = dict(self.terms)
         for key, c in other.terms.items():
-            out._accum(key, -c)
-        return out
+            _accum(terms, key, -c)
+        return MixedForm(self.params, terms)
 
     def __neg__(self):
         return MixedForm(self.params, {k: -c for k, c in self.terms.items()})
@@ -153,14 +140,12 @@ class MixedForm:
             s = Scalar.from_rational(QQ(s))
         if s.is_zero():
             return MixedForm(self.params)
-        out = MixedForm(self.params)
-        for key, c in self.terms.items():
-            out._accum(key, c * s)
-        return out
+        # the keys stay distinct, and no product is zero in an integral domain
+        return MixedForm(self.params, {k: c * s for k, c in self.terms.items()})
 
     def __mul__(self, other):
         """Graded product: Fock parts multiply, wedges merge, words concatenate."""
-        out = MixedForm(self.params)
+        terms = {}
         for (f1, w1, t1), c1 in self.terms.items():
             for (f2, w2, t2), c2 in other.terms.items():
                 merged = _sort_with_sign(w1 + w2)
@@ -170,8 +155,8 @@ class MixedForm:
                 c = c1 * c2
                 if sign < 0:
                     c = -c
-                out._accum((_fock_mul(f1, f2), wedge, t1 + t2), c)
-        return out
+                _accum(terms, (_fock_mul(f1, f2), wedge, t1 + t2), c)
+        return MixedForm(self.params, terms)
 
     def is_zero(self):
         return not self.terms
@@ -205,7 +190,7 @@ class MixedForm:
 
     @staticmethod
     def from_json(params, data):
-        out = MixedForm(params)
+        terms = {}
         m = params.m
         for item in data:
             for idx, col, e in item["z"]:
@@ -225,8 +210,8 @@ class MixedForm:
                 coeff=Scalar.from_json(item["c"]),
             )
             for key, c in piece.terms.items():
-                out._accum(key, c)
-        return out
+                _accum(terms, key, c)
+        return MixedForm(params, terms)
 
     def __repr__(self):
         if not self.terms:
@@ -277,43 +262,34 @@ def op_sum(pieces):
     """The operator sum_k c_k op_k over (c_k, op_k) pairs.
 
     A coefficient is a Scalar or a rational.  Zero coefficients are dropped.
-    The images of operators that share a coefficient accumulate in place into
-    one form, whose terms are then multiplied by that coefficient once;
-    coefficient one accumulates straight into the result.
+    Each image term is accumulated once, times its coefficient; a coefficient
+    of one skips the product.
     """
-    groups = {}
+    kept = []
     for coeff, op in pieces:
         if not isinstance(coeff, Scalar):
             coeff = QQ(coeff)
         if coeff == 0 or coeff == ZERO:
             continue
-        if coeff == 1 or coeff == ONE:
-            coeff = ONE
-        groups.setdefault(coeff, []).append(op)
-    groups = list(groups.items())
+        kept.append((ONE if coeff == 1 or coeff == ONE else coeff, op))
 
     def apply(form):
-        out = MixedForm(form.params)
-        for coeff, ops in groups:
-            acc = out if coeff is ONE else MixedForm(form.params)
-            for op in ops:
-                for key, c in op(form).terms.items():
-                    acc._accum(key, c)
-            if acc is not out:
-                for key, c in acc.terms.items():
-                    out._accum(key, c * coeff)
-        return out
+        terms = {}
+        for coeff, op in kept:
+            for key, c in op(form).terms.items():
+                _accum(terms, key, c if coeff is ONE else c * coeff)
+        return MixedForm(form.params, terms)
     return LinearOperator(apply)
 
 
 def _lift(term_fn):
     """Promote a per-term rewriter (key, coeff) -> iterable of (key, coeff)."""
     def apply(form):
-        out = MixedForm(form.params)
+        terms = {}
         for key, c in form.terms.items():
             for nkey, nc in term_fn(form.params, key, c):
-                out._accum(nkey, nc)
-        return out
+                _accum(terms, nkey, nc)
+        return MixedForm(form.params, terms)
     return LinearOperator(apply)
 
 

@@ -291,6 +291,21 @@ class Scalar:
         return " + ".join(parts)
 
 
+def _accum(vec, key, value):
+    """vec[key] += value in place, dropping the key when the sum is zero.
+
+    The one sparse accumulate step of the exact layers: RatMat rows, schur
+    tensors and MixedForm terms all add through it.  value is an int, a QQ or
+    a Scalar; a zero value added to an absent key leaves no entry.
+    """
+    s = vec.get(key)
+    s = value if s is None else s + value
+    if s:
+        vec[key] = s
+    else:
+        vec.pop(key, None)
+
+
 ZERO = Scalar.zero()
 ONE = Scalar.one()
 I = Scalar.i()

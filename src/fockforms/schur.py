@@ -44,7 +44,7 @@ import itertools
 import math
 
 from fockforms.linalg import RatMat
-from fockforms.scalars import QQ
+from fockforms.scalars import QQ, _accum
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +191,6 @@ def column_group(lam):
 # ---------------------------------------------------------------------------
 # word bases
 # ---------------------------------------------------------------------------
-
-def _accum(vec, word, v):
-    """vec[word] += v in place, dropping the word when it cancels."""
-    s = vec.get(word)
-    s = v if s is None else s + v
-    if s:
-        vec[word] = s
-    else:
-        vec.pop(word, None)
-
 
 def all_words(alphabet, ell):
     return list(itertools.product(range(1, alphabet + 1), repeat=ell))

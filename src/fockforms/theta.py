@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fockforms.enumeration import (_ldl, exact_dtype, gram_dual, integral_rows,
-                                   shell_vectors, symmetric_pivots)
-from fockforms.linalg import RatMat
+from fockforms.enumeration import _ldl, exact_dtype, gram_dual, shell_vectors, symmetric_pivots
 from fockforms.scalars import QQ
 from fockforms.schur import (assert_traceless, omega_eigenvalues, ssyt_enumerate,
                              young_apply_vec)
@@ -36,17 +34,16 @@ class Lattice:
     def __init__(self, gram, coset_h=None, modulus=None):
         if not len(gram) or any(len(row) != len(gram) for row in gram):
             raise ValueError("gram must be a non-empty square list of rows")
-        self.gram = RatMat.from_rows(gram)
-        m = self.gram.nrows
-        if self.gram.transpose() != self.gram:
+        m = len(gram)
+        gram = [[QQ(v) for v in row] for row in gram]
+        if any(gram[i][j] != gram[j][i] for i in range(m) for j in range(i)):
             raise ValueError("gram must be symmetric")
         self.rank = m
-        self.gram2 = self.gram.scale(QQ(2))
-        try:
-            self.gram2_rows = tuple(map(tuple, integral_rows(self.gram2)))
-        except ValueError:
-            raise ValueError("entries must be half-integral") from None
-        if any(self.gram.entry(i, i).denominator != 1 for i in range(m)):
+        doubled = [[2 * v for v in row] for row in gram]
+        if any(v.denominator != 1 for row in doubled for v in row):
+            raise ValueError("entries must be half-integral")
+        self.gram2_rows = tuple(tuple(int(v) for v in row) for row in doubled)
+        if any(row[i] % 2 for i, row in enumerate(self.gram2_rows)):
             raise ValueError("diagonal must be integral")
         _ldl(self.gram2_rows, 1)  # positive definite or ValueError; shared by the shells
         if (coset_h is None) != (modulus is None):

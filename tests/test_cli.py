@@ -70,6 +70,23 @@ def test_verify_rejects_zero_columns(monkeypatch, capsys):
     assert "--n must be in 1..3" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("identity,p,n",
+                         [(name, 2, 2) for name in sorted(forms.N_ONE_IDENTITIES)]
+                         + [(name, 1, 2) for name in forms.IDENTITIES]
+                         + [("equivariance", 2, 3)])
+def test_verify_rejects_undefined_columns(monkeypatch, capsys, identity, p, n):
+    """An --n the identity does not define is malformed input: the n = 1
+    identities refuse n = 2, and every identity refuses n > p, before any
+    work starts."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a refused cell must start no work")
+    monkeypatch.setattr(forms, "run_identity", fail)
+    code, _, err = run_main(capsys, "verify", "--identity", identity, "--p", str(p),
+                            "--q", "1", "--n", str(n), "--ell", "1")
+    assert code == 2
+    assert "--n" in json.loads(err)["error"]
+
+
 def test_grid_deterministic_across_jobs(capsys):
     code1, out1, _ = run_main(capsys, "verify")
     code2, out2, _ = run_main(capsys, "verify", "--jobs", "3")

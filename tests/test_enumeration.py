@@ -256,9 +256,9 @@ def test_shells_share_one_ldl(monkeypatch):
     assert sum(tuple(map(tuple, rows)) == lat.gram2_rows for rows in calls) == 1
     assert len(calls) == 1  # the lattice's validation is that same elimination
     assert [s.tolist() for s in shells] == [
-        shell_vectors_box(lat.gram2, 2 * k).tolist() for k in (2, 4)]
+        shell_vectors_box(RatMat.from_rows(lat.gram2_rows), 2 * k).tolist() for k in (2, 4)]
     assert len(shells[0]) == 20
-    lower, diag = exact_ldl(lat.gram2)
+    lower, diag = exact_ldl(RatMat.from_rows(lat.gram2_rows))
     assert isinstance(lower, tuple) and all(isinstance(row, tuple) for row in lower)
     assert isinstance(diag, tuple)
 

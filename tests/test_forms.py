@@ -26,7 +26,7 @@ from fockforms.multilinear import (
     z_del,
     z_mul,
 )
-from fockforms.scalars import MINUS_I_4PI, QQ, Scalar
+from fockforms.scalars import MINUS_I_4PI, QQ, Scalar, _accum
 from fockforms.schur import all_words, partitions_of, young_apply_vec
 from fockforms.weil import O_P, omega
 from oracles import harmonic_project_vec
@@ -388,7 +388,7 @@ def test_output_projector_matches_word_oracle(p, q):
                 want = MixedForm(pr)
                 for (fock, wedge, word), c in form.terms.items():
                     for target, r in oracle[word].items():
-                        want._accum((fock, wedge, target), c.scale(r))
+                        _accum(want.terms, (fock, wedge, target), c.scale(r))
                 got = project(form)
                 assert got == want, (p, q, lam)
                 assert project(got) == got, (p, q, lam)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockforms.scalars import MINUS_I_4PI, QQ, Scalar, _quad_mul, rational_of
+from fockforms.scalars import MINUS_I_4PI, QQ, Scalar, _accum, _quad_mul, rational_of
 
 rationals = st.builds(
     lambda n, d: QQ(n, d),
@@ -273,3 +273,22 @@ def test_json_term_order():
 
 def test_accepts_fraction_input():
     assert Scalar.from_rational(Fraction(1, 3)) == Scalar.unit(a=QQ(1, 3))
+
+
+@pytest.mark.parametrize("value", [3, QQ(3, 7), Scalar.unit(b=QQ(3, 7), pi_exp=-1)],
+                         ids=["int", "QQ", "Scalar"])
+def test_accum_adds_in_place_and_drops_cancelled_keys(value):
+    """The one sparse accumulate step: a sum lands under its key, a sum
+    that cancels removes the key, and a zero on an absent key leaves none."""
+    zero = value * 0
+    vec = {"other": value}
+    _accum(vec, "k", value)
+    assert vec == {"other": value, "k": value}
+    _accum(vec, "k", value)
+    assert vec == {"other": value, "k": value + value}
+    _accum(vec, "k", -(value + value))
+    assert vec == {"other": value}
+    _accum(vec, "k", zero)
+    assert vec == {"other": value}
+    _accum(vec, "other", zero)
+    assert vec == {"other": value}

@@ -79,7 +79,7 @@ def test_lattice_rejects_fractional_diagonal():
 
 def test_lattice_accepts_half_integral_offdiagonal():
     lat = Lattice([[1, "1/2"], ["1/2", 1]])
-    assert lat.gram2.entry(0, 1) == QQ(1)
+    assert RatMat.from_rows(lat.gram2_rows).entry(0, 1) == QQ(1)
 
 
 def test_lattice_rejects_other_fields():
@@ -233,7 +233,8 @@ def pair_loop_representations(lat, beta):
     """Oracle: depth-first scan of the sorted shells, testing every pairing
     with a Python-int loop.  Same order as enumerate_representations."""
     n = beta.n
-    g2 = [[int(lat.gram2.entry(i, j)) for j in range(lat.rank)]
+    gram2 = RatMat.from_rows(lat.gram2_rows)
+    g2 = [[int(gram2.entry(i, j)) for j in range(lat.rank)]
           for i in range(lat.rank)]
     shells = [[tuple(r) for r in lat.shell(beta.doubled[i][i], column=i).tolist()]
               for i in range(n)]
@@ -467,11 +468,12 @@ def dict_path_payload(lat, beta, lam):
     gram, lam), all three independent of theta's moment kernel and Brauer
     product."""
     reps = enumerate_representations(lat, beta)
+    gram = RatMat.from_rows(lat.gram2_rows).scale(QQ(1, 2))
     out = {}
     for filling in ssyt_enumerate(lam, beta.n):
         raw = moment_oracle(reps, _column_major_values(lam, filling), lat.rank)
         shaped = young_apply_vec(lam, raw) if raw else {}
-        out[filling_key(filling)] = (harmonic_project_vec(shaped, lat.gram, lam)
+        out[filling_key(filling)] = (harmonic_project_vec(shaped, gram, lam)
                                      if shaped else {})
     return out
 
@@ -517,7 +519,7 @@ def test_array_path_matches_dict_path():
                 if len(lam) > beta.n:
                     continue
                 got = assemble_coefficient(lat, beta, lam=lam).payload
-                assert got == dict_path_payload(lat, beta, lam), (lat.gram, beta, lam)
+                assert got == dict_path_payload(lat, beta, lam), (lat.gram2_rows, beta, lam)
                 if any(got.values()):
                     nonzero.add(lam)
     # odd degrees vanish (x -> -x); every even shape is met with a nonzero payload
