@@ -121,6 +121,11 @@ def cmd_verify(args):
             raise InputError(error)
         cells = [(identity, p, q, n, ell)]
     else:
+        given = [f"--{key}" for key in ("p", "q", "n", "ell")
+                 if getattr(args, key) is not None]
+        if given:
+            raise InputError(f"the default grid takes no {', '.join(given)}; "
+                             "name one cell with --identity")
         cells = default_grid()
     reports = run_cells(cells, args.jobs, args.fail_fast)
     rows = [report_row(r) for r in reports]
@@ -280,7 +285,6 @@ def emit(doc, out_dir, name):
     text = json.dumps(doc, indent=1, sort_keys=True)
     sys.stdout.write(text + "\n")
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, f"{name}.json"), "w",
                   encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -333,6 +337,13 @@ def main(argv=None):
     if getattr(args, "jobs", 1) < 1:
         print(json.dumps({"error": "--jobs must be >= 1"}), file=sys.stderr)
         return 2
+    if args.out:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(json.dumps({"error": f"cannot make --out directory: {exc}"}),
+                  file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     except InputError as exc:

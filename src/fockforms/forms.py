@@ -57,6 +57,42 @@ class Conventions:
 
 DEFAULT_CONVENTIONS = Conventions()
 
+# the kept forms of _shared hold at most this many terms in all
+SHARED_TERMS = 2 ** 13
+_SHARED = {}          # (fn, args) -> MixedForm, least recently used first
+_shared_held = 0      # terms held by the forms in _SHARED
+
+
+def _shared(fn):
+    """Michie's memo function for the forms the identity suite shares.
+
+    The key is fn and its full argument tuple, defaults filled in, so a
+    keyword call and a positional call share an entry.  The least recently
+    used forms are evicted once the kept forms hold more than SHARED_TERMS
+    terms; a form larger than that is returned but not kept.  Kept forms are
+    shared, so no caller may change their terms.
+    """
+    names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
+    defaults = dict(zip(reversed(names), reversed(fn.__defaults__ or ())))
+
+    @functools.wraps(fn)
+    def memo(*args, **kwargs):
+        global _shared_held
+        key = (fn, args + tuple(kwargs[name] if name in kwargs else defaults[name]
+                                for name in names[len(args):]))
+        form = _SHARED.pop(key, None)
+        if form is None:
+            form = fn(*args, **kwargs)
+            size = len(form.terms)
+            if size > SHARED_TERMS:
+                return form
+            _shared_held += size
+            while _shared_held > SHARED_TERMS:
+                _shared_held -= len(_SHARED.pop(next(iter(_SHARED))).terms)
+        _SHARED[key] = form
+        return form
+    return memo
+
 
 # ---------------------------------------------------------------------------
 # the forms
@@ -251,6 +287,7 @@ def h_op(params):
                   for a in params.positive() for mu in params.negative())
 
 
+@_shared
 def lambda_form(params, ell, j, conv=DEFAULT_CONVENTIONS):
     """Primitive attached to slot j; the denominator uses the operand's degree."""
     denom = params.p + params.q + ell + conv.lambda_offset
@@ -258,6 +295,7 @@ def lambda_form(params, ell, j, conv=DEFAULT_CONVENTIONS):
     return h_prime(params, j)(phi_ell(params, ell)).scale(coeff)
 
 
+@_shared
 def psi_product(params, ell):
     """The (q-1)-form primitive, built from the degree-zero member."""
     coeff = QQ(-1, 2 * (params.p + params.q - 1))
@@ -307,6 +345,7 @@ def euler_form(params):
 # recursion building blocks (n = 1)
 # ---------------------------------------------------------------------------
 
+@_shared
 def piece_A(params, ell, j):
     """(i/4pi) sum_mu z_mu (x) A_j(e_mu), applied to the degree ell-1 member."""
     coeff = Scalar.unit(b=QQ(1, 4), pi_exp=-1)
@@ -314,6 +353,7 @@ def piece_A(params, ell, j):
                   for mu in params.negative())(phi_ell(params, ell - 1))
 
 
+@_shared
 def piece_B(params, ell, j):
     """i sum_a (d/dz_a phi_{q,0}) . (A_j(e_a) phi_{0,ell-1})."""
     base0 = phi_ell(params, 0)
@@ -329,6 +369,41 @@ def piece_C(params, ell, j, mode):
     coeff = Scalar.from_rational(QQ(1, 4), pi_exp=-1)
     return op_sum((coeff, metric_pair_insertion(j, k, mode))
                   for k in range(1, ell))(phi_ell(params, ell - 2))
+
+
+# ---------------------------------------------------------------------------
+# shared images: the operator images more than one identity subtracts
+# ---------------------------------------------------------------------------
+
+@_shared
+def _sigma_image(params, ell, j, conv=DEFAULT_CONVENTIONS):
+    """a_sigma(j) phi_{ell-1}: recursion and lem3a."""
+    return a_sigma(params, j, 1, conv)(phi_ell(params, ell - 1))
+
+
+@_shared
+def _d_lambda(params, ell, j, conv=DEFAULT_CONVENTIONS):
+    """d lambda_j at degree ell - 1: recursion, prop3a and lowering."""
+    return d_operator(params, "full", conv)(lambda_form(params, ell - 1, j, conv))
+
+
+@_shared
+def _d_psi(params, ell, variant, conv=DEFAULT_CONVENTIONS):
+    """One graded piece of d psi_product: psi_base, lowering and lemma4b."""
+    return d_operator(params, variant, conv)(psi_product(params, ell))
+
+
+@_shared
+def _lowered(params, ell):
+    """omega(L) phi_ell: lowering, lemma4a and psi_base."""
+    return omega(LOWERING, params)(phi_ell(params, ell))
+
+
+def _d_full_psi(params, ell, conv):
+    """d psi_product as the sum of its three graded pieces."""
+    return (_d_psi(params, ell, "dF_prime", conv)
+            + _d_psi(params, ell, "dF_doubleprime", conv)
+            + _d_psi(params, ell, "dV", conv))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +447,7 @@ def residual_fock_kprime(params, word, j, k, conv=DEFAULT_CONVENTIONS):
 
 
 def residual_lem3a(params, ell, j, conv=DEFAULT_CONVENTIONS):
-    lhs = a_sigma(params, j, 1, conv)(phi_ell(params, ell - 1))
+    lhs = _sigma_image(params, ell, j, conv)
     rhs = (phi_ell(params, ell)
            + piece_A(params, ell, j)
            + piece_B(params, ell, j)
@@ -381,7 +456,7 @@ def residual_lem3a(params, ell, j, conv=DEFAULT_CONVENTIONS):
 
 
 def residual_prop3a(params, ell, j, conv=DEFAULT_CONVENTIONS):
-    lhs = d_operator(params, "full", conv)(lambda_form(params, ell - 1, j, conv))
+    lhs = _d_lambda(params, ell, j, conv)
     rhs = -(piece_A(params, ell, j)
             + piece_B(params, ell, j)
             + piece_C(params, ell, j, "minus"))
@@ -392,9 +467,7 @@ def residual_recursion(params, ell, j, conv=DEFAULT_CONVENTIONS):
     """Recursion: the metric correction enters with the sign that makes the
     lemma/proposition pair consistent (see Conventions.metric_sign)."""
     correction = piece_C(params, ell, j, "full").scale(QQ(conv.metric_sign))
-    rhs = (a_sigma(params, j, 1, conv)(phi_ell(params, ell - 1))
-           + d_operator(params, "full", conv)(lambda_form(params, ell - 1, j, conv))
-           + correction)
+    rhs = _sigma_image(params, ell, j, conv) + _d_lambda(params, ell, j, conv) + correction
     return phi_ell(params, ell) - rhs
 
 
@@ -403,13 +476,12 @@ def residual_psi_consistency(params, ell):
 
 
 def residual_psi_base(params, conv=DEFAULT_CONVENTIONS):
-    lhs = omega(LOWERING, params)(phi_ell(params, 0))
-    return lhs - d_operator(params, "full", conv)(psi_product(params, 0))
+    return _lowered(params, 0) - _d_full_psi(params, 0, conv)
 
 
 def residual_lemma4a(params, ell, conv=DEFAULT_CONVENTIONS):
-    lhs = omega(LOWERING, params)(phi_ell(params, ell))
-    rhs = omega(LOWERING, params)(phi_ell(params, 0)) * phi_0ell(params, (1,) * ell)
+    lhs = _lowered(params, ell)
+    rhs = _lowered(params, 0) * phi_0ell(params, (1,) * ell)
     for j in range(1, ell + 1):
         rhs = rhs - piece_B(params, ell, j)
     rhs = rhs - a_of_f(ell, "plus")(phi_ell(params, ell - 2)).scale(
@@ -418,18 +490,18 @@ def residual_lemma4a(params, ell, conv=DEFAULT_CONVENTIONS):
 
 
 def residual_lemma4b_i(params, ell, conv=DEFAULT_CONVENTIONS):
-    def d_fock(form):
-        return (d_operator(params, "dF_prime", conv)(form)
-                + d_operator(params, "dF_doubleprime", conv)(form))
-    lhs = d_fock(psi_product(params, ell))
-    rhs = d_fock(psi_product(params, 0)) * phi_0ell(params, (1,) * ell)
+    def d_fock(degree):
+        return (_d_psi(params, degree, "dF_prime", conv)
+                + _d_psi(params, degree, "dF_doubleprime", conv))
+    lhs = d_fock(ell)
+    rhs = d_fock(0) * phi_0ell(params, (1,) * ell)
     for j in range(1, ell + 1):
         rhs = rhs - piece_B(params, ell, j).scale(QQ(1, 2))
     return lhs - rhs
 
 
 def residual_lemma4b_ii(params, ell, conv=DEFAULT_CONVENTIONS):
-    lhs = d_operator(params, "dV", conv)(psi_product(params, ell))
+    lhs = _d_psi(params, ell, "dV", conv)
     rhs = MixedForm(params)
     for j in range(1, ell + 1):
         rhs = rhs + piece_A(params, ell, j).scale(QQ(1, 2))
@@ -437,8 +509,11 @@ def residual_lemma4b_ii(params, ell, conv=DEFAULT_CONVENTIONS):
 
 
 def residual_lowering(params, ell, conv=DEFAULT_CONVENTIONS):
-    lhs = omega(LOWERING, params)(phi_ell(params, ell))
-    rhs = d_operator(params, "full", conv)(lowering_primitive(params, ell, conv))
+    """d of the exact primitive, by linearity: d psi + (1/2) sum_j d lambda_j."""
+    lhs = _lowered(params, ell)
+    rhs = _d_full_psi(params, ell, conv)
+    for j in range(1, ell + 1):
+        rhs = rhs + _d_lambda(params, ell, j, conv).scale(QQ(1, 2))
     rhs = rhs - a_of_f(ell, "full")(phi_ell(params, ell - 2)).scale(
         Scalar.from_rational(QQ(1, 4), pi_exp=-1))
     return lhs - rhs

@@ -127,6 +127,9 @@ class MixedForm:
         return MixedForm(self.params, terms)
 
     def __sub__(self, other):
+        # exact: no zero coefficient is ever stored, so equal forms have equal dicts
+        if self.terms == other.terms:
+            return MixedForm(self.params)
         terms = dict(self.terms)
         for key, c in other.terms.items():
             _accum(terms, key, -c)

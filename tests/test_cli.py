@@ -70,6 +70,41 @@ def test_verify_rejects_zero_columns(monkeypatch, capsys):
     assert "--n must be in 1..3" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("flags", [["--p", "9", "--ell", "3"], ["--p", "2"], ["--q", "1"],
+                                   ["--n", "1"], ["--ell", "0"]])
+def test_verify_grid_rejects_cell_flags(monkeypatch, capsys, flags):
+    """The default grid fixes its own cells: a cell flag without --identity
+    is malformed input, refused before any work."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a refused run must start no work")
+    monkeypatch.setattr(forms, "run_identity", fail)
+    code, out, err = run_main(capsys, "verify", *flags)
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]
+    assert flags[0] in message and "--identity" in message
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["dims", "--lambda", "2", "--n", "1"],
+    ["theta", "--lattice", str(FIXTURES / "z4.json")],
+    ["intertwine-check"],
+])
+def test_out_dir_that_cannot_be_made(monkeypatch, capsys, tmp_path, argv):
+    """An --out path under a regular file exits 2 with a JSON error, before
+    any subcommand runs."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a refused run must start no work")
+    for name in ("cmd_verify", "cmd_dims", "cmd_theta", "cmd_intertwine"):
+        monkeypatch.setattr(cli, name, fail)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out_dir in (blocker, blocker / "reports"):
+        code, out, err = run_main(capsys, *argv, "--out", str(out_dir))
+        assert code == 2 and out == ""
+        assert "--out" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("identity,p,n",
                          [(name, 2, 2) for name in sorted(forms.N_ONE_IDENTITIES)]
                          + [(name, 1, 2) for name in forms.IDENTITIES]

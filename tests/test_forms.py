@@ -463,6 +463,65 @@ def test_each_mutation_breaks_an_identity(name):
 
 
 # ---------------------------------------------------------------------------
+# the shared-form memo
+# ---------------------------------------------------------------------------
+
+def _grid_rows():
+    return [{k: v for k, v in F.run_identity(*cell).to_json().items() if k != "seconds"}
+            for cell in F.default_grid()]
+
+
+def test_grid_pass_mutates_no_kept_form():
+    _grid_rows()
+    kept = [(form, form.to_json()) for form in F._SHARED.values()]
+    assert kept
+    _grid_rows()
+    for form, before in kept:
+        assert form.to_json() == before
+
+
+def test_shared_budget_bounds_held_terms(monkeypatch):
+    expected = _grid_rows()
+    monkeypatch.setattr(F, "SHARED_TERMS", 64)
+    monkeypatch.setattr(F, "_SHARED", {})
+    monkeypatch.setattr(F, "_shared_held", 0)
+    rows = []
+    for cell in F.default_grid():
+        report = F.run_identity(*cell)
+        assert report.passed, cell
+        rows.append({k: v for k, v in report.to_json().items() if k != "seconds"})
+        assert F._shared_held == sum(len(f.terms) for f in F._SHARED.values()) <= 64
+    assert rows == expected
+
+
+def test_shared_keys_fill_in_defaults():
+    pr = params_n1(2, 1)
+    form = F.lambda_form(pr, 1, 1)
+    assert F.lambda_form(pr, 1, 1, DEFAULT_CONVENTIONS) is form
+    assert F.lambda_form(pr, 1, j=1, conv=DEFAULT_CONVENTIONS) is form
+    other = F.lambda_form(pr, 1, 1, Conventions(lambda_offset=0))
+    assert other is not form and other != form
+
+
+def _lowering_by_primitive(params, ell, conv):
+    """The lowering residual with d applied to the assembled primitive."""
+    from fockforms.multilinear import a_of_f
+    from fockforms.weil import LOWERING
+    lhs = omega(LOWERING, params)(F.phi_ell(params, ell))
+    rhs = F.d_operator(params, "full", conv)(F.lowering_primitive(params, ell, conv))
+    rhs = rhs - a_of_f(ell, "full")(F.phi_ell(params, ell - 2)).scale(
+        Scalar.from_rational(QQ(1, 4), pi_exp=-1))
+    return lhs - rhs
+
+
+@pytest.mark.parametrize("p,q,ell", [(1, 1, 2), (2, 1, 3), (2, 2, 2), (3, 1, 1), (1, 2, 0)])
+def test_residual_lowering_matches_primitive_assembly(p, q, ell):
+    pr = params_n1(p, q)
+    for conv in [DEFAULT_CONVENTIONS] + list(_mutants().values()):
+        assert F.residual_lowering(pr, ell, conv) == _lowering_by_primitive(pr, ell, conv)
+
+
+# ---------------------------------------------------------------------------
 # reporting layer
 # ---------------------------------------------------------------------------
 

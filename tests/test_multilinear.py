@@ -261,3 +261,29 @@ def test_compose():
     assert compose([a])(f) == a(f)
     assert compose([a, b])(f) == (a @ b)(f) == a(b(f))
     assert compose(iter([a, b, c]))(f) == a(b(c(f)))
+
+
+def test_sub_of_equal_forms_is_zero_and_matches_accumulate():
+    rng = random.Random(37)
+
+    def accumulate(f, g):
+        terms = dict(f.terms)
+        for key, c in g.terms.items():
+            _accum(terms, key, -c)
+        return MixedForm(f.params, terms)
+
+    f = random_form(P22, rng)
+    assert (f - f).is_zero()
+    assert (f - MixedForm(P22, dict(f.terms))).is_zero()
+    assert (MixedForm(P22) - MixedForm(P22)).is_zero()
+    # same keys, one coefficient changed: the dicts differ in a value only
+    key = next(iter(f.terms))
+    g = MixedForm(P22, dict(f.terms))
+    g.terms[key] = g.terms[key] + Scalar.one()
+    assert (f - g) == accumulate(f, g) == MixedForm(P22, {key: -Scalar.one()})
+    for trial in range(6):
+        f = random_form(P22, rng, nterms=5)
+        # unequal forms of f's size: every value changed, or every key moved
+        for other in (f.scale(QQ(2)), z_mul(3)(f), random_form(P22, rng, nterms=5)):
+            assert (f - other) == accumulate(f, other), trial
+        assert len(z_mul(3)(f).terms) == len(f.terms)
