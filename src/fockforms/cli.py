@@ -20,7 +20,7 @@ import os
 import sys
 
 from fockforms.schur import partitions_of
-from fockforms.workers import worker_count
+from fockforms.workers import ordered_map
 
 LIMITS = {"p": 4, "q": 4, "n": 3, "ell": 6}
 # theta payloads: the moment kernel and the Brauer product hold dense integer
@@ -34,6 +34,9 @@ PAYLOAD_WORDS = 2 ** 16
 THETA_GENUS = 16
 THETA_BETAS = 2 ** 16
 THETA_POINTS = 2 ** 20
+# every representation is an n-tuple of shell points, so P^n bounds the
+# tuples the search may list at genus n when P bounds the points
+THETA_TUPLES = 2 ** 27
 
 IDENTITY_ALIASES = {
     "kprime_invariance": "kprime",
@@ -77,29 +80,13 @@ def _run_cell(cell):
 
 def run_cells(cells, jobs, fail_fast):
     reports = []
-    workers = worker_count(jobs, len(cells))
-    if workers == 1:
-        for cell in cells:
-            rep = _run_cell(cell)
-            reports.append(rep)
-            if fail_fast and not rep.passed:
-                break
-        return reports
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for rep in pool.map(_run_cell, cells, chunksize=1):
-            reports.append(rep)
-            if fail_fast and not rep.passed:
-                pool.shutdown(cancel_futures=True)
-                break
+    results = ordered_map(_run_cell, cells, jobs)
+    for rep in results:
+        reports.append(rep)
+        if fail_fast and not rep.passed:
+            results.close()
+            break
     return reports
-
-
-def report_row(rep):
-    row = rep.to_json()
-    row.pop("seconds", None)
-    return row
 
 
 def cmd_verify(args):
@@ -128,7 +115,7 @@ def cmd_verify(args):
                              "name one cell with --identity")
         cells = default_grid()
     reports = run_cells(cells, args.jobs, args.fail_fast)
-    rows = [report_row(r) for r in reports]
+    rows = [r.to_json() for r in reports]
     doc = {
         "cells": len(rows),
         "failures": sum(not r["passed"] for r in rows),
@@ -209,7 +196,8 @@ def cmd_theta(args):
 
 
 def check_theta_work(lat, n, bound):
-    """Refuse a genus and bound whose beta list or shells would be too large.
+    """Refuse a genus and bound whose beta list, shells or representation
+    tuples would be too large.
 
     For every t > 0, #{x : (x, x) <= 2 bound} <= e^{2 t bound} prod_i
     theta(t d_i), with d_i the exact LDL diagonal of the gram and
@@ -244,6 +232,10 @@ def check_theta_work(lat, n, bound):
         raise InputError(f"the shells up to --bound {bound} may hold "
                          f"2^{log_points / math.log(2):.1f} lattice vectors; "
                          f"the cap is 2^20")
+    if n * log_points > math.log(THETA_TUPLES):
+        raise InputError(f"--genus {n} --bound {bound} may list "
+                         f"2^{n * log_points / math.log(2):.1f} representation "
+                         f"tuples; the cap is 2^27")
 
 
 def _log_theta(a):

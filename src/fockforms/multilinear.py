@@ -15,13 +15,12 @@ letters live in 1..m.  epsilon(k) = +1 for k <= p and -1 for k > p.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import operator
 from dataclasses import dataclass
 
 from fockforms.scalars import ONE, QQ, ZERO, Scalar, _accum
-from fockforms.schur import insert_pair_word, perm_act_word, remove_pair_word
+from fockforms.schur import _sort_with_sign, insert_pair_word, perm_act_word, remove_pair_word
 
 
 @dataclass(frozen=True)
@@ -69,23 +68,6 @@ def _fock_mul(f1, f2):
         else:
             del acc[key]
     return tuple(sorted(acc.items()))
-
-
-def _sort_with_sign(gens):
-    """Sort a generator tuple, tracking the sign of the permutation; None on repeat."""
-    sign = 1
-    out = []
-    for gen in gens:
-        if not out or out[-1] < gen:
-            out.append(gen)
-            continue
-        pos = bisect.bisect_left(out, gen)
-        if out[pos] == gen:
-            return None
-        if (len(out) - pos) % 2:
-            sign = -sign
-        out.insert(pos, gen)
-    return sign, tuple(out)
 
 
 # ---------------------------------------------------------------------------

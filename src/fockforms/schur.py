@@ -40,6 +40,7 @@ young_projector is the matrix of young_apply_vec on the basis words.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -126,35 +127,25 @@ def ssyt_enumerate(lam, n):
     return out
 
 
-def base_tableau(lam):
-    """Row-major filling: row i holds consecutive labels."""
-    rows = []
-    nxt = 1
-    for part in lam:
-        rows.append(list(range(nxt, nxt + part)))
-        nxt += part
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # permutations on positions and words
 # ---------------------------------------------------------------------------
 
-def perm_sign(perm):
+def _sort_with_sign(gens):
+    """Sort a generator tuple, tracking the sign of the permutation; None on repeat."""
     sign = 1
-    seen = [False] * len(perm)
-    for s in range(len(perm)):
-        if seen[s]:
+    out = []
+    for gen in gens:
+        if not out or out[-1] < gen:
+            out.append(gen)
             continue
-        length = 0
-        t = s
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t] - 1
-            length += 1
-        if length % 2 == 0:
+        pos = bisect.bisect_left(out, gen)
+        if out[pos] == gen:
+            return None
+        if (len(out) - pos) % 2:
             sign = -sign
-    return sign
+        out.insert(pos, gen)
+    return sign, tuple(out)
 
 
 def perm_act_word(perm, word):
@@ -165,27 +156,23 @@ def perm_act_word(perm, word):
     return tuple(out)
 
 
-def _group_from_blocks(blocks, ell):
-    """All permutations of 1..ell preserving each block setwise."""
-    per_block = []
-    for block in blocks:
-        per_block.append([dict(zip(block, img)) for img in itertools.permutations(block)])
-    group = []
-    for choice in itertools.product(*per_block):
-        perm = list(range(1, ell + 1))
-        for mapping in choice:
-            for src, dst in mapping.items():
+def _signed_column_group(lam):
+    """(sign, perm) for each permutation of 1..|lam| that keeps every column
+    of the row-major tableau of shape lam setwise; the sign is the product of
+    the columns' signs."""
+    starts = list(itertools.accumulate(lam, initial=1))
+    cols = [[starts[i] + j for i in range(height)]
+            for j, height in enumerate(conjugate(lam))]
+    per_col = [[(_sort_with_sign(img)[0], img) for img in itertools.permutations(col)]
+               for col in cols]
+    for choice in itertools.product(*per_col):
+        sign = 1
+        perm = list(range(1, sum(lam) + 1))
+        for col, (col_sign, img) in zip(cols, choice):
+            sign *= col_sign
+            for src, dst in zip(col, img):
                 perm[src - 1] = dst
-        group.append(tuple(perm))
-    return group
-
-
-def column_group(lam):
-    ell = sum(lam)
-    rows = base_tableau(lam)
-    conj = conjugate(lam)
-    cols = [[rows[i][j] for i in range(conj[j])] for j in range(len(conj))]
-    return _group_from_blocks(cols, ell)
+        yield sign, tuple(perm)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +231,7 @@ def young_apply_vec(lam, vec):
             mid[sum(rows, ())] = v
     out = {}
     scale = QQ(1, hook_product(lam))
-    for perm in column_group(lam):
-        sgn = perm_sign(perm)
+    for sgn, perm in _signed_column_group(lam):
         for w, v in mid.items():
             _accum(out, perm_act_word(perm, w), v if sgn > 0 else -v)
     return {w: v * scale for w, v in out.items()}

@@ -21,7 +21,7 @@ from fockforms.enumeration import _ldl, exact_dtype, gram_dual, shell_vectors, s
 from fockforms.scalars import QQ
 from fockforms.schur import (assert_traceless, omega_eigenvalues, ssyt_enumerate,
                              young_apply_vec)
-from fockforms.workers import worker_count
+from fockforms.workers import ordered_map
 
 # largest rank a lattice document may have; it is refused before any
 # arithmetic, since validating and enumerating cost time cubic in the rank
@@ -32,19 +32,10 @@ class Lattice:
     """Positive definite integral lattice, optionally with a coset shift."""
 
     def __init__(self, gram, coset_h=None, modulus=None):
-        if not len(gram) or any(len(row) != len(gram) for row in gram):
-            raise ValueError("gram must be a non-empty square list of rows")
-        m = len(gram)
-        gram = [[QQ(v) for v in row] for row in gram]
-        if any(gram[i][j] != gram[j][i] for i in range(m) for j in range(i)):
-            raise ValueError("gram must be symmetric")
-        self.rank = m
-        doubled = [[2 * v for v in row] for row in gram]
-        if any(v.denominator != 1 for row in doubled for v in row):
-            raise ValueError("entries must be half-integral")
-        self.gram2_rows = tuple(tuple(int(v) for v in row) for row in doubled)
-        if any(row[i] % 2 for i, row in enumerate(self.gram2_rows)):
-            raise ValueError("diagonal must be integral")
+        if not len(gram):
+            raise ValueError("gram must be non-empty")
+        self.gram2_rows = BetaMatrix.from_entries(gram).doubled
+        self.rank = m = len(gram)
         _ldl(self.gram2_rows, 1)  # positive definite or ValueError; shared by the shells
         if (coset_h is None) != (modulus is None):
             raise ValueError("coset needs both shift vectors and modulus")
@@ -75,10 +66,9 @@ class Lattice:
             raise ValueError("gram must be a list of rows")
         if len(rows) > MAX_RANK:
             raise ValueError(f"gram has rank {len(rows)}; the cap is {MAX_RANK}")
-        gram = [[_parse_entry(v) for v in row] for row in rows]
         coset = data.get("coset")
         if coset is None:
-            return Lattice(gram)
+            return Lattice(rows)
         shifts = coset.get("h") if isinstance(coset, dict) else None
         if (not isinstance(shifts, list)
                 or not all(isinstance(h, list) and all(type(v) is int for v in h)
@@ -86,7 +76,7 @@ class Lattice:
                 or type(coset.get("modulus")) is not int):
             raise ValueError("coset must be an object with a list of shift "
                              "vectors h and an integer modulus")
-        return Lattice(gram, coset_h=shifts, modulus=coset["modulus"])
+        return Lattice(rows, coset_h=shifts, modulus=coset["modulus"])
 
     @staticmethod
     def load(path):
@@ -133,13 +123,13 @@ class BetaMatrix:
         rows = [list(map(int, r)) for r in doubled]
         n = len(rows)
         if any(len(r) != n for r in rows):
-            raise ValueError("beta must be square")
+            raise ValueError("matrix must be square")
         for i in range(n):
             if rows[i][i] % 2:
-                raise ValueError("beta diagonal must be integral")
+                raise ValueError("matrix diagonal must be integral")
             for j in range(n):
                 if rows[i][j] != rows[j][i]:
-                    raise ValueError("beta must be symmetric")
+                    raise ValueError("matrix must be symmetric")
         self.doubled = tuple(tuple(r) for r in rows)
         self.n = n
 
@@ -437,16 +427,5 @@ def series_betas(n, bound):
 def series_table(lat, lam=(), n=1, bound=0, jobs=1):
     """Ordered GenusCoefficient list over all PSD beta up to the bound."""
     betas = series_betas(n, bound)
-    workers = worker_count(jobs, len(betas))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_assemble_star,
-                                 [(lat, b, lam) for b in betas]))
-    else:
-        rows = [assemble_coefficient(lat, b, lam) for b in betas]
-    return rows
-
-
-def _assemble_star(args):
-    return assemble_coefficient(*args)
+    return list(ordered_map(functools.partial(assemble_coefficient, lat, lam=lam),
+                            betas, jobs))

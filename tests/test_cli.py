@@ -157,6 +157,30 @@ def test_worker_count_clamp(monkeypatch):
     assert workers.worker_count(8, 100) == 1
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ordered_map_keeps_input_order(monkeypatch, jobs):
+    monkeypatch.setattr(workers.os, "cpu_count", lambda: 2)
+    items = list(range(-6, 7))
+    assert list(workers.ordered_map(abs, items, jobs)) == [abs(v) for v in items]
+
+
+def test_ordered_map_close_stops_work(monkeypatch):
+    calls = []
+
+    def fn(item):
+        calls.append(item)
+        return item
+
+    results = workers.ordered_map(fn, [1, 2, 3], 1)
+    assert next(results) == 1
+    results.close()
+    assert calls == [1]
+    monkeypatch.setattr(workers.os, "cpu_count", lambda: 2)
+    results = workers.ordered_map(abs, list(range(-40, 0)), 2)
+    assert next(results) == 40
+    results.close()  # cancels the tasks not yet started and joins the pool
+
+
 def _no_pool(*args, **kwargs):
     raise AssertionError("a process pool was created")
 
@@ -318,6 +342,8 @@ def test_theta_work_cap(monkeypatch, capsys, lattice, args, reason):
     ("z4.json", ("--bound", "3")),
     ("z1.json", ("--genus", "16")),
     ("z1.json", ("--bound", "65535")),
+    ("e8.json", ("--genus", "2", "--bound", "2")),  # 2^24.8 tuples
+    ("e8.json", ("--genus", "3", "--bound", "1")),  # 2^26.3 tuples
 ])
 def test_theta_work_cap_accepts(monkeypatch, capsys, lattice, args):
     monkeypatch.setattr(theta, "series_table", lambda *args, **kwargs: [])
@@ -325,6 +351,23 @@ def test_theta_work_cap_accepts(monkeypatch, capsys, lattice, args):
                             *args)
     assert code == 0
     assert json.loads(out)["rows"] == []
+
+
+@pytest.mark.parametrize("genus,tuples", [(2, "2^34.0"), (3, "2^51.0")])
+def test_theta_tuple_cap(monkeypatch, capsys, tmp_path, genus, tuples):
+    """P points bound the genus-n tuples by P^n: Z^16 at bound 2 passes the
+    beta and point caps, yet exits 2 before any enumeration."""
+    def no_series(*args, **kwargs):
+        raise AssertionError("enumeration started")
+    monkeypatch.setattr(theta, "series_table", no_series)
+    doc = tmp_path / "z16.json"
+    doc.write_text(json.dumps({"gram": [[int(i == j) for j in range(16)]
+                                        for i in range(16)]}))
+    code, out, err = run_main(capsys, "theta", "--lattice", str(doc),
+                              "--genus", str(genus), "--bound", "2")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert "representation tuples" in error and tuples in error
 
 
 @pytest.mark.parametrize("scale,rank,bound,accepted", [

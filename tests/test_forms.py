@@ -467,8 +467,13 @@ def test_each_mutation_breaks_an_identity(name):
 # ---------------------------------------------------------------------------
 
 def _grid_rows():
-    return [{k: v for k, v in F.run_identity(*cell).to_json().items() if k != "seconds"}
-            for cell in F.default_grid()]
+    return [F.run_identity(*cell).to_json() for cell in F.default_grid()]
+
+
+def test_report_json_carries_no_timing():
+    report = F.run_identity("closedness", 2, 1, 1, 2)
+    assert "seconds" not in report.to_json()
+    assert isinstance(report.seconds, float)
 
 
 def test_grid_pass_mutates_no_kept_form():
@@ -489,7 +494,7 @@ def test_shared_budget_bounds_held_terms(monkeypatch):
     for cell in F.default_grid():
         report = F.run_identity(*cell)
         assert report.passed, cell
-        rows.append({k: v for k, v in report.to_json().items() if k != "seconds"})
+        rows.append(report.to_json())
         assert F._shared_held == sum(len(f.terms) for f in F._SHARED.values()) <= 64
     assert rows == expected
 

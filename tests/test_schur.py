@@ -1,12 +1,15 @@
 """Young symmetrizers, semistandard counting, harmonic projection."""
 
 import functools
+import itertools
 import random
 
 import pytest
 
 from fockforms.linalg import RatMat, rank
 from fockforms.schur import (
+    _signed_column_group,
+    _sort_with_sign,
     all_words,
     hook_content_count,
     partitions_of,
@@ -22,6 +25,37 @@ from oracles import contraction_matrix, harmonic_complement, harmonic_project_ve
 def test_partitions():
     assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert partitions_of(1) == [(1,)]
+
+
+def _inversion_sign(seq):
+    inversions = sum(a > b for a, b in itertools.combinations(seq, 2))
+    return -1 if inversions % 2 else 1
+
+
+def test_sort_with_sign_is_inversion_parity():
+    for ell in range(7):
+        for perm in itertools.permutations(range(1, ell + 1)):
+            assert _sort_with_sign(perm) == (_inversion_sign(perm), tuple(range(1, ell + 1)))
+
+
+def test_sort_with_sign_rejects_repeats():
+    for ell in range(2, 5):
+        for seq in itertools.product(range(3), repeat=ell):
+            if len(set(seq)) < ell:
+                assert _sort_with_sign(seq) is None, seq
+
+
+@pytest.mark.parametrize("ell", range(7))
+def test_signed_column_group_matches_brute_force(ell):
+    """Oracle: the permutations of 1..ell that keep the column of every slot of
+    the row-major tableau, each signed by its inversion count."""
+    for lam in partitions_of(ell):
+        column = [j for part in lam for j in range(part)]
+        expected = sorted(
+            (_inversion_sign(perm), perm)
+            for perm in itertools.permutations(range(1, ell + 1))
+            if all(column[dst - 1] == column[src] for src, dst in enumerate(perm)))
+        assert sorted(_signed_column_group(lam)) == expected, lam
 
 
 @pytest.mark.parametrize("lam,n", [

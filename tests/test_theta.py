@@ -82,6 +82,26 @@ def test_lattice_accepts_half_integral_offdiagonal():
     assert RatMat.from_rows(lat.gram2_rows).entry(0, 1) == QQ(1)
 
 
+@pytest.mark.parametrize("gram", [
+    [],
+    [[1, 0], [0]],
+    [[2, 1], [1, 2], [0, 0]],
+    [[True]],
+    [[1, 0], [0, False]],
+    [[1, 1], [0, 1]],
+    [["1/2", 0], [0, 1]],
+    [[1, "1/4"], ["1/4", 1]],
+    [[1, 2], [2, 1]],
+    [[1, "x"], ["x", 1]],
+])
+def test_lattice_errors_do_not_say_beta(gram):
+    """Lattice validates through BetaMatrix.from_entries; its messages name
+    no beta, since they reach `theta --lattice` users."""
+    with pytest.raises(ValueError) as info:
+        Lattice(gram)
+    assert "beta" not in str(info.value)
+
+
 def test_lattice_rejects_other_fields():
     with pytest.raises(ValueError):
         Lattice.from_json({"field": "Q(sqrt5)", "gram": [[1]]})
