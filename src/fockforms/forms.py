@@ -26,8 +26,6 @@ from fockforms.multilinear import (
     SpaceParams,
     a_of_f,
     compose,
-    contraction,
-    expansion,
     identity_op,
     insert_letter,
     interior,
@@ -40,8 +38,8 @@ from fockforms.multilinear import (
     z_mul,
 )
 from fockforms.scalars import MINUS_I_4PI, QQ, Scalar, _accum
-from fockforms.schur import (_sort_with_sign, all_words, omega_eigenvalues, pair_positions,
-                             perm_act_word, young_apply_vec)
+from fockforms.schur import (_sort_with_sign, all_words, harmonic_apply_vec, perm_act_word,
+                             young_apply_vec)
 from fockforms.weil import LOWERING, omega, omega_kprime
 
 
@@ -171,35 +169,20 @@ def output_projector(lam, m):
     """pi_[lam] pi_lam on the output tensor slot, for V = Q^m with the
     signature form.
 
-    The Young projector pi_lam is schur.young_apply_vec, applied once to the
-    words of each (fock, wedge) part of the form.  Then the Brauer product
-    prod_c (1 - Omega / c) over schur.omega_eigenvalues, with
-    Omega = sum_{i<j} expansion(i, j) contraction(i, j), removes the traces;
-    its exit check is that every slot-pair contraction of the image is zero.
+    schur.harmonic_apply_vec runs once on the words of each (fock, wedge)
+    part of the form, with diag(eps) as both the form and its dual.
     """
-    ell = sum(lam)
-    pairs = pair_positions(ell)
-
-    def young(form):
+    def apply(form):
+        eps = [[form.params.eps(a) if a == b else 0 for b in range(1, m + 1)]
+               for a in range(1, m + 1)]
         parts = {}
         for (fock, wedge, word), c in form.terms.items():
             parts.setdefault((fock, wedge), {})[word] = c
         terms = {}
         for (fock, wedge), vec in parts.items():
-            for word, c in young_apply_vec(lam, vec).items():
-                _accum(terms, (fock, wedge, word), c)
+            for word, c in harmonic_apply_vec(lam, vec, eps, eps).items():
+                terms[fock, wedge, word] = c
         return MixedForm(form.params, terms)
-
-    omega_op = op_sum((1, expansion(i, j) @ contraction(i, j)) for i, j in pairs)
-    project = compose([op_sum([(1, identity_op()), (QQ(-1, c), omega_op)])
-                       for c in omega_eigenvalues(lam, m)] + [LinearOperator(young)])
-
-    def apply(form):
-        out = project(form)
-        for i, j in pairs:
-            assert contraction(i, j)(out).is_zero(), \
-                f"trace survived harmonic projection at slots ({i},{j})"
-        return out
     return LinearOperator(apply)
 
 

@@ -2,7 +2,8 @@
 
 A RatMat stores one dict per row mapping column index -> nonzero QQ entry.
 Everything here is plain Gaussian elimination; sizes stay in the hundreds,
-so exact arithmetic with gmpy2-backed rationals is fast enough.
+so exact arithmetic in QQ (fractions.Fraction, or gmpy2's mpq where it is
+installed) is fast enough.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 
 from fockforms.scalars import ONE, QQ, ZERO, Scalar, _accum
-from fockforms.schur import _sort_with_sign, insert_pair_word, perm_act_word, remove_pair_word
+from fockforms.schur import _sort_with_sign, insert_pair_word, perm_act_word
 
 
 @dataclass(frozen=True)
@@ -427,33 +427,6 @@ def a_of_f(ell, mode="full"):
     """
     return op_sum((1, insert_metric(i, j, mode))
                   for i in range(1, ell + 1) for j in range(i + 1, ell + 1))
-
-
-def contraction(i, j):
-    """Pair tensor slots i < j with the signature form (e_k, e_k) = eps(k)
-    and remove them."""
-    if not i < j:
-        raise ValueError("contraction wants i < j")
-    def term(params, key, c):
-        fock, wedge, word = key
-        if len(word) < j:
-            raise ValueError(f"slots ({i},{j}) out of range for length {len(word)}")
-        a, b = word[i - 1], word[j - 1]
-        if a != b:
-            return
-        nw = remove_pair_word(word, i, j)
-        yield (fock, wedge, nw), (c if params.eps(a) > 0 else -c)
-    return _lift(term)
-
-
-def expansion(i, j):
-    """Adjoint of contraction(i, j): inserts the dual of the invariant form.
-
-    For the signature form the dual tensor is sum_k eps(k) e_k (x) e_k,
-    placed at result positions i, j; this coincides with
-    insert_metric(i, j, 'full').
-    """
-    return insert_metric(i, j, "full")
 
 
 def tensor_permute(perm):

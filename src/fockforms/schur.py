@@ -10,8 +10,7 @@ is a dict word -> value, the value a QQ or a Scalar.
   idempotent.  The averages and kappa together scale the plain sums by
   1 / prod hooks.  The row sum is taken one row orbit at a time, in time
   linear in its output.  It serves both layers: theta applies it to the
-  rational payloads and forms.output_projector to the words of each
-  (fock, wedge) part of a MixedForm.
+  rational payloads and harmonic_apply_vec to the forms' output words.
 * omega_eigenvalues(lam, n) lists the factors of the harmonic projector
   pi_[lam], which takes a lam-isotypic tensor to its traceless part for a
   symmetric bilinear form b1.  Let C_ij contract slots i < j with b1 and
@@ -29,9 +28,12 @@ is a dict word -> value, the value a QQ or a Scalar.
   Harmonic Function Theory, ch. 5).  Every copy that occurs has c > 0 (for
   a definite form Omega is positive semidefinite, and c does not depend on the
   form), so prod (1 - Omega / c) over the distinct positive c is pi_[lam],
-  the form-orthogonal projection onto the traceless tensors.
-  forms.output_projector applies this product as operators on MixedForm,
-  and theta applies it to integer moment arrays.
+  the form-orthogonal projection onto the traceless tensors.  theta applies
+  this product to integer moment arrays.
+* harmonic_apply_vec(lam, vec, b1_rows, dual_rows) is pi_[lam] pi_lam on a
+  dict tensor: young_apply_vec, then the product above, with Omega built
+  from contract_vec and insert_pair_word.  forms.output_projector applies it
+  to the words of each (fock, wedge) part of a MixedForm.
 * assert_traceless(vec, b1_rows, ell) is the exit check of harmonic
   projection on a dict tensor: every slot-pair contraction is zero.
 
@@ -289,6 +291,30 @@ def omega_eigenvalues(lam, n):
         if c > 0:
             values.add(c)
     return sorted(values)
+
+
+def harmonic_apply_vec(lam, vec, b1_rows, dual_rows):
+    """pi_[lam] pi_lam on a dict word -> QQ or Scalar, for the symmetric form
+    b1_rows and its inverse dual_rows (nested lists): young_apply_vec, then
+    vec <- vec - Omega vec / c for each c of omega_eigenvalues, with
+    Omega = sum_{i<j} E_ij(dual) C_ij(b1), then the trace check.  Omega
+    commutes with the slot permutations, so either order gives the same
+    values; the Young step goes first because its image is smaller."""
+    ell = sum(lam)
+    dual = [(a, b, g) for a, row in enumerate(dual_rows, 1)
+            for b, g in enumerate(row, 1) if g]
+    vec = young_apply_vec(lam, vec)
+    for c in omega_eigenvalues(lam, len(b1_rows)):
+        omega = {}
+        for i, j in pair_positions(ell):
+            for rest, u in contract_vec(vec, b1_rows, i, j).items():
+                for a, b, g in dual:
+                    _accum(omega, insert_pair_word(rest, i, j, a, b), u * g)
+        step = QQ(-1, c)
+        for w, v in omega.items():
+            _accum(vec, w, v * step)
+    assert_traceless(vec, b1_rows, ell)
+    return vec
 
 
 def assert_traceless(vec, b1_rows, ell):

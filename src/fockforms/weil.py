@@ -147,19 +147,13 @@ def intertwine_atom(kind, index, column, params):
     """One (x +- (1/2pi) d/dx) factor moved through the model identification."""
     positive = index <= params.p
     if kind == X_MINUS_D:
-        if positive:
-            coeff = Scalar.unit(b=QQ(-1, 2), pi_exp=-1)   # -i/(2 pi) z
-            base = z_mul(index, column)
-        else:
-            coeff = Scalar.unit(b=QQ(1, 2), pi_exp=-1)    # i/(2 pi) z
-            base = z_mul(index, column)
+        base = z_mul(index, column)
+        # -i/(2 pi) z on a positive index, i/(2 pi) z on a negative one
+        coeff = Scalar.unit(b=QQ(-1 if positive else 1, 2), pi_exp=-1)
     elif kind == X_PLUS_D:
-        if positive:
-            coeff = Scalar.unit(b=2)                       # 2i d/dz
-            base = z_del(index, column)
-        else:
-            coeff = Scalar.unit(b=-2)                      # -2i d/dz
-            base = z_del(index, column)
+        base = z_del(index, column)
+        # 2i d/dz on a positive index, -2i d/dz on a negative one
+        coeff = Scalar.unit(b=2 if positive else -2)
     else:
         raise ValueError(f"unknown atom kind {kind}")
     return op_sum([(coeff, base)])

@@ -2,9 +2,10 @@
 
 Each builds by exhaustion what a production routine computes directly:
 dense word-space matrices of the product form, of slot contractions and
-insertions, and of the harmonic projection (against schur's Young projector
-and the dict harmonic projector below); harmonic_project_vec, the Brauer
-product on dict tensors (against forms.output_projector and theta's
+insertions, and of the harmonic projection (against schur's Young projector,
+schur.harmonic_apply_vec and the dict harmonic projector below);
+harmonic_project_vec, the Brauer product on dict tensors, written here apart
+from schur.harmonic_apply_vec (against forms.output_projector and theta's
 integer-array payloads); the moment tensor as a Python-int sum of outer
 products (against theta's moment kernel); the exhaustive box scan of the
 shell enumeration (against enumeration.shell_vectors, with box radii from

@@ -9,8 +9,6 @@ from fockforms.multilinear import (
     SpaceParams,
     a_of_f,
     compose,
-    contraction,
-    expansion,
     insert_letter,
     insert_metric,
     interior,
@@ -122,30 +120,6 @@ def test_insert_metric_example():
         + MixedForm.monomial(P21, t=(2, 2)) \
         - MixedForm.monomial(P21, t=(3, 3))
     assert out == expect
-
-
-def test_contraction_expansion_trace():
-    # pairing the inserted metric back gives the signature trace p + q
-    out = (contraction(1, 2) @ expansion(1, 2))(MixedForm.vacuum(P21))
-    assert out == MixedForm.vacuum(P21).scale(QQ(P21.m))
-
-
-def test_contraction_adjoint_to_expansion():
-    rng = random.Random(11)
-    f = random_form(P21, rng, nterms=5, ell=2)
-    g = random_form(P21, rng, nterms=5, ell=0)
-    # <C f, g> = <f, E g> under the diagonal signature pairing on words
-    def pair(x, y):
-        acc = Scalar.zero()
-        for key, c in x.terms.items():
-            o = y.terms.get(key)
-            if o is not None:
-                sgn = 1
-                for letter in key[2]:
-                    sgn *= P21.eps(letter)
-                acc = acc + (c * o).scale(QQ(sgn))
-        return acc
-    assert pair(contraction(1, 2)(f), g) == pair(f, expansion(1, 2)(g))
 
 
 def test_a_of_f_matches_half_double_sum():

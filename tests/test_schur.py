@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from fockforms.linalg import RatMat, rank
+from fockforms.linalg import RatMat, inverse, rank
 from fockforms.schur import (
     _signed_column_group,
     _sort_with_sign,
     all_words,
+    harmonic_apply_vec,
     hook_content_count,
     partitions_of,
     ssyt_enumerate,
@@ -202,13 +203,35 @@ def _oracle_complement(name, ell):
                          ids=[f"{name}-{','.join(map(str, lam))}"
                               for name, lam in ORACLE_CASES])
 def test_harmonic_project_vec_matches_oracle(name, lam):
-    """Young then harmonic projection equals the dense oracle composition."""
+    """Young then harmonic projection equals the dense oracle composition,
+    both as the oracle's dict product and as schur.harmonic_apply_vec."""
     b1 = ORACLE_FORMS[name]
     m, ell = b1.nrows, sum(lam)
     rng = random.Random(f"{name}{lam}")
     words = all_words(m, ell)
     vec = {w: QQ(rng.randint(-4, 4), rng.randint(1, 3)) for w in words}
-    fast = harmonic_project_vec(young_apply_vec(lam, vec), b1, lam)
     oracle = _oracle_complement(name, ell) @ young_projector(lam, m)
     slow = oracle.apply({word_index(w, m): v for w, v in vec.items()})
-    assert fast == {words[i]: v for i, v in slow.items()}
+    want = {words[i]: v for i, v in slow.items()}
+    assert harmonic_project_vec(young_apply_vec(lam, vec), b1, lam) == want
+    assert harmonic_apply_vec(lam, vec, *_rows_and_dual(b1)) == want
+
+
+def _rows_and_dual(b1):
+    dual = inverse(b1)
+    return ([[b1.entry(i, j) for j in range(b1.ncols)] for i in range(b1.nrows)],
+            [[dual.entry(i, j) for j in range(dual.ncols)] for i in range(dual.nrows)])
+
+
+def test_harmonic_apply_vec_is_scalar_linear():
+    """On Scalar values, the image of s vec is s times the image of vec, for
+    s = i sqrt2 / pi."""
+    b1, lam = ORACLE_FORMS["sig21"], (2, 1)
+    rows, dual = _rows_and_dual(b1)
+    rng = random.Random(5)
+    vec = {w: QQ(rng.randint(-4, 4), rng.randint(1, 3)) for w in all_words(b1.nrows, 3)}
+    s = Scalar.unit(d=1, pi_exp=-1)
+    plain = harmonic_apply_vec(lam, vec, rows, dual)
+    assert plain
+    got = harmonic_apply_vec(lam, {w: s.scale(v) for w, v in vec.items()}, rows, dual)
+    assert got == {w: s.scale(v) for w, v in plain.items()}

@@ -784,6 +784,75 @@ def test_e8_genus_two_is_siegel_eisenstein(e8):
         assert row.rank_t == (2 if disc > 0 else 1 if (n, r, m) != (0, 0, 0) else 0)
 
 
+def integer_basis(rows):
+    """A basis of the lattice the integer rows generate: Euclid's algorithm
+    down each column by integer row operations, zero rows dropped."""
+    rows = [list(r) for r in rows]
+    basis = []
+    for col in range(len(rows[0])):
+        live = [r for r in rows if r[col]]
+        rest = [r for r in rows if not r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            pivot = live[0]
+            kept = [pivot]
+            for r in live[1:]:
+                r = [a - r[col] // pivot[col] * b for a, b in zip(r, pivot)]
+                (kept if r[col] else rest).append(r)
+            live = kept
+        basis += live
+        rows = [r for r in rest if any(r)]
+    return basis
+
+
+def e8_e8_gram():
+    """E8 + E8: the E8 fixture's gram doubled along the block diagonal."""
+    e8 = json.loads((FIXTURES / "e8.json").read_text())["gram"]
+    return [row + [0] * 8 for row in e8] + [[0] * 8 + row for row in e8]
+
+
+def d16_plus_gram():
+    """D16+: the D16 roots e_i - e_i+1 and e_15 + e_16 with the glue vector
+    (1/2, ..., 1/2), in doubled coordinates, reduced to a basis."""
+    gens = []
+    for i in range(15):
+        gens.append([2 if k == i else -2 if k == i + 1 else 0 for k in range(16)])
+    gens.append([2 if k >= 14 else 0 for k in range(16)])
+    gens.append([1] * 16)
+    basis = integer_basis(gens)
+    assert len(basis) == 16
+    return [[sum(a * b for a, b in zip(x, y)) // 4 for y in basis] for x in basis]
+
+
+def test_rank_sixteen_genus_two_counts(e8):
+    """E8 + E8 and D16+ share their genus-2 theta series (both are the weight-8
+    Siegel Eisenstein series), and theta of E8 + E8 is theta of E8 squared:
+    each count is the sum of r_E8(beta1) r_E8(beta2) over beta1 + beta2 = beta."""
+    e8e8 = series_table(Lattice(e8_e8_gram()), n=2, bound=1)
+    d16 = series_table(Lattice(d16_plus_gram()), n=2, bound=1)
+    assert [r.beta.doubled for r in d16] == [r.beta.doubled for r in e8e8]
+    assert [r.count for r in d16] == [r.count for r in e8e8]
+    r_e8 = {r.beta.doubled: r.count for r in series_table(e8, n=2, bound=1)}
+    for row in e8e8:
+        want = 0
+        for b1, c1 in r_e8.items():
+            b2 = tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(row.beta.doubled, b1))
+            want += c1 * r_e8.get(b2, 0)
+        assert row.count == want, row.beta.doubled
+    assert [r.count for r in e8e8][:2] == [1, 480]
+
+
+@pytest.mark.parametrize("lam", [(1, 1), (2, 2)])
+def test_e8_genus_two_payloads_vanish(e8, lam):
+    """A genus-2 payload of shape (k, k) transforms by det^k, so it is a cusp
+    form of scalar weight 4 + k; weights 5 and 6 have none (Igusa, 1962), so
+    every payload of E8 is zero."""
+    rows = series_table(e8, lam=lam, n=2, bound=1)
+    assert len(rows) == 8 and rows[1].count == 240
+    for row in rows:
+        assert row.payload and all(terms == {} for terms in row.payload.values())
+
+
 def pochhammer(a, k):
     out = QQ(1)
     for t in range(k):
