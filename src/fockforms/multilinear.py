@@ -4,8 +4,9 @@ A MixedForm is a finite sum of monomials
 
     z-monomial  (x)  wedge of generators w_{alpha,mu}  (x)  tensor word in V
 
-with Scalar coefficients.  Keys are canonical tuples, so equality and zero
-tests are exact dictionary comparisons.
+with Scalar coefficients.  Keys are packed canonically, (fock int, wedge
+bitmask, word tuple), so equality and zero tests are exact dictionary
+comparisons; sorted_terms, to_json and repr decode them to tuples.
 
 Index conventions (all 1-based): Fock variables carry (index, column) with
 index in 1..m and column in 1..n; exterior generators are pairs (alpha, mu)
@@ -20,7 +21,80 @@ import operator
 from dataclasses import dataclass
 
 from fockforms.scalars import ONE, QQ, ZERO, Scalar, _accum
-from fockforms.schur import _sort_with_sign, insert_pair_word, perm_act_word
+from fockforms.schur import insert_pair_word, perm_act_word
+
+
+# ---------------------------------------------------------------------------
+# packed term keys
+# ---------------------------------------------------------------------------
+#
+# The Fock part of a key is one int with a _W-bit exponent field per variable:
+# z_{idx,col} owns the field at offset ((idx - 1) * _N + (col - 1)) * _W, so a
+# product of monomials is the sum of their ints (Monagan & Pearce, CASC 2007).
+# The wedge part is a bitmask: w_{a,mu} is bit (a - 1) * _M + (mu - 1) (Dorst,
+# Fontijne & Mann, Geometric Algebra for Computer Science, ch. 19).  Both
+# orders are the lexicographic order of the index pairs, so a key decodes, low
+# bits first, to sorted tuples, and a sign is the parity of the generators
+# below a bit.  SpaceParams keeps idx, a, mu <= _M and col <= _N.
+#
+# Field width.  At LIMITS (p = q = 4, n = 3, ell = 6) no exponent exceeds
+# q + ell + 1 = 11: phi(word) puts at most q on a variable (its wedge blocks)
+# plus ell (its letters), only negative-index variables are raised from 0, by
+# at most 2 (h, d'' and the lowering operator), and each identity raises a
+# positive one at most once (d'', a_sigma or k') past phi's exponent.  So
+# _W = 8 leaves more than 20 times that, and the checks below refuse a field
+# that would still overflow instead of letting it carry into its neighbour.
+_W = 8
+_M, _N = 8, 4                   # the largest m and n the layout holds
+_FIELD = (1 << _W) - 1          # the largest exponent
+_CARRIES = sum(1 << (k * _W) for k in range(1, _M * _N + 1))  # carries out of each field
+
+
+def _offset(idx, col):
+    if not (1 <= idx <= _M and 1 <= col <= _N):
+        raise ValueError(f"Fock variable ({idx},{col}) outside the packed layout")
+    return ((idx - 1) * _N + (col - 1)) * _W
+
+
+def _gen_bit(a, mu):
+    if not (1 <= a <= _M and 1 <= mu <= _M):
+        raise ValueError(f"wedge generator ({a},{mu}) outside the packed layout")
+    return 1 << ((a - 1) * _M + (mu - 1))
+
+
+def _fock_times(f1, f2):
+    """The product of two packed Fock monomials; refuses a carry."""
+    f = f1 + f2
+    if (f ^ f1 ^ f2) & _CARRIES:
+        raise ValueError(f"a Fock exponent exceeds {_FIELD}")
+    return f
+
+
+def _merge_parity(w1, w2):
+    """Parity of the sort of the disjoint wedges w1 then w2: the pairs of a
+    generator of w1 above one of w2."""
+    n = 0
+    while w2:
+        low = w2 & -w2
+        n += (w1 & -low).bit_count()
+        w2 ^= low
+    return n & 1
+
+
+def _unpack(key):
+    """The tuple key ((((idx, col), e), ...), ((a, mu), ...), word) of a packed key."""
+    fock, wedge, word = key
+    z = []
+    for k in range(_M * _N):
+        if (e := (fock >> (k * _W)) & _FIELD):
+            idx, col = divmod(k, _N)
+            z.append(((idx + 1, col + 1), e))
+    w = []
+    while wedge:
+        a, mu = divmod((wedge & -wedge).bit_length() - 1, _M)
+        w.append((a + 1, mu + 1))
+        wedge &= wedge - 1
+    return tuple(z), tuple(w), word
 
 
 @dataclass(frozen=True)
@@ -32,6 +106,8 @@ class SpaceParams:
     def __post_init__(self):
         if self.p < 1 or self.q < 1 or self.n < 1:
             raise ValueError("p, q, n must all be >= 1")
+        if self.p + self.q > _M or self.n > _N:
+            raise ValueError(f"packed term keys hold p + q <= {_M} and n <= {_N}")
 
     @property
     def m(self):
@@ -51,26 +127,6 @@ class SpaceParams:
 
 
 # ---------------------------------------------------------------------------
-# term-key helpers
-# ---------------------------------------------------------------------------
-
-def _fock_mul(f1, f2):
-    """Product of two Fock monomials: exponents add, a zero exponent drops out."""
-    if not f1:
-        return f2
-    if not f2:
-        return f1
-    acc = dict(f1)
-    for key, e in f2:
-        e += acc.get(key, 0)
-        if e:
-            acc[key] = e
-        else:
-            del acc[key]
-    return tuple(sorted(acc.items()))
-
-
-# ---------------------------------------------------------------------------
 # MixedForm
 # ---------------------------------------------------------------------------
 
@@ -85,16 +141,33 @@ class MixedForm:
 
     @staticmethod
     def vacuum(params):
-        return MixedForm(params, {((), (), ()): Scalar.one()})
+        return MixedForm(params, {(0, 0, ()): Scalar.one()})
 
     @staticmethod
     def monomial(params, z=(), w=(), t=(), coeff=None):
         """Build a one-term form; z is a list of (index, column, exponent)."""
-        fock = tuple(sorted(((idx, col), e) for idx, col, e in z if e))
-        sw = _sort_with_sign(tuple((a, mu) for a, mu in w))
-        if sw is None:
-            return MixedForm(params)
-        sign, wedge = sw
+        m = params.m
+        fock = 0
+        for idx, col, e in z:
+            if not (1 <= idx <= m and 1 <= col <= params.n):
+                raise ValueError(f"fock variable ({idx},{col}) outside space")
+            if not 0 <= e <= _FIELD:
+                raise ValueError(f"exponent {e} of ({idx},{col}) outside 0..{_FIELD}")
+            fock = _fock_times(fock, e << _offset(idx, col))
+        sign = 1
+        wedge = 0
+        for a, mu in w:
+            if not (1 <= a <= params.p and params.p < mu <= m):
+                raise ValueError(f"wedge generator ({a},{mu}) outside space")
+            bit = _gen_bit(a, mu)
+            if wedge & bit:
+                return MixedForm(params)
+            if (wedge & -bit).bit_count() & 1:  # earlier generators above this one
+                sign = -sign
+            wedge |= bit
+        for letter in t:
+            if not 1 <= letter <= m:
+                raise ValueError(f"tensor letter {letter} outside space")
         c = coeff if coeff is not None else Scalar.one()
         if sign < 0:
             c = -c
@@ -133,14 +206,12 @@ class MixedForm:
         terms = {}
         for (f1, w1, t1), c1 in self.terms.items():
             for (f2, w2, t2), c2 in other.terms.items():
-                merged = _sort_with_sign(w1 + w2)
-                if merged is None:
+                if w1 & w2:
                     continue
-                sign, wedge = merged
                 c = c1 * c2
-                if sign < 0:
+                if w1 and w2 and _merge_parity(w1, w2):
                     c = -c
-                _accum(terms, (_fock_mul(f1, f2), wedge, t1 + t2), c)
+                _accum(terms, (_fock_times(f1, f2), w1 | w2, t1 + t2), c)
         return MixedForm(self.params, terms)
 
     def is_zero(self):
@@ -158,7 +229,9 @@ class MixedForm:
         return len(self.terms)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        """(key, coeff) pairs in key order, each key decoded to tuples."""
+        return sorted(((_unpack(k), c) for k, c in self.terms.items()),
+                      key=lambda kv: kv[0])
 
     # -- serialization ---------------------------------------------------
 
@@ -176,17 +249,7 @@ class MixedForm:
     @staticmethod
     def from_json(params, data):
         terms = {}
-        m = params.m
         for item in data:
-            for idx, col, e in item["z"]:
-                if not (1 <= idx <= m and 1 <= col <= params.n):
-                    raise ValueError(f"fock variable ({idx},{col}) outside space")
-            for a, mu in item["w"]:
-                if not (1 <= a <= params.p and params.p < mu <= m):
-                    raise ValueError(f"wedge generator ({a},{mu}) outside space")
-            for letter in item["t"]:
-                if not 1 <= letter <= m:
-                    raise ValueError(f"tensor letter {letter} outside space")
             piece = MixedForm.monomial(
                 params,
                 z=[tuple(v) for v in item["z"]],
@@ -260,98 +323,112 @@ def op_sum(pieces):
 
     def apply(form):
         terms = {}
+        get = terms.get
         for coeff, op in kept:
             for key, c in op(form).terms.items():
-                _accum(terms, key, c if coeff is ONE else c * coeff)
+                if coeff is not ONE:
+                    c = c * coeff
+                s = get(key)
+                if s is None:
+                    terms[key] = c
+                elif s := s + c:
+                    terms[key] = s
+                else:
+                    del terms[key]
         return MixedForm(form.params, terms)
     return LinearOperator(apply)
 
 
 def _lift(term_fn):
-    """Promote a per-term rewriter (key, coeff) -> iterable of (key, coeff)."""
+    """Promote a per-term rewriter (key, coeff) -> iterable of (key, coeff).
+
+    A rewriter never yields a zero coefficient, so only a sum can cancel.
+    """
     def apply(form):
+        params = form.params
         terms = {}
+        get = terms.get
         for key, c in form.terms.items():
-            for nkey, nc in term_fn(form.params, key, c):
-                _accum(terms, nkey, nc)
-        return MixedForm(form.params, terms)
+            for nkey, nc in term_fn(params, key, c):
+                s = get(nkey)
+                if s is None:
+                    terms[nkey] = nc
+                elif s := s + nc:
+                    terms[nkey] = s
+                else:
+                    del terms[nkey]
+        return MixedForm(params, terms)
     return LinearOperator(apply)
 
 
 def z_mul(idx, col=1):
     """Multiplication by z_{idx,col}."""
-    up = (((idx, col), 1),)
+    up = 1 << _offset(idx, col)
     def term(params, key, c):
         fock, wedge, word = key
-        yield (_fock_mul(fock, up), wedge, word), c
+        yield (_fock_times(fock, up), wedge, word), c
     return _lift(term)
 
 
 def z_del(idx, col=1):
     """The derivation d/dz_{idx,col}."""
-    var = (idx, col)
-    down = ((var, -1),)
+    off = _offset(idx, col)
+    down = 1 << off
     def term(params, key, c):
         fock, wedge, word = key
-        for fkey, e in fock:
-            if fkey == var:
-                yield (_fock_mul(fock, down), wedge, word), c.scale(e)
+        e = (fock >> off) & _FIELD
+        if e:
+            yield (fock - down, wedge, word), c.scale(e)
     return _lift(term)
 
 
 def wedge_left(alpha, mu):
     """Exterior left multiplication by the generator w_{alpha,mu}."""
-    gen = (alpha, mu)
+    bit = _gen_bit(alpha, mu)
+    below = bit - 1
     def term(params, key, c):
         fock, wedge, word = key
-        if gen in wedge:  # most calls collide; skip the sort for them
-            return
-        sign, nw = _sort_with_sign((gen,) + wedge)
-        yield (fock, nw, word), (-c if sign < 0 else c)
+        if not wedge & bit:
+            yield (fock, wedge | bit, word), (-c if (wedge & below).bit_count() & 1 else c)
     return _lift(term)
 
 
 def interior(alpha, mu):
     """Graded contraction dual to wedge_left; an anti-derivation of degree -1."""
-    gen = (alpha, mu)
+    bit = _gen_bit(alpha, mu)
+    below = bit - 1
     def term(params, key, c):
         fock, wedge, word = key
-        for s, g in enumerate(wedge):
-            if g == gen:
-                sign = -1 if s % 2 else 1
-                yield (fock, wedge[:s] + wedge[s + 1:], word), (-c if sign < 0 else c)
-                break
+        if wedge & bit:
+            yield (fock, wedge ^ bit, word), (-c if (wedge & below).bit_count() & 1 else c)
     return _lift(term)
 
 
-def _wedge_replace(params, key, c, old_second, new_second, slot_kind):
-    """Derivation replacing one index of each matching generator."""
+def _wedge_replace(key, c, moves):
+    """Derivation moving each generator bit old of the wedge to new, over
+    (old, new) pairs; the sign counts the generators passed on the way."""
     fock, wedge, word = key
-    for s, (a, mu) in enumerate(wedge):
-        if slot_kind == "pos" and a == old_second:
-            replaced = wedge[:s] + ((new_second, mu),) + wedge[s + 1:]
-        elif slot_kind == "neg" and mu == old_second:
-            replaced = wedge[:s] + ((a, new_second),) + wedge[s + 1:]
-        else:
-            continue
-        sorted_ = _sort_with_sign(replaced)
-        if sorted_ is None:
-            continue
-        sign, nw = sorted_
-        yield (fock, nw, word), (-c if sign < 0 else c)
+    for old, new in moves:
+        if wedge & old:
+            rest = wedge ^ old
+            if not rest & new:
+                passed = (rest & ((old - 1) ^ (new - 1))).bit_count()
+                yield (fock, rest | new, word), (-c if passed & 1 else c)
 
 
 def deriv_pos(alpha, beta):
     """D_{alpha,beta}: sends w_{beta,mu} to w_{alpha,mu} in each slot."""
+    moves = [(_gen_bit(beta, mu), _gen_bit(alpha, mu)) for mu in range(1, _M + 1)]
     def term(params, key, c):
-        yield from _wedge_replace(params, key, c, beta, alpha, "pos")
+        yield from _wedge_replace(key, c, moves)
     return _lift(term)
 
 
 def deriv_neg(mu, nu):
     """D_{mu,nu}: sends w_{alpha,nu} to w_{alpha,mu} in each slot."""
+    moves = [(_gen_bit(a, nu), _gen_bit(a, mu)) for a in range(1, _M + 1)]
     def term(params, key, c):
-        yield from _wedge_replace(params, key, c, nu, mu, "neg")
+        yield from _wedge_replace(key, c, moves)
     return _lift(term)
 
 

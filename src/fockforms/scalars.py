@@ -88,6 +88,13 @@ def _quad_mul(x, y):
 
 def _quad_add(x, y):
     """x + y, merging entries by unit; only a summed entry is reduced."""
+    if len(x) == 1 == len(y):  # one entry each: no merge to index
+        (c, n0, d0), = x
+        (c2, n, d), = y
+        if c != c2:
+            return x + y if c < c2 else y + x
+        n, d = (n0 + n, d) if d0 == d else (n0 * d + n * d0, d0 * d)
+        return (_entry(c, n, d),) if n else ()
     out = {e[0]: e for e in x}
     for e in y:
         old = out.get(e[0])
@@ -164,6 +171,13 @@ class Scalar:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
+        if len(self.terms) == 1 == len(other.terms):  # monomials: no dict to merge
+            (k1, q1), = self.terms.items()
+            (k2, q2), = other.terms.items()
+            if k1 != k2:
+                return Scalar({k1: q1, k2: q2})
+            q = _quad_add(q1, q2)
+            return Scalar({k1: q} if q else {})
         out = dict(self.terms)
         for k, q in other.terms.items():
             if k in out:
@@ -186,6 +200,10 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return self.scale(other)
+        if len(self.terms) == 1 == len(other.terms):  # one pi-power: nothing to collect
+            (k1, q1), = self.terms.items()
+            (k2, q2), = other.terms.items()
+            return Scalar({k1 + k2: _quad_mul(q1, q2)})  # nonzero: a field
         out = {}
         for k1, q1 in self.terms.items():
             for k2, q2 in other.terms.items():
@@ -205,6 +223,8 @@ class Scalar:
     def scale(self, r):
         """self * r for an int or rational r."""
         num, den = int(r.numerator), int(r.denominator)
+        if num == den:  # Scalars are never changed in place, so self serves
+            return self
         if not num:
             return Scalar()
         return Scalar({k: _quad_scale(q, num, den) for k, q in self.terms.items()})

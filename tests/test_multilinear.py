@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fockforms.cli import LIMITS
 from fockforms.multilinear import (
     MixedForm,
     SpaceParams,
@@ -20,7 +21,9 @@ from fockforms.multilinear import (
     z_del,
     z_mul,
 )
+from fockforms.multilinear import _FIELD, _gen_bit, _offset, _unpack
 from fockforms.scalars import ONE, QQ, Scalar, _accum
+from fockforms.schur import _sort_with_sign
 
 P21 = SpaceParams(2, 1, 1)
 P22 = SpaceParams(2, 2, 1)
@@ -77,10 +80,10 @@ def test_interior_is_antiderivation():
     # no uniform sign on mixed-degree sums, so split f by wedge parity
     even = MixedForm(P22)
     odd = MixedForm(P22)
-    for key, c in f.terms.items():
-        piece = MixedForm(P22)
-        _accum(piece.terms, key, c)
-        if len(key[1]) % 2:
+    for (fock, wedge, word), c in f.sorted_terms():
+        piece = MixedForm.monomial(P22, z=[(i, j, e) for (i, j), e in fock],
+                                   w=wedge, t=word, coeff=c)
+        if len(wedge) % 2:
             odd = odd + piece
         else:
             even = even + piece
@@ -182,6 +185,83 @@ def test_json_rejects_bad_indices():
     with pytest.raises(ValueError):
         MixedForm.from_json(P21, [{"z": [[9, 1, 1]], "w": [], "t": [],
                               "c": [[0, 1, 1, 0, 1, 0, 1, 0, 1]]}])
+
+
+def test_packed_keys_round_trip_in_tuple_order():
+    """A packed key decodes to strictly increasing tuples, the monomial built
+    from them has that very key, and its wedge sign is the sort's sign: the
+    fields and bits run in the lexicographic order of their index pairs."""
+    rng = random.Random(41)
+    for params in (P21, P22, SpaceParams(3, 2, 2)):
+        for _ in range(4):
+            f = random_form(params, rng, nterms=8, maxdeg=3)
+            for key, c in f.terms.items():
+                fock, wedge, word = _unpack(key)
+                variables = [v for v, _ in fock]
+                assert variables == sorted(set(variables)) and all(e for _, e in fock)
+                assert list(wedge) == sorted(set(wedge))
+                z = [(i, j, e) for (i, j), e in fock]
+                assert MixedForm.monomial(params, z=z, w=wedge, t=word, coeff=c).terms == {key: c}
+                shuffled = rng.sample(wedge, len(wedge))
+                sign = _sort_with_sign(shuffled)[0]
+                assert MixedForm.monomial(params, z=z, w=shuffled, t=word).terms \
+                    == {key: Scalar.from_rational(sign)}
+    corner = SpaceParams(LIMITS["p"], LIMITS["q"], LIMITS["n"])
+    variables = [(i, j) for i in corner.letters() for j in range(1, corner.n + 1)]
+    assert sorted(variables, key=lambda v: _offset(*v)) == variables
+    gens = [(a, mu) for a in corner.positive() for mu in corner.negative()]
+    assert sorted(gens, key=lambda g: _gen_bit(*g)) == gens
+
+
+def test_packed_keys_at_the_limits_corner():
+    """At the largest space the CLI admits, every variable at the largest
+    exponent a cell reaches (q + ell + 1) and every generator share one key
+    without overlap, and the operators read and write the top field and bit."""
+    params = SpaceParams(LIMITS["p"], LIMITS["q"], LIMITS["n"])
+    top = LIMITS["q"] + LIMITS["ell"] + 1
+    z = [(i, j, top) for i in params.letters() for j in range(1, params.n + 1)]
+    gens = [(a, mu) for a in params.positive() for mu in params.negative()]
+    word = (params.m,) * LIMITS["ell"]
+    f = MixedForm.monomial(params, z=z, w=gens, t=word)
+    (key, _), = f.terms.items()
+    assert _unpack(key) == (tuple(((i, j), e) for i, j, e in z), tuple(gens), word)
+    assert MixedForm.from_json(params, f.to_json()) == f
+    m, n = params.m, params.n
+    lowered = [(i, j, top - 1 if (i, j) == (m, n) else top) for i, j, _ in z]
+    assert z_del(m, n)(f) == MixedForm.monomial(params, z=lowered, w=gens, t=word).scale(top)
+    assert z_del(m, n)(z_mul(m, n)(f)) == f.scale(top + 1)
+    a, mu = gens[-1]
+    assert interior(a, mu)(f) == -MixedForm.monomial(params, z=z, w=gens[:-1], t=word)
+    assert wedge_left(a, mu)(interior(a, mu)(f)) == f
+    g = MixedForm.monomial(params, z=z)
+    assert g * g == MixedForm.monomial(params, z=[(i, j, 2 * e) for i, j, e in z])
+
+
+def test_exponent_fields_refuse_to_carry():
+    """An exponent outside 0.._FIELD is refused on the way in, and a product or
+    a multiplication that would carry into the next field raises."""
+    full = MixedForm.monomial(P21, z=[(1, 1, _FIELD), (2, 1, 1)])
+    with pytest.raises(ValueError):
+        z_mul(1, 1)(full)
+    half = MixedForm.monomial(P21, z=[(1, 1, 128)])
+    with pytest.raises(ValueError):
+        half * half
+    assert half * MixedForm.monomial(P21, z=[(1, 1, _FIELD - 128)]) \
+        == MixedForm.monomial(P21, z=[(1, 1, _FIELD)])
+    # the top field of the layout carries out of the key, not into a neighbour
+    widest = SpaceParams(4, 4, 4)
+    with pytest.raises(ValueError):
+        z_mul(8, 4)(MixedForm.monomial(widest, z=[(8, 4, _FIELD)]))
+    for e in (-1, _FIELD + 1):
+        with pytest.raises(ValueError):
+            MixedForm.monomial(P21, z=[(1, 1, e)])
+        with pytest.raises(ValueError):
+            MixedForm.from_json(P21, [{"z": [[1, 1, e]], "w": [], "t": [],
+                                       "c": ONE.to_json()}])
+    for bad in (lambda: SpaceParams(5, 4), lambda: SpaceParams(4, 4, 5),
+                lambda: z_mul(9, 1), lambda: z_del(1, 5), lambda: interior(1, 9)):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_scale_and_linearity():

@@ -53,10 +53,10 @@ def test_compact_block_kills_vacuum():
 def test_degree_structure():
     f = MixedForm.monomial(P221, z=[(1, 1, 2)])
     kk = omega(O_KK(1, 2), P221)(f)
-    for (zkey, _, _), _c in kk.terms.items():
+    for (zkey, _, _), _c in kk.sorted_terms():
         assert sum(e for _, e in zkey) == 2
     pp = omega(O_P(1, 3), P221)(f)
-    degs = {sum(e for _, e in zkey) for (zkey, _, _), _c in pp.terms.items()}
+    degs = {sum(e for _, e in zkey) for (zkey, _, _), _c in pp.sorted_terms()}
     assert degs <= {0, 4}, degs
 
 
