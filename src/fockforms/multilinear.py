@@ -151,7 +151,7 @@ class MixedForm:
         for idx, col, e in z:
             if not (1 <= idx <= m and 1 <= col <= params.n):
                 raise ValueError(f"fock variable ({idx},{col}) outside space")
-            if not 0 <= e <= _FIELD:
+            if not (isinstance(e, int) and 0 <= e <= _FIELD):
                 raise ValueError(f"exponent {e} of ({idx},{col}) outside 0..{_FIELD}")
             fock = _fock_times(fock, e << _offset(idx, col))
         sign = 1
@@ -162,7 +162,7 @@ class MixedForm:
             bit = _gen_bit(a, mu)
             if wedge & bit:
                 return MixedForm(params)
-            if (wedge & -bit).bit_count() & 1:  # earlier generators above this one
+            if _merge_parity(wedge, bit):
                 sign = -sign
             wedge |= bit
         for letter in t:

@@ -238,8 +238,9 @@ def test_packed_keys_at_the_limits_corner():
 
 
 def test_exponent_fields_refuse_to_carry():
-    """An exponent outside 0.._FIELD is refused on the way in, and a product or
-    a multiplication that would carry into the next field raises."""
+    """An exponent that is not an int in 0.._FIELD is refused on the way in,
+    and a product or a multiplication that would carry into the next field
+    raises."""
     full = MixedForm.monomial(P21, z=[(1, 1, _FIELD), (2, 1, 1)])
     with pytest.raises(ValueError):
         z_mul(1, 1)(full)
@@ -252,7 +253,7 @@ def test_exponent_fields_refuse_to_carry():
     widest = SpaceParams(4, 4, 4)
     with pytest.raises(ValueError):
         z_mul(8, 4)(MixedForm.monomial(widest, z=[(8, 4, _FIELD)]))
-    for e in (-1, _FIELD + 1):
+    for e in (-1, _FIELD + 1, 1.5):
         with pytest.raises(ValueError):
             MixedForm.monomial(P21, z=[(1, 1, e)])
         with pytest.raises(ValueError):
