@@ -40,7 +40,7 @@ from fockforms.multilinear import (
 from fockforms.scalars import MINUS_I_4PI, QQ, Scalar, _accum
 from fockforms.schur import (_sort_with_sign, all_words, harmonic_apply_vec, perm_act_word,
                              young_apply_vec)
-from fockforms.weil import LOWERING, omega, omega_kprime
+from fockforms.weil import lowering, omega_kprime
 
 
 @dataclass(frozen=True)
@@ -96,49 +96,41 @@ def _shared(fn):
 # the forms
 # ---------------------------------------------------------------------------
 
+def _linear_form(params, col, mu=None):
+    """sum_a z_{a,col} (x) w_{a,mu} over the positive indices a, or without
+    mu, sum_a z_{a,col} (x) e_a."""
+    terms = {}
+    for a in params.positive():
+        wedge, word = ([(a, mu)], ()) if mu else ((), (a,))
+        terms.update(MixedForm.monomial(params, z=[(a, col, 1)], w=wedge, t=word).terms)
+    return MixedForm(params, terms)
+
+
 @functools.lru_cache(maxsize=None)
 def phi_nq0(params):
-    """Scalar-valued base form: one wedge block per column."""
+    """Scalar-valued base form: the product over columns i and negative
+    indices mu of sum_a z_{a,i} (x) w_{a,mu}, times 2^{nq/2} (-i/4pi)^{nq}."""
     if params.n > params.p:
         raise ValueError("phi_nq0 needs n <= p")
-    p, q, n = params.p, params.q, params.n
-    coeff = Scalar.two_pow_half(n * q) * MINUS_I_4PI ** (n * q)
-    terms = {}
-    for alphas in itertools.product(itertools.product(params.positive(), repeat=q), repeat=n):
-        z = {}
-        w = []
-        for i in range(1, n + 1):
-            for r in range(1, q + 1):
-                a = alphas[i - 1][r - 1]
-                z[(a, i)] = z.get((a, i), 0) + 1
-                w.append((a, p + r))
-        piece = MixedForm.monomial(params,
-                                   z=[(idx, col, e) for (idx, col), e in z.items()],
-                                   w=w, t=(), coeff=coeff)
-        for key, c in piece.terms.items():
-            _accum(terms, key, c)
-    return MixedForm(params, terms)
+    n, q = params.n, params.q
+    form = MixedForm(params, {(0, 0, ()): Scalar.two_pow_half(n * q) * MINUS_I_4PI ** (n * q)})
+    for i in range(1, n + 1):
+        for mu in params.negative():
+            form = form * _linear_form(params, i, mu)
+    return form
 
 
 @functools.lru_cache(maxsize=None)
 def phi_0ell(params, word):
-    """Tensor factor: positive-index letters paired against the input columns."""
+    """Tensor factor: the product over the letters col of word of
+    sum_a z_{a,col} (x) e_a, times (-i/4pi)^ell."""
     for col in word:
         if not 1 <= col <= params.n:
             raise ValueError(f"input column {col} outside 1..{params.n}")
-    ell = len(word)
-    coeff = MINUS_I_4PI ** ell
-    terms = {}
-    for beta in itertools.product(params.positive(), repeat=ell):
-        z = {}
-        for b, col in zip(beta, word):
-            z[(b, col)] = z.get((b, col), 0) + 1
-        piece = MixedForm.monomial(params,
-                                   z=[(idx, col, e) for (idx, col), e in z.items()],
-                                   w=(), t=beta, coeff=coeff)
-        for key, c in piece.terms.items():
-            _accum(terms, key, c)
-    return MixedForm(params, terms)
+    form = MixedForm(params, {(0, 0, ()): MINUS_I_4PI ** len(word)})
+    for col in word:
+        form = form * _linear_form(params, col)
+    return form
 
 
 @functools.lru_cache(maxsize=None)
@@ -379,7 +371,7 @@ def _d_psi(params, ell, variant, conv=DEFAULT_CONVENTIONS):
 @_shared
 def _lowered(params, ell):
     """omega(L) phi_ell: lowering, lemma4a and psi_base."""
-    return omega(LOWERING, params)(phi_ell(params, ell))
+    return lowering(params)(phi_ell(params, ell))
 
 
 def _d_full_psi(params, ell, conv):
@@ -554,13 +546,12 @@ def holomorphicity_residuals(params, ell, conv=DEFAULT_CONVENTIONS):
     if params.n != 1:
         raise ValueError("holomorphicity check is the n = 1 statement")
     project = output_projector((ell,), params.m)
-    lowering = omega(LOWERING, params)
     phi_br = project(phi_ell(params, ell))
     primitive = project(lowering_primitive(params, ell, conv))
     correction = a_of_f(ell, "full")(phi_ell(params, ell - 2)).scale(
         Scalar.from_rational(QQ(-1, 4), pi_exp=-1))
     killed = project(correction)
-    main = lowering(phi_br) - d_operator(params, "full", conv)(primitive) - killed
+    main = lowering(params)(phi_br) - d_operator(params, "full", conv)(primitive) - killed
     return main, killed
 
 

@@ -283,13 +283,12 @@ def omega_eigenvalues(lam, n):
     ell = sum(lam)
     cont = _content(lam)
     values = set()
-    for mu in itertools.product(*(range(part + 1) for part in lam)):
-        removed = ell - sum(mu)
-        if removed < 2 or removed % 2 or any(a < b for a, b in zip(mu, mu[1:])):
-            continue
-        c = cont - _content(mu) + removed // 2 * (n - 1)
-        if c > 0:
-            values.add(c)
+    for k in range(1, ell // 2 + 1):
+        for mu in partitions_of(ell - 2 * k):
+            if len(mu) <= len(lam) and all(a <= b for a, b in zip(mu, lam)):
+                c = cont - _content(mu) + k * (n - 1)
+                if c > 0:
+                    values.add(c)
     return sorted(values)
 
 

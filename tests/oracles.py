@@ -9,8 +9,10 @@ from schur.harmonic_apply_vec (against forms.output_projector and theta's
 integer-array payloads); the moment tensor as a Python-int sum of outer
 products (against theta's moment kernel); the exhaustive box scan of the
 shell enumeration (against enumeration.shell_vectors, with box radii from
-the rational inverse rather than the adjugate); and solve and nullspace for
-exact rational matrices (against linalg's elimination).
+the rational inverse rather than the adjugate); solve and nullspace for
+exact rational matrices (against linalg's elimination); and the Schwartz
+forms phi_nq0 and phi_0ell summed over every index tuple (against the
+products of linear forms in fockforms.forms).
 """
 
 import itertools
@@ -20,7 +22,8 @@ import numpy as np
 
 from fockforms.enumeration import integral_rows
 from fockforms.linalg import RatMat, _eliminate, inverse
-from fockforms.scalars import QQ
+from fockforms.multilinear import MixedForm
+from fockforms.scalars import MINUS_I_4PI, QQ, Scalar
 from fockforms.schur import (_accum, all_words, assert_traceless, contract_vec,
                              insert_pair_word, omega_eigenvalues, pair_positions,
                              remove_pair_word, word_index)
@@ -226,3 +229,46 @@ def nullspace(mat):
             if v:
                 basis.rows[pc][k] = -v
     return basis
+
+
+# ---------------------------------------------------------------------------
+# Schwartz forms
+# ---------------------------------------------------------------------------
+
+def phi_nq0(params):
+    """The scalar-valued base form summed over all p^{nq} index tuples; a
+    tuple that repeats a wedge generator gives zero."""
+    p, q, n = params.p, params.q, params.n
+    coeff = Scalar.two_pow_half(n * q) * MINUS_I_4PI ** (n * q)
+    terms = {}
+    for alphas in itertools.product(itertools.product(params.positive(), repeat=q), repeat=n):
+        z = {}
+        w = []
+        for i in range(1, n + 1):
+            for r in range(1, q + 1):
+                a = alphas[i - 1][r - 1]
+                z[(a, i)] = z.get((a, i), 0) + 1
+                w.append((a, p + r))
+        piece = MixedForm.monomial(params,
+                                   z=[(idx, col, e) for (idx, col), e in z.items()],
+                                   w=w, t=(), coeff=coeff)
+        for key, c in piece.terms.items():
+            _accum(terms, key, c)
+    return MixedForm(params, terms)
+
+
+def phi_0ell(params, word):
+    """The tensor factor summed over all p^ell tuples of positive letters."""
+    ell = len(word)
+    coeff = MINUS_I_4PI ** ell
+    terms = {}
+    for beta in itertools.product(params.positive(), repeat=ell):
+        z = {}
+        for b, col in zip(beta, word):
+            z[(b, col)] = z.get((b, col), 0) + 1
+        piece = MixedForm.monomial(params,
+                                   z=[(idx, col, e) for (idx, col), e in z.items()],
+                                   w=(), t=beta, coeff=coeff)
+        for key, c in piece.terms.items():
+            _accum(terms, key, c)
+    return MixedForm(params, terms)

@@ -27,7 +27,8 @@ from fockforms.multilinear import (
 )
 from fockforms.scalars import MINUS_I_4PI, QQ, Scalar, _accum
 from fockforms.schur import all_words, assert_traceless, partitions_of, young_apply_vec
-from fockforms.weil import O_P, omega
+from fockforms.weil import lowering, o_p
+import oracles
 from oracles import harmonic_project_vec
 
 GRID = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
@@ -65,6 +66,17 @@ def test_phi_tensor_factor_positive_indices_only():
     # no negative-index letters anywhere in the family
     for term_key in F.phi_ell(params_n1(2, 2), 2).terms:
         assert all(letter <= 2 for letter in term_key[2])
+
+
+@pytest.mark.parametrize("p,q,n", [(1, 1, 1), (2, 1, 2), (3, 3, 2), (3, 3, 3), (4, 4, 1), (4, 4, 2)])
+def test_phi_products_match_tuple_sums(p, q, n):
+    """The products of linear forms equal the sums over every index tuple,
+    on words with repeated and with mixed columns."""
+    pr = SpaceParams(p, q, n)
+    assert F.phi_nq0(pr).terms == oracles.phi_nq0(pr).terms
+    words = [(), (1,), (n,), (1, 1), (n, n, n), (1, n), (n, 1, n), tuple(range(n, 0, -1))]
+    for word in words:
+        assert F.phi_0ell(pr, word).terms == oracles.phi_0ell(pr, word).terms, word
 
 
 def test_leading_constant():
@@ -141,7 +153,7 @@ def test_fock_differential_dual_route():
                             + F.d_operator(pr, "dF_doubleprime")(f))
         via_weil = lambda f: _sum_forms(
             pr,
-            [wedge_left(a, mu)(omega(O_P(a, mu), pr)(f))
+            [wedge_left(a, mu)(o_p(pr, a, mu)(f))
              for a in pr.positive() for mu in pr.negative()])
         for ell in (0, 1, 2):
             f = F.phi_ell(pr, ell)
@@ -522,8 +534,7 @@ def test_shared_keys_fill_in_defaults():
 def _lowering_by_primitive(params, ell, conv):
     """The lowering residual with d applied to the assembled primitive."""
     from fockforms.multilinear import a_of_f
-    from fockforms.weil import LOWERING
-    lhs = omega(LOWERING, params)(F.phi_ell(params, ell))
+    lhs = lowering(params)(F.phi_ell(params, ell))
     rhs = F.d_operator(params, "full", conv)(F.lowering_primitive(params, ell, conv))
     rhs = rhs - a_of_f(ell, "full")(F.phi_ell(params, ell - 2)).scale(
         Scalar.from_rational(QQ(1, 4), pi_exp=-1))

@@ -13,6 +13,7 @@ from fockforms.schur import (
     all_words,
     harmonic_apply_vec,
     hook_content_count,
+    omega_eigenvalues,
     partitions_of,
     ssyt_enumerate,
     word_index,
@@ -26,6 +27,38 @@ from oracles import contraction_matrix, harmonic_complement, harmonic_project_ve
 def test_partitions():
     assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert partitions_of(1) == [(1,)]
+
+
+def _omega_eigenvalues_box_scan(lam, n):
+    """Oracle: every mu in the box of lam, kept when weakly decreasing with
+    |lam| - |mu| even and at least 2."""
+    content = lambda shape: sum(j - i for i, part in enumerate(shape) for j in range(part))
+    values = set()
+    for mu in itertools.product(*(range(part + 1) for part in lam)):
+        removed = sum(lam) - sum(mu)
+        if removed < 2 or removed % 2 or any(a < b for a, b in zip(mu, mu[1:])):
+            continue
+        c = content(lam) - content(mu) + removed // 2 * (n - 1)
+        if c > 0:
+            values.add(c)
+    return sorted(values)
+
+
+def test_omega_eigenvalues_match_box_scan():
+    for ell in range(9):
+        for lam in partitions_of(ell):
+            for n in range(1, 17):
+                assert omega_eigenvalues(lam, n) == _omega_eigenvalues_box_scan(lam, n), (lam, n)
+
+
+def test_omega_eigenvalues_values():
+    # (2): c = n; (1, 1): c = n - 2, absent while not positive; (3): the copy
+    # g (x) [1] has c = 3 - 0 + (n - 1) = n + 2
+    assert omega_eigenvalues((2,), 4) == [4]
+    assert omega_eigenvalues((1, 1), 2) == []
+    assert omega_eigenvalues((1, 1), 5) == [3]
+    assert omega_eigenvalues((3,), 8) == [10]
+    assert omega_eigenvalues((1,), 8) == omega_eigenvalues((), 8) == []
 
 
 def _inversion_sign(seq):

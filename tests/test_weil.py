@@ -8,19 +8,17 @@ import pytest
 from fockforms.multilinear import MixedForm, SpaceParams
 from fockforms.scalars import QQ, Scalar
 from fockforms.weil import (
-    LOWERING,
-    O_KK,
-    O_P,
-    SP_K,
-    SP_PMINUS,
-    SP_PPLUS,
-    X_MINUS_D,
-    X_PLUS_D,
     gl_bracket,
-    intertwine,
-    omega,
+    lowering,
+    o_kk,
+    o_p,
     omega_kprime,
     polarized_top_operator,
+    sp_k,
+    sp_pminus,
+    sp_pplus,
+    x_minus_d,
+    x_plus_d,
 )
 
 P221 = SpaceParams(2, 2, 1)
@@ -46,16 +44,16 @@ def commutator(opa, opb, form):
 
 
 def test_compact_block_kills_vacuum():
-    assert omega(O_KK(1, 2), P221)(MixedForm.vacuum(P221)).is_zero()
-    assert omega(SP_K(1, 2), P212)(MixedForm.vacuum(P212)).is_zero()
+    assert o_kk(P221, 1, 2)(MixedForm.vacuum(P221)).is_zero()
+    assert sp_k(P212, 1, 2)(MixedForm.vacuum(P212)).is_zero()
 
 
 def test_degree_structure():
     f = MixedForm.monomial(P221, z=[(1, 1, 2)])
-    kk = omega(O_KK(1, 2), P221)(f)
+    kk = o_kk(P221, 1, 2)(f)
     for (zkey, _, _), _c in kk.sorted_terms():
         assert sum(e for _, e in zkey) == 2
-    pp = omega(O_P(1, 3), P221)(f)
+    pp = o_p(P221, 1, 3)(f)
     degs = {sum(e for _, e in zkey) for (zkey, _, _), _c in pp.sorted_terms()}
     assert degs <= {0, 4}, degs
 
@@ -81,7 +79,7 @@ def test_rotation_bracket_closure():
     forms = spanning_forms(params, 2)
     idx = (1, 2, 3)
     def x(a, b):
-        return omega(O_KK(a, b), params)
+        return o_kk(params, a, b)
     for a, b, c, d in itertools.product(idx, repeat=4):
         if a == b or c == d:
             continue
@@ -103,10 +101,9 @@ def test_mixed_bracket_lands_in_noncompact():
     """[K-part, P-part] stays in the P-part with so coefficients."""
     params = P221
     forms = spanning_forms(params, 2)
-    x = lambda g: omega(g, params)
     for f in forms:
-        lhs = commutator(x(O_KK(1, 2)), x(O_P(2, 3)), f)
-        rhs = -x(O_P(1, 3))(f)
+        lhs = commutator(o_kk(params, 1, 2), o_p(params, 2, 3), f)
+        rhs = -o_p(params, 1, 3)(f)
         assert lhs == rhs
 
 
@@ -114,17 +111,17 @@ def test_lowering_is_quarter_i_pminus():
     params = SpaceParams(2, 1, 1)
     quarter_i = Scalar.unit(b=QQ(1, 4))
     for f in spanning_forms(params, 3):
-        lhs = omega(LOWERING, params)(f)
-        rhs = omega(SP_PMINUS(1, 1), params)(f).scale(quarter_i)
+        lhs = lowering(params)(f)
+        rhs = sp_pminus(params, 1, 1)(f).scale(quarter_i)
         assert lhs == rhs
 
 
 def test_pplus_pminus_commute_into_k():
     """[w''^2-type, w'^2-type] closes onto the unitary block."""
     params = SpaceParams(1, 1, 1)
-    a = omega(SP_PPLUS(1, 1), params)
-    b = omega(SP_PMINUS(1, 1), params)
-    k = omega(SP_K(1, 1), params)
+    a = sp_pplus(params, 1, 1)
+    b = sp_pminus(params, 1, 1)
+    k = sp_k(params, 1, 1)
     for f in spanning_forms(params, 3):
         lhs = commutator(a, b, f)
         # [p+, p-] = -8i times the k action on one column
@@ -136,8 +133,8 @@ def test_intertwine_round_trip():
     """x - d and x + d compose to commutator [a, a*] = multiple of identity."""
     params = SpaceParams(1, 1, 1)
     f = MixedForm.monomial(params, z=[(1, 1, 1)])
-    plus_minus = intertwine([(X_PLUS_D, 1, 1), (X_MINUS_D, 1, 1)], params)
-    minus_plus = intertwine([(X_MINUS_D, 1, 1), (X_PLUS_D, 1, 1)], params)
+    plus_minus = x_plus_d(params, 1, 1) @ x_minus_d(params, 1, 1)
+    minus_plus = x_minus_d(params, 1, 1) @ x_plus_d(params, 1, 1)
     diff = plus_minus(f) - minus_plus(f)
     # [x + d/2pi, x - d/2pi] = 1/pi on the nose
     assert diff == f.scale(Scalar.from_rational(QQ(1), pi_exp=-1))
@@ -153,6 +150,15 @@ def test_polarized_package_builds_top_form(p, q, n):
 
 def test_index_validation():
     with pytest.raises(ValueError):
-        omega(O_KK(1, 5), P221)
+        o_kk(P221, 1, 5)
     with pytest.raises(ValueError):
-        omega(LOWERING, P212)  # n = 1 only
+        lowering(P212)  # n = 1 only
+    with pytest.raises(ValueError):
+        o_p(P221, 3, 4)  # the positive index comes first
+    with pytest.raises(ValueError):
+        o_p(P221, 1, 5)
+    for builder in (omega_kprime, sp_k, sp_pplus, sp_pminus):
+        with pytest.raises(ValueError):
+            builder(P212, 1, 3)  # column indices
+        with pytest.raises(ValueError):
+            builder(P212, 0, 1)
