@@ -16,8 +16,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from fockforms.linalg import RatMat, inverse
 from fockforms.multilinear import (
@@ -51,6 +52,14 @@ class Conventions:
     sigma_negative_sign: int = -1        # sign of the negative block in A_j(sigma)
     metric_sign: int = -1                # sign of the metric correction in the recursion
     kprime_weight: object = QQ(1)        # multiplier of the diagonal weight in K'
+
+    def __post_init__(self):
+        # the operator builders and _shared are keyed on Conventions equality,
+        # and 0.25 == QQ(1, 4): a float field would be served the exact one's
+        # operators or fail, depending on what the process built first
+        for field in fields(self):
+            if not isinstance(getattr(self, field.name), numbers.Rational):
+                raise TypeError(f"Conventions.{field.name} must be an int or a rational")
 
 
 DEFAULT_CONVENTIONS = Conventions()
@@ -203,7 +212,13 @@ def phi_nq_bracket_lambda(params, lam):
 # ---------------------------------------------------------------------------
 # differential operators
 # ---------------------------------------------------------------------------
+#
+# d_operator, a_sigma, h_prime and h_op are built once per argument tuple
+# (params, ints, the variant string and the frozen Conventions are hashable),
+# as are weil's lowering and omega_kprime: an operator holds no state, so
+# every identity case can share it.
 
+@functools.lru_cache(maxsize=None)
 def d_operator(params, variant="full", conv=DEFAULT_CONVENTIONS):
     """The total differential or one of its three graded pieces."""
     p, q, n = params.p, params.q, params.n
@@ -230,6 +245,7 @@ def d_operator(params, variant="full", conv=DEFAULT_CONVENTIONS):
     raise ValueError(f"unknown d variant {variant}")
 
 
+@functools.lru_cache(maxsize=None)
 def a_sigma(params, j, col=1, conv=DEFAULT_CONVENTIONS):
     """Fock image of the coordinate insertion at tensor slot j, input column col."""
     pieces = []
@@ -248,15 +264,17 @@ def a_sigma(params, j, col=1, conv=DEFAULT_CONVENTIONS):
 
 def a_sigma_combo(params, j, coeffs, conv=DEFAULT_CONVENTIONS):
     """Column-linear combination sum_l coeffs[l-1] * a_sigma(col = l)."""
-    return op_sum((c, a_sigma(params, j, col=l, conv=conv))
+    return op_sum((c, a_sigma(params, j, l, conv))
                   for l, c in enumerate(coeffs, start=1))
 
 
+@functools.lru_cache(maxsize=None)
 def h_prime(params, j):
     return op_sum((1, insert_letter(j, mu) @ interior(a, mu) @ z_del(a, 1))
                   for a in params.positive() for mu in params.negative())
 
 
+@functools.lru_cache(maxsize=None)
 def h_op(params):
     return op_sum((1, interior(a, mu) @ z_mul(mu, 1) @ z_del(a, 1))
                   for a in params.positive() for mu in params.negative())

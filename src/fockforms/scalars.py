@@ -24,10 +24,22 @@ once per pair of entries, so a zero component is never multiplied.  Every
 fraction is kept reduced by math.gcd on machine integers (Knuth, TAOCP
 vol. 2, 4.5.1).  QQ values appear only at the boundaries: the constructors,
 rational_of, JSON and repr.
+
+The ring operations are memo functions (Michie, Nature 218, 1968) over
+hash-consed values (Filliatre & Conchon, ML Workshop 2006).  A Scalar gets a
+value id the first time it enters an operation; equal values share one id
+for as long as the id table lives, and ids come from a counter that never
+repeats.  __mul__, __add__, __neg__ and scale look their result up in a
+table keyed by the operand ids (scale by id, num and den) and run the kernel
+only on a miss; equal results are one shared object, which is safe because
+a Scalar is never changed in place.  When a table reaches MEMO_ENTRIES
+entries every table is cleared.  Ids already handed out stay valid: none is
+reused, so a stale id can never hit another value's entry.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -68,11 +80,6 @@ def _dense(entries):
 
 def _quad_mul(x, y):
     """x * y over Q(i, sqrt2), one unit-table product per pair of entries."""
-    if len(x) == 1 == len(y):  # one product: nothing to collect
-        (p, n1, d1), = x
-        (q, n2, d2), = y
-        c, f = _UNIT[p][q]
-        return (_entry(c, f * n1 * n2, d1 * d2),)
     out = {}
     for p, n1, d1 in x:
         row = _UNIT[p]
@@ -88,13 +95,6 @@ def _quad_mul(x, y):
 
 def _quad_add(x, y):
     """x + y, merging entries by unit; only a summed entry is reduced."""
-    if len(x) == 1 == len(y):  # one entry each: no merge to index
-        (c, n0, d0), = x
-        (c2, n, d), = y
-        if c != c2:
-            return x + y if c < c2 else y + x
-        n, d = (n0 + n, d) if d0 == d else (n0 * d + n * d0, d0 * d)
-        return (_entry(c, n, d),) if n else ()
     out = {e[0]: e for e in x}
     for e in y:
         old = out.get(e[0])
@@ -116,14 +116,104 @@ def _quad_scale(x, num, den):
     return tuple(_entry(c, n * num, d * den) for c, n, d in x)
 
 
+# -- the kernels on terms dicts, run on a memo miss --------------------------
+
+def _mul(x, y):
+    out = {}
+    for k1, q1 in x.items():
+        for k2, q2 in y.items():
+            k = k1 + k2
+            prod = _quad_mul(q1, q2)  # nonzero: Q(i, sqrt2) is a field
+            if k in out:
+                prod = _quad_add(out[k], prod)
+                if not prod:
+                    del out[k]
+                    continue
+            out[k] = prod
+    return out
+
+
+def _add(x, y):
+    out = dict(x)
+    for k, q in y.items():
+        if k in out:
+            s = _quad_add(out[k], q)
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        else:
+            out[k] = q
+    return out
+
+
+def _neg(x):
+    return {k: tuple((c, -n, d) for c, n, d in q) for k, q in x.items()}
+
+
+def _scale(x, num, den):
+    """x * num/den for integers num and den > 0."""
+    if not num:
+        return {}
+    return {k: _quad_scale(q, num, den) for k, q in x.items()}
+
+
+# -- the memo tables -----------------------------------------------------------
+
+# a table holding this many entries clears every table
+MEMO_ENTRIES = 2 ** 13
+
+_new_id = itertools.count(1).__next__  # value ids; 0 marks a Scalar without one
+_IDS = {}     # frozenset of terms items -> the Scalar whose id that value has
+_MUL = {}     # (id, id) -> product
+_ADD = {}     # (id, id) -> sum
+_NEG = {}     # id -> negation
+_SCALE = {}   # (id, num, den) -> scaled value
+
+
+def _forget():
+    """Clear every table; the ids already handed out are never reused."""
+    for table in (_IDS, _MUL, _ADD, _NEG, _SCALE):
+        table.clear()
+
+
+def _keep(table, key, value):
+    if len(table) >= MEMO_ENTRIES:
+        _forget()
+    table[key] = value
+    return value
+
+
+def _cons(s):
+    """The Scalar the id table holds for the value of s; on first sight of
+    the value, s itself, with a new id."""
+    key = frozenset(s.terms.items())
+    held = _IDS.get(key)
+    if held is None:
+        s._id = _new_id()
+        held = _keep(_IDS, key, s)
+    return held
+
+
+def _vid(s):
+    """The value id of s, assigned when it first enters an operation."""
+    s._id = _cons(s)._id
+    return s._id
+
+
 class Scalar:
     """Element of Q(i, sqrt2)[pi, 1/pi], keyed by pi-exponent."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_id")
 
     def __init__(self, terms=None):
         # terms: dict pi_exponent -> tuple of reduced (unit, num, den) entries
         self.terms = terms if terms is not None else {}
+        self._id = 0  # the value id, assigned by the first operation
+
+    def __reduce__(self):
+        # an id is only meaningful in the process that handed it out
+        return Scalar, (self.terms,)
 
     # -- constructors ---------------------------------------------------
 
@@ -168,31 +258,21 @@ class Scalar:
             return Scalar.unit(a=base)
         return Scalar.unit(c=base)
 
-    # -- ring operations ------------------------------------------------
+    # -- ring operations: memo lookups, the kernels only on a miss ------------
 
     def __add__(self, other):
-        if len(self.terms) == 1 == len(other.terms):  # monomials: no dict to merge
-            (k1, q1), = self.terms.items()
-            (k2, q2), = other.terms.items()
-            if k1 != k2:
-                return Scalar({k1: q1, k2: q2})
-            q = _quad_add(q1, q2)
-            return Scalar({k1: q} if q else {})
-        out = dict(self.terms)
-        for k, q in other.terms.items():
-            if k in out:
-                s = _quad_add(out[k], q)
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-            else:
-                out[k] = q
-        return Scalar(out)
+        key = (self._id or _vid(self), other._id or _vid(other))
+        s = _ADD.get(key)
+        if s is None:
+            s = _keep(_ADD, key, _cons(Scalar(_add(self.terms, other.terms))))
+        return s
 
     def __neg__(self):
-        return Scalar({k: tuple((c, -n, d) for c, n, d in q)
-                       for k, q in self.terms.items()})
+        key = self._id or _vid(self)
+        s = _NEG.get(key)
+        if s is None:
+            s = _keep(_NEG, key, _cons(Scalar(_neg(self.terms))))
+        return s
 
     def __sub__(self, other):
         return self + (-other)
@@ -200,22 +280,11 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return self.scale(other)
-        if len(self.terms) == 1 == len(other.terms):  # one pi-power: nothing to collect
-            (k1, q1), = self.terms.items()
-            (k2, q2), = other.terms.items()
-            return Scalar({k1 + k2: _quad_mul(q1, q2)})  # nonzero: a field
-        out = {}
-        for k1, q1 in self.terms.items():
-            for k2, q2 in other.terms.items():
-                k = k1 + k2
-                prod = _quad_mul(q1, q2)  # nonzero: Q(i, sqrt2) is a field
-                if k in out:
-                    prod = _quad_add(out[k], prod)
-                    if not prod:
-                        del out[k]
-                        continue
-                out[k] = prod
-        return Scalar(out)
+        key = (self._id or _vid(self), other._id or _vid(other))
+        s = _MUL.get(key)
+        if s is None:
+            s = _keep(_MUL, key, _cons(Scalar(_mul(self.terms, other.terms))))
+        return s
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -225,9 +294,11 @@ class Scalar:
         num, den = int(r.numerator), int(r.denominator)
         if num == den:  # Scalars are never changed in place, so self serves
             return self
-        if not num:
-            return Scalar()
-        return Scalar({k: _quad_scale(q, num, den) for k, q in self.terms.items()})
+        key = (self._id or _vid(self), num, den)
+        s = _SCALE.get(key)
+        if s is None:
+            s = _keep(_SCALE, key, _cons(Scalar(_scale(self.terms, num, den))))
+        return s
 
     def __pow__(self, n):
         if n < 0:
@@ -281,11 +352,23 @@ class Scalar:
 
     @staticmethod
     def from_json(data):
+        """The inverse of to_json; rows that share a pi-exponent add up.
+
+        Each row is [k, a_num, a_den, b_num, b_den, c_num, c_den, d_num,
+        d_den] of ints (bools refused) with nonzero denominators; anything
+        else raises ValueError.
+        """
         terms = {}
         for row in data:
+            if not isinstance(row, (list, tuple)) or len(row) != 9:
+                raise ValueError(f"a Scalar row has 9 entries: {row!r}")
+            if not all(type(v) is int for v in row):
+                raise ValueError(f"a Scalar row holds integers only: {row!r}")
+            if not all(row[2::2]):
+                raise ValueError(f"a Scalar row has a zero denominator: {row!r}")
             entries = _entries(QQ(row[1 + 2 * j], row[2 + 2 * j]) for j in range(4))
             if entries:
-                terms[int(row[0])] = entries
+                terms = _add(terms, {row[0]: entries})
         return Scalar(terms)
 
     def __repr__(self):

@@ -8,10 +8,14 @@ at the bottom.
 Each generator acts as one fixed quadratic operator, built by its own
 function: o_kk and o_p on the orthogonal side (index pairs), omega_kprime,
 sp_k, sp_pplus and sp_pminus on the symplectic side (column pairs), and
-lowering, the antiholomorphic tangent direction at n = 1.
+lowering, the antiholomorphic tangent direction at n = 1.  The identity
+suite reads omega_kprime and lowering on every case, so those two are built
+once per argument tuple.
 """
 
 from __future__ import annotations
+
+import functools
 
 from fockforms.multilinear import compose, identity_op, op_sum, wedge_left, z_del, z_mul
 from fockforms.scalars import QQ, Scalar
@@ -41,6 +45,7 @@ def o_p(params, a, mu):
                      for j in cols])
 
 
+@functools.lru_cache(maxsize=None)
 def omega_kprime(params, j, k):
     """(1/2i) w'_j o w''_k: the endomorphism eps_j -> eps_k plus (p-q)/2 on the
     diagonal, realized on the Fock slot."""
@@ -75,6 +80,7 @@ def sp_pminus(params, j, k):
                      for mu in params.negative()])
 
 
+@functools.lru_cache(maxsize=None)
 def lowering(params):
     """(i/4) w'_1 o w'_1, the antiholomorphic tangent direction."""
     if params.n != 1:

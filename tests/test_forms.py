@@ -499,6 +499,14 @@ def test_report_json_carries_no_timing():
     assert isinstance(report.seconds, float)
 
 
+def test_grid_twice_gives_identical_reports():
+    """The second pass reads the memo tables, the cached builders and the
+    kept forms the first pass left; its reports must not differ."""
+    first = _grid_rows()
+    assert all(row["passed"] for row in first)
+    assert _grid_rows() == first
+
+
 def test_grid_pass_mutates_no_kept_form():
     _grid_rows()
     kept = [(form, form.to_json()) for form in F._SHARED.values()]
@@ -529,6 +537,41 @@ def test_shared_keys_fill_in_defaults():
     assert F.lambda_form(pr, 1, j=1, conv=DEFAULT_CONVENTIONS) is form
     other = F.lambda_form(pr, 1, 1, Conventions(lambda_offset=0))
     assert other is not form and other != form
+
+
+def test_operator_builders_are_built_once():
+    """Equal arguments give the same operator object; another Conventions
+    gives another one, so the mutation test still reaches its constants."""
+    from fockforms import weil
+    pr, again = params_n1(2, 1), params_n1(2, 1)
+    builds = [
+        lambda p, conv: F.d_operator(p, "full", conv),
+        lambda p, conv: F.d_operator(p, "dF_doubleprime", conv),
+        lambda p, conv: F.a_sigma(p, 2, 1, conv),
+        lambda p, conv: F.h_prime(p, 1),
+        lambda p, conv: F.h_op(p),
+        lambda p, conv: weil.lowering(p),
+        lambda p, conv: weil.omega_kprime(SpaceParams(p.p, p.q, 2), 1, 2),
+    ]
+    for build in builds:
+        assert build(pr, DEFAULT_CONVENTIONS) is build(again, Conventions())
+    base = DEFAULT_CONVENTIONS
+    for conv in _mutants().values():
+        assert F.d_operator(pr, "full", conv) is not F.d_operator(pr, "full", base)
+        assert F.a_sigma(pr, 2, 1, conv) is not F.a_sigma(pr, 2, 1, base)
+    assert F.d_operator(pr, "dV") is not F.d_operator(pr, "full")
+    vac = MixedForm.vacuum(pr)
+    bad = Conventions(d_second_rat=QQ(1, 2))
+    assert F.d_operator(pr, "full", bad)(vac) == F.d_operator(pr, "full")(vac).scale(2)
+
+
+@pytest.mark.parametrize("field,value", [("d_second_rat", 0.25), ("kprime_weight", 1.0),
+                                         ("metric_sign", -1.0), ("lambda_offset", "-1")])
+def test_conventions_refuse_inexact_fields(field, value):
+    """0.25 == QQ(1, 4) with one hash, so a float field would share the exact
+    field's cached operators; it is refused instead."""
+    with pytest.raises(TypeError):
+        Conventions(**{field: value})
 
 
 def _lowering_by_primitive(params, ell, conv):

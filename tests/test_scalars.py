@@ -1,12 +1,15 @@
 """Ring axioms, serialization and the sparse kernels of the exact scalars."""
 
 import math
+import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockforms import scalars as S
 from fockforms.scalars import MINUS_I_4PI, QQ, Scalar, _accum, _quad_mul, rational_of
 
 rationals = st.builds(
@@ -205,6 +208,123 @@ def test_equal_values_have_equal_terms(x, y):
         pairs.append(((x * m) * m.monomial_inverse(), x))
     for a, b in pairs:
         assert a.terms == b.terms and a == b and hash(a) == hash(b)
+
+
+# -- the memo tables -----------------------------------------------------------
+
+TABLES = ("_IDS", "_MUL", "_ADD", "_NEG", "_SCALE")
+
+
+def _copy(x):
+    """The value of x in a new object, which has no id yet."""
+    return Scalar(dict(x.terms))
+
+
+@pytest.mark.parametrize("bound", [S.MEMO_ENTRIES, 3], ids=["default", "tiny"])
+@given(st.lists(sparse_scalars(), min_size=1, max_size=5), nonzero_rationals)
+@settings(max_examples=100, deadline=None)
+def test_memo_matches_bare_kernels(bound, values, r):
+    """The memoised *, +, -, negation and scale give the kernels' values.
+    With a tiny bound the tables are cleared mid-test, and still no id is
+    handed out twice and no id ever stands for two values."""
+    issued = []
+    fresh = S._new_id
+
+    def recording():
+        issued.append(fresh())
+        return issued[-1]
+
+    value_of = {}  # id -> terms
+    floor = fresh()  # above every id handed out before this example
+    with mock.patch.object(S, "MEMO_ENTRIES", bound), \
+            mock.patch.object(S, "_new_id", recording):
+        for x in values:
+            for y in values + [_copy(x)]:
+                cases = [(x * y, S._mul(x.terms, y.terms)),
+                         (x + y, S._add(x.terms, y.terms)),
+                         (x - y, S._add(x.terms, S._neg(y.terms))),
+                         (-x, S._neg(x.terms)),
+                         (_copy(x) * y, S._mul(x.terms, y.terms))]
+                # 1/2 and 1/3 share a numerator: the key must hold den too
+                cases += [(x.scale(t), S._scale(x.terms, int(t.numerator), int(t.denominator)))
+                          for t in (r, QQ(1, 2), QQ(1, 3))]
+                for got, want in cases:
+                    assert got.terms == want
+                    _assert_layout(got)
+                for s in [x, y] + [got for got, _ in cases]:
+                    assert s._id and value_of.setdefault(s._id, s.terms) == s.terms
+                assert all(len(getattr(S, t)) <= bound for t in TABLES)
+    # the counter only climbs, so no id is handed out twice
+    assert issued == sorted(set(issued)) and all(i > floor for i in issued)
+
+
+def test_equal_values_share_one_id_and_one_result():
+    """Hash-consing: equal values reached by different routes get one id,
+    and the memo hands back one result object for them."""
+    S._forget()
+    x = Scalar.unit(a=QQ(3, 4), b=QQ(-1, 2), pi_exp=-1)
+    y = Scalar.unit(c=QQ(5), pi_exp=2)
+    same = x.scale(QQ(2)).scale(QQ(1, 2))
+    assert same.terms == x.terms and same._id == x._id
+    assert _copy(x) * y is x * y
+    assert x + _copy(y) is _copy(x) + y
+    assert -_copy(x) is -x
+    assert (x * y) * y.monomial_inverse() is _copy(x) * _copy(y) * y.monomial_inverse()
+
+
+def test_forget_keeps_handed_out_ids():
+    """After the tables are cleared an equal value gets a new id, while the
+    old id still stands for its value: results stay right on both ids."""
+    x = Scalar.unit(b=QQ(7, 3), pi_exp=1)
+    y = Scalar.unit(d=QQ(-2))
+    prod = x * y
+    old = x._id
+    S._forget()
+    z = _copy(x)
+    assert (z * y).terms == prod.terms and z._id != old
+    assert (x * y).terms == prod.terms and x._id == old
+
+
+def test_ids_do_not_travel_in_a_pickle():
+    """A value id only means something in the process that handed it out."""
+    x = Scalar.unit(a=QQ(1, 3), c=QQ(2), pi_exp=-2)
+    x * x
+    assert x._id
+    back = pickle.loads(pickle.dumps(x))
+    assert back == x and back._id == 0
+
+
+# -- JSON rows ---------------------------------------------------------------
+
+ROW = [0, 1, 1, 0, 1, 0, 1, 0, 1]
+
+
+def test_from_json_adds_rows_with_one_pi_exponent():
+    two = [0, 2, 1, 0, 1, 0, 1, 0, 1]
+    assert Scalar.from_json([ROW, two]) == Scalar.from_rational(3)
+    minus = [0, -1, 1, 0, 1, 0, 1, 0, 1]
+    assert Scalar.from_json([ROW, minus]).terms == {}
+    half_i = [2, 0, 1, 1, 2, 0, 1, 0, 1]
+    assert Scalar.from_json([half_i, ROW, half_i]) == (
+        Scalar.one() + Scalar.unit(b=QQ(1), pi_exp=2))
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.5] + ROW[1:]],                   # a fractional pi-exponent, once truncated to 0
+    [[1.0] + ROW[1:]],                   # a float, even an integral one
+    [[True] + ROW[1:]],                  # a bool is no integer here
+    [ROW[:3] + [False] + ROW[4:]],
+    [ROW[:1] + ["1"] + ROW[2:]],
+    [ROW[:2] + [0] + ROW[3:]],           # a zero denominator
+    [ROW[:8] + [0]],
+    [ROW[:5]],                           # a short row
+    [ROW + [1]],
+    [3],
+], ids=["half-exponent", "float-exponent", "bool-exponent", "bool-entry",
+        "str-entry", "zero-den", "zero-last-den", "short", "long", "not-a-row"])
+def test_from_json_refuses_malformed_rows(rows):
+    with pytest.raises(ValueError):
+        Scalar.from_json(rows)
 
 
 def test_traced_methods_live_on_the_class():
