@@ -12,7 +12,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "Scalar": "fockforms.scalars",
-    "QQ": "fockforms.scalars",
+    "QQ": "fockforms.rational",
     "MixedForm": "fockforms.multilinear",
     "SpaceParams": "fockforms.multilinear",
 }

@@ -5,10 +5,12 @@ some identity or cross-check fails, 2 on malformed input.  Reports carry no
 timing so runs are byte-identical across repetition and job counts.
 
 Each subcommand imports only the layers it runs, inside the function that
-runs them: `theta` loads numpy and the lattice layers but not the form layers
-(`forms`, `weil`, `multilinear`); `verify`, `dims` and `intertwine-check`
-load no numpy; and the process pool is imported only when more than one
-worker will start, since start-up is a large share of a short command.
+runs them: `theta` loads numpy and the lattice layers but not the form
+layers (`forms`, `weil`, `multilinear`), and a count-only `theta` (no
+`--lambda`) loads none of the payload layers `schur`, `linalg` and
+`scalars`; `verify`, `dims` and `intertwine-check` load no numpy; and the
+process pool is imported only when more than one worker will start, since
+start-up is a large share of a short command.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 import os
 import sys
 
-from fockforms.schur import partitions_of
 from fockforms.workers import ordered_map
 
 LIMITS = {"p": 4, "q": 4, "n": 3, "ell": 6}
@@ -148,6 +149,8 @@ def dims_row(lam, n):
 
 
 def cmd_dims(args):
+    from fockforms.schur import partitions_of
+
     if (args.lam is None) != (args.n is None):
         raise InputError("dims takes --lambda and --n together, or neither")
     if args.lam is not None:

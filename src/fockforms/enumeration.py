@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from fockforms.scalars import QQ
+from fockforms.rational import QQ
 
 # partial vectors generated per step; bounds the kernel's working memory
 CHUNK = 1024

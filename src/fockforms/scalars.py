@@ -40,13 +40,9 @@ reused, so a stale id can never hit another value's entry.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 
-try:
-    from gmpy2 import mpq as QQ  # same arithmetic, much faster
-except ImportError:  # pragma: no cover
-    QQ = Fraction
+from fockforms.rational import QQ
 
 
 # _UNIT[p][q] = (c, f): e_p * e_q = f * e_c over the basis 1, i, sqrt2, i sqrt2

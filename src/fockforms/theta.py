@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fockforms.enumeration import _ldl, exact_dtype, gram_dual, shell_vectors, symmetric_pivots
-from fockforms.scalars import QQ
-from fockforms.schur import (assert_traceless, omega_eigenvalues, ssyt_enumerate,
-                             young_apply_vec)
+from fockforms.rational import QQ
 from fockforms.workers import ordered_map
 
 # largest rank a lattice document may have; it is refused before any
@@ -199,7 +197,8 @@ def enumerate_representations(lat, beta):
     depth first over the sorted shells; choosing x_t computes v = gram2 x_t
     once and narrows every later shell k by the mask shell_k v = 4 beta_tk,
     in int64 when the largest possible product fits and in Python ints
-    otherwise.
+    otherwise.  A table of counts alone is binned by count_representations;
+    this search lists the tuples a payload reads, and is the counts' oracle.
     """
     n = beta.n
     if lat.coset_h is not None and len(lat.coset_h) != n:
@@ -236,6 +235,93 @@ def enumerate_representations(lat, beta):
 
     extend((), [np.ones(len(s), dtype=bool) for s in shells])
     return out
+
+
+# entries of one block of the last two shells' pairings in the representation
+# count, and of the largest table of one diagonal it keeps; bound its memory
+BIN_ENTRIES = 2 ** 16
+BIN_TABLE = 2 ** 20
+
+
+def count_representations(lat, diag):
+    """The representation numbers of every beta with diagonal diag, as a dict
+    BetaMatrix -> count holding the nonzero counts.
+
+    All these betas read the same shells S_i of the norms 2 diag[i].  By
+    Cauchy-Schwarz an entry 2 beta_ij = (x_i, x_j) of a tuple lies in [-t, t],
+    t = isqrt(4 d_i d_j), so the entries of a tuple combine into one index of
+    mixed radix 2 t + 1 per pair (the ranges of series_betas), and
+    np.bincount counts the indices.  The first n - 2 vectors are chosen in a
+    Python loop; the pairings of the last two shells, S_{n-2} G2 S_{n-1}^T,
+    are formed in blocks of at most BIN_ENTRIES entries.  A pairing x^T G2 y
+    is 2 (x, y), so an odd one, which only a half-integral gram has, matches
+    no beta: its tuple is sent to a bin past the table.  Exact: int64 when the
+    largest pairing fits, Python ints otherwise.  ValueError when the table
+    of betas would pass BIN_TABLE entries; enumerate_representations counts
+    one beta of such a diagonal.
+    """
+    n = len(diag)
+    if lat.coset_h is not None and len(lat.coset_h) != n:
+        raise ValueError("coset shift count must match the genus")
+    if any(d < 0 for d in diag):
+        return {}
+    pairs = list(itertools.combinations(range(n), 2))
+    tops = {(i, j): math.isqrt(4 * diag[i] * diag[j]) for i, j in pairs}
+    shape = [2 * tops[pair] + 1 for pair in pairs]
+    total = math.prod(shape)
+    if total > BIN_TABLE:
+        raise ValueError(f"the diagonal {tuple(diag)} has {total} betas; "
+                         f"the table cap is {BIN_TABLE}")
+    strides = {pair: math.prod(shape[k + 1:]) for k, pair in enumerate(pairs)}
+    shells = [lat.shell(2 * d, column=i) for i, d in enumerate(diag)]
+    if not all(len(s) for s in shells):
+        return {}
+    if n < 2:
+        return {BetaMatrix.diagonal(diag): len(shells[0]) if n else 1}
+    g2 = lat.gram2_rows
+    halves = any(v % 2 for row in g2 for v in row)
+    biggest = max(int(np.abs(s).max()) for s in shells)
+    exact = exact_dtype(biggest * biggest * sum(abs(v) for row in g2 for v in row), g2)
+    g2 = np.array(g2, dtype=exact)
+    vecs = [s.astype(exact, copy=False) for s in shells]
+    dual = [v @ g2 for v in vecs[:-1]]  # the rows G2 x, as G2 is symmetric
+
+    def bins(pairings, pair):
+        # each tuple's share of the index, or total for an odd pairing
+        out = ((pairings >> 1) + tops[pair]) * strides[pair]
+        if halves:
+            out[(pairings & 1).astype(bool)] = total
+        return out.astype(np.int64)
+
+    # parts[j]: the index shares of views[k + j] against the chosen vectors,
+    # clamped to total; every index below total is a beta of the table
+    def descend(k, base, parts, views, block):
+        if k == n - 2:
+            index = block + (base + parts[0])[:, None] + parts[1]
+            counts[:] += np.bincount(index.ravel(), minlength=total)[:total]
+            return
+        for r in np.flatnonzero(parts[0] < total).tolist():
+            later = [np.minimum(part + bins(views[t] @ dual[k][r], (k, t)), total)
+                     for t, part in enumerate(parts[1:], k + 1)]
+            descend(k + 1, base + int(parts[0][r]), later, views, block)
+
+    counts = np.zeros(total, dtype=np.int64)
+    a, b = vecs[-2:]
+    cols = min(len(b), BIN_ENTRIES)
+    rows = max(1, BIN_ENTRIES // cols)
+    for r0 in range(0, len(a), rows):
+        for c0 in range(0, len(b), cols):
+            views = vecs[:-2] + [a[r0:r0 + rows], b[c0:c0 + cols]]
+            block = bins(dual[-1][r0:r0 + rows] @ views[-1].T, (n - 2, n - 1))
+            descend(0, 0, [np.zeros(len(v), dtype=np.int64) for v in views],
+                    views, block)
+    found = {}
+    for flat in np.flatnonzero(counts).tolist():
+        doubled = [[2 * diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        for (i, j), v in zip(pairs, np.unravel_index(flat, shape)):
+            doubled[i][j] = doubled[j][i] = int(v) - tops[(i, j)]
+        found[BetaMatrix(doubled)] = int(counts[flat])
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +439,8 @@ def _harmonic_payload(lat, lam, moments):
     permutations, so the Young projector runs once, on the quotient; the
     trace check of harmonic projection is its exit check.
     """
+    from fockforms.schur import assert_traceless, omega_eigenvalues, young_apply_vec
+
     if not moments.any():
         return {}
     adj, det = gram_dual(lat.gram2_rows)
@@ -394,6 +482,8 @@ def assemble_coefficient(lat, beta, lam=()):
     coeff = GenusCoefficient(beta=beta, count=len(reps))
     if not lam:
         return coeff
+    from fockforms.schur import ssyt_enumerate
+
     coords = np.array(reps, dtype=np.int64).reshape(len(reps), beta.n, lat.rank)
     for filling in ssyt_enumerate(lam, beta.n):
         moments = _moments(coords, _column_major_values(lam, filling), lat.rank)
@@ -402,30 +492,43 @@ def assemble_coefficient(lat, beta, lam=()):
 
 
 def series_betas(n, bound):
-    """All PSD half-integral beta with diagonal <= bound, trace-then-lex order."""
-    out = []
-    diag_choices = itertools.product(range(bound + 1), repeat=n)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for diag in diag_choices:
-        ranges = []
-        for (i, j) in pairs:
-            top = math.isqrt(4 * diag[i] * diag[j])
-            ranges.append(range(-top, top + 1))
-        for offs in itertools.product(*ranges):
-            doubled = [[0] * n for _ in range(n)]
-            for i in range(n):
-                doubled[i][i] = 2 * diag[i]
-            for (i, j), v in zip(pairs, offs):
-                doubled[i][j] = doubled[j][i] = v
-            cand = BetaMatrix(doubled)
-            if cand.is_psd():
-                out.append(cand)
-    out.sort(key=BetaMatrix.sort_key)
-    return out
+    """All PSD half-integral beta with diagonal <= bound, trace-then-lex order.
+
+    The doubled matrix grows one row at a time.  Row k takes a diagonal entry
+    2 d_k with d_k <= bound, and against each earlier row i an entry in
+    [-t, t], t = isqrt(4 d_i d_k), the range Cauchy-Schwarz leaves on the
+    block of rows i and k.  A leading block that is not PSD is dropped at
+    once, since every principal block of a PSD matrix is PSD.
+    """
+    blocks = [()]
+    for _ in range(n):
+        grown = []
+        for block in blocks:
+            for d in range(0, 2 * bound + 1, 2):
+                ranges = [range(-t, t + 1)
+                          for t in (math.isqrt(row[i] * d) for i, row in enumerate(block))]
+                for offs in itertools.product(*ranges):
+                    rows = tuple(row + (v,) for row, v in zip(block, offs)) + (offs + (d,),)
+                    if symmetric_pivots(rows) is not None:
+                        grown.append(rows)
+        blocks = grown
+    return sorted(map(BetaMatrix, blocks), key=BetaMatrix.sort_key)
 
 
 def series_table(lat, lam=(), n=1, bound=0, jobs=1):
-    """Ordered GenusCoefficient list over all PSD beta up to the bound."""
+    """Ordered GenusCoefficient list over all PSD beta up to the bound.
+
+    Counts alone are binned one diagonal at a time (count_representations);
+    a payload reads every tuple, so it is assembled one beta at a time.
+    """
     betas = series_betas(n, bound)
-    return list(ordered_map(functools.partial(assemble_coefficient, lat, lam=lam),
-                            betas, jobs))
+    if lam:
+        return list(ordered_map(functools.partial(assemble_coefficient, lat, lam=lam),
+                                betas, jobs))
+    diags = dict.fromkeys(tuple(row[i] // 2 for i, row in enumerate(beta.doubled))
+                          for beta in betas)
+    counts = {}
+    for found in ordered_map(functools.partial(count_representations, lat),
+                             list(diags), jobs):
+        counts.update(found)
+    return [GenusCoefficient(beta=beta, count=counts.get(beta, 0)) for beta in betas]

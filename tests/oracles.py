@@ -9,7 +9,9 @@ from schur.harmonic_apply_vec (against forms.output_projector and theta's
 integer-array payloads); the moment tensor as a Python-int sum of outer
 products (against theta's moment kernel); the exhaustive box scan of the
 shell enumeration (against enumeration.shell_vectors, with box radii from
-the rational inverse rather than the adjugate); solve and nullspace for
+the rational inverse rather than the adjugate); the beta list of a theta
+table as a filter over the full product of entry ranges (against
+theta.series_betas, which grows PSD blocks row by row); solve and nullspace for
 exact rational matrices (against linalg's elimination); and the Schwartz
 forms phi_nq0 and phi_0ell summed over every index tuple (against the
 products of linear forms in fockforms.forms).
@@ -27,6 +29,7 @@ from fockforms.scalars import MINUS_I_4PI, QQ, Scalar
 from fockforms.schur import (_accum, all_words, assert_traceless, contract_vec,
                              insert_pair_word, omega_eigenvalues, pair_positions,
                              remove_pair_word, word_index)
+from fockforms.theta import BetaMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +170,30 @@ def moment_oracle(reps, slot_values, m):
             v = math.prod(rep[col - 1][letter - 1] for col, letter in zip(slot_values, w))
             out[w] = out.get(w, 0) + v
     return {w: QQ(v) for w, v in out.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# theta tables
+# ---------------------------------------------------------------------------
+
+def series_betas_filter(n, bound):
+    """Every PSD half-integral beta with diagonal <= bound, in trace-then-lex
+    order: each diagonal with every off-diagonal entry in its Cauchy-Schwarz
+    range, kept when the whole matrix is PSD."""
+    out = []
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for diag in itertools.product(range(bound + 1), repeat=n):
+        ranges = [range(-math.isqrt(4 * diag[i] * diag[j]),
+                        math.isqrt(4 * diag[i] * diag[j]) + 1) for i, j in pairs]
+        for offs in itertools.product(*ranges):
+            doubled = [[2 * diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            for (i, j), v in zip(pairs, offs):
+                doubled[i][j] = doubled[j][i] = v
+            cand = BetaMatrix(doubled)
+            if cand.is_psd():
+                out.append(cand)
+    out.sort(key=BetaMatrix.sort_key)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,18 @@ def test_theta_jobs_deterministic(capsys):
     assert out1 == out2
 
 
+def test_theta_count_jobs_deterministic(capsys):
+    """A count table fans its diagonals out over the workers; stdout does not
+    depend on how many there are."""
+    args = ["theta", "--lattice", str(FIXTURES / "z4.json"), "--genus", "3",
+            "--bound", "1"]
+    code1, out1, _ = run_main(capsys, *args)
+    code2, out2, _ = run_main(capsys, *args, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert len(json.loads(out1)["rows"]) == len(theta.series_betas(3, 1))
+
+
 def test_theta_rejects_bad_genus(capsys):
     code, _, err = run_main(capsys, "theta", "--lattice",
                             str(FIXTURES / "z4.json"), "--lambda", "1,1",
@@ -445,7 +457,7 @@ def test_theta_payload_past_int64(capsys, tmp_path):
 
 
 # sha256 of the stdout of each subcommand run with no options, and of theta
-# payload runs (lattice file, then options)
+# payload and count runs (lattice file, then options)
 STDOUT_SHA256 = {
     ("verify",): "a833be960eafeaca62978a3c6b90eacc9607d756a767695d73d11f5f287bf7be",
     ("dims",): "d25892ecb1d6b7770e2360aaf5267109e95651aa3f13db81f6b012d9702a0199",
@@ -483,6 +495,11 @@ THETA_SHA256 = {
         "9d88aaa0c22fff4113293c1ebc283f526d32435da0263fee62161373dde4443e",
     ("z2_coset.json", "--lambda", "2", "--bound", "4"):
         "22ae7198d1518017a6428346f4115a627950a914aef638fc89f0347a8ac0edbe",
+    # the count frontier: 2160^2 pairs and 240^3 triples, binned
+    ("e8.json", "--genus", "2", "--bound", "2"):
+        "c7472cfdd82ba202eb335432f9aa2c7e9010e535b22ef00b187a38522e5fab7a",
+    ("e8.json", "--genus", "3", "--bound", "1"):
+        "b380173f2d0d4a35b58468d976e97d6c108533ce8532ceba957f3867d15d855a",
 }
 
 
@@ -630,14 +647,23 @@ def test_subcommands_load_only_their_layers():
     """Each subcommand imports the layers it runs and no others: start-up is
     a large share of a short command, and numpy or the form layers alone
     cost more than a bare interpreter."""
+    z4 = str(FIXTURES / "z4.json")
     cases = [
         ("import fockforms.cli",
          {"fockforms.cli"},
          {"numpy", "fockforms.forms", "fockforms.multilinear", "fockforms.weil",
+          "fockforms.schur", "fockforms.linalg", "concurrent.futures",
+          "multiprocessing"}),
+        # a count-only table needs no payload layer
+        ("import fockforms.cli; fockforms.cli.main(['theta', '--lattice', "
+         f"{z4!r}, '--genus', '2', '--bound', '1', '--jobs', '1'])",
+         {"numpy", "fockforms.theta", "fockforms.enumeration"},
+         {"fockforms.forms", "fockforms.multilinear", "fockforms.weil",
+          "fockforms.schur", "fockforms.linalg", "fockforms.scalars",
           "concurrent.futures", "multiprocessing"}),
         ("import fockforms.cli; fockforms.cli.main(['theta', '--lattice', "
-         f"{str(FIXTURES / 'z4.json')!r}, '--jobs', '1'])",
-         {"numpy", "fockforms.theta", "fockforms.enumeration"},
+         f"{z4!r}, '--lambda', '2', '--bound', '1', '--jobs', '1'])",
+         {"numpy", "fockforms.theta", "fockforms.enumeration", "fockforms.schur"},
          {"fockforms.forms", "fockforms.multilinear", "fockforms.weil",
           "concurrent.futures", "multiprocessing"}),
         ("import fockforms.cli; fockforms.cli.main(['verify', '--identity', "

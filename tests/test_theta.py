@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockforms import theta
+from fockforms import enumeration, theta
+from fockforms.cli import THETA_BETAS
 from fockforms.enumeration import symmetric_pivots
 from fockforms.linalg import RatMat, rank
 from fockforms.scalars import QQ
@@ -21,12 +22,13 @@ from fockforms.theta import (
     Lattice,
     _column_major_values,
     assemble_coefficient,
+    count_representations,
     enumerate_representations,
     filling_key,
     series_betas,
     series_table,
 )
-from oracles import harmonic_project_vec, moment_oracle
+from oracles import harmonic_project_vec, moment_oracle, series_betas_filter
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -407,6 +409,119 @@ def test_coset_counts_match_brute_force():
 
 
 # ---------------------------------------------------------------------------
+# binned counts
+# ---------------------------------------------------------------------------
+
+def e7_cartan():
+    """Cartan matrix of E7: the chain 1-3-4-5-6-7 with node 2 on node 4."""
+    gram = [[2 if i == j else 0 for j in range(7)] for i in range(7)]
+    for a, b in ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)):
+        gram[a][b] = gram[b][a] = -1
+    return gram
+
+
+def z4_coset(shifts):
+    return Lattice(json.loads((FIXTURES / "z4.json").read_text())["gram"],
+                   coset_h=shifts, modulus=2)
+
+
+COUNT_LATTICES = {
+    "z4": lambda: Lattice.load(FIXTURES / "z4.json"),
+    "z2_coset": lambda: Lattice.load(FIXTURES / "z2_coset.json"),
+    "z4_coset2": lambda: z4_coset([[1, 1, 0, 0], [1, 1, 1, 1]]),
+    "z4_coset3": lambda: z4_coset([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 0]]),
+    "q23": lambda: Lattice([[4, 1], [1, 6]]),
+    # half-integral: the pairing of (1, 0) and (0, 1) is 1/2, which no beta has
+    "half": lambda: Lattice([[2, "1/2"], ["1/2", 2]]),
+    "e7": lambda: Lattice(e7_cartan()),
+    # an entry past int64: the pairings are formed in Python ints
+    "big": lambda: Lattice([[10 ** 602, 1], [1, 2]]),
+}
+
+
+@pytest.mark.parametrize("name,genus,bound", [
+    ("z4", 1, 3), ("z4", 2, 2), ("z4", 3, 1),
+    ("z2_coset", 1, 4), ("z4_coset2", 2, 2), ("z4_coset3", 3, 1),
+    ("q23", 1, 6), ("q23", 2, 2), ("q23", 3, 2),
+    ("half", 1, 3), ("half", 2, 2), ("half", 3, 1),
+    ("e7", 1, 2), ("e7", 2, 1), ("e7", 3, 1),
+    ("big", 1, 4), ("big", 2, 4), ("big", 3, 1),
+])
+def test_binned_counts_match_enumeration(name, genus, bound):
+    """Every count of the binned table is the number of tuples the search
+    lists, for every beta of the table."""
+    lat = COUNT_LATTICES[name]()
+    rows = series_table(lat, n=genus, bound=bound)
+    assert [r.beta for r in rows] == series_betas(genus, bound)
+    assert [r.count for r in rows] == [len(enumerate_representations(lat, r.beta))
+                                       for r in rows]
+    assert any(r.count for r in rows if r.beta.trace())
+
+
+def test_binned_counts_drop_odd_pairings():
+    """On the half-integral gram the norm-2 shell is (+-1, 0), (0, +-1); a
+    pair of them pairs to 1/2 unless the two are parallel."""
+    lat = COUNT_LATTICES["half"]()
+    assert len(lat.shell(2)) == 4
+    found = count_representations(lat, (1, 1))
+    assert sum(found.values()) == 8
+    assert found == {BetaMatrix([[2, v], [v, 2]]): 4 for v in (-2, 2)}
+
+
+def test_binned_counts_in_blocks(monkeypatch):
+    """Blocks smaller than a shell, in rows and in columns, give the same
+    counts as one block."""
+    cases = [(COUNT_LATTICES["z4"](), (1, 1, 1), (1, 7, 30)),
+             (COUNT_LATTICES["e7"](), (1, 1), (300,))]
+    for lat, diag, sizes in cases:
+        whole = count_representations(lat, diag)
+        assert len(lat.shell(2)) < theta.BIN_ENTRIES
+        for entries in sizes:
+            monkeypatch.setattr(theta, "BIN_ENTRIES", entries)
+            assert count_representations(lat, diag) == whole
+        monkeypatch.undo()
+
+
+def test_binned_counts_python_int_branch(monkeypatch):
+    """A gram entry past int64 moves the pairings to Python ints, and every
+    count still equals the number of tuples the search lists."""
+    dtypes = []
+
+    def spy(*args):
+        dtypes.append(enumeration.exact_dtype(*args))
+        return dtypes[-1]
+
+    monkeypatch.setattr(theta, "exact_dtype", spy)
+    lat = COUNT_LATTICES["big"]()
+    found = count_representations(lat, (1, 4, 1))
+    assert dtypes == [object]
+    assert sum(found.values()) == 8
+    assert found == {b: len(enumerate_representations(lat, b)) for b in found}
+
+
+def test_binned_counts_refuse_a_huge_table():
+    """Norms near 2^41 leave 2^42 entries per pair: the table is refused, and
+    the search still counts one beta of that diagonal."""
+    gram = [[2 ** 40 + 2, 2 ** 39], [2 ** 39, 2 ** 40]]
+    lat = Lattice(gram)
+    beta = gram_beta(gram, ((3001, -4999), (-2000, 1717)))
+    with pytest.raises(ValueError, match="table cap"):
+        count_representations(lat, (beta.doubled[0][0] // 2, beta.doubled[1][1] // 2))
+    assert len(enumerate_representations(lat, beta)) >= 1
+
+
+def test_binned_counts_edge_cases():
+    z2 = Lattice([[1, 0], [0, 1]])
+    assert count_representations(z2, ()) == {BetaMatrix([]): 1}
+    assert count_representations(z2, (-1, 1)) == {}
+    assert count_representations(z2, (0, 1)) == {BetaMatrix.diagonal([0, 1]): 4}
+    coset = COUNT_LATTICES["z2_coset"]()
+    assert count_representations(coset, (0,)) == {}
+    with pytest.raises(ValueError):
+        count_representations(coset, (1, 1))
+
+
+# ---------------------------------------------------------------------------
 # payloads
 # ---------------------------------------------------------------------------
 
@@ -679,6 +794,13 @@ def test_series_betas_bound_one():
         assert b.is_psd()
 
 
+@pytest.mark.parametrize("n,bound", [
+    (n, bound) for n in range(1, 5) for bound in range(3)
+    if (bound + 1) ** n * (4 * bound + 1) ** (n * (n - 1) // 2) <= THETA_BETAS])
+def test_series_betas_match_filter_oracle(n, bound):
+    assert series_betas(n, bound) == series_betas_filter(n, bound)
+
+
 def test_series_betas_off_diagonal_window():
     betas = series_betas(2, 2)
     seen = {b.doubled for b in betas}
@@ -840,6 +962,51 @@ def test_rank_sixteen_genus_two_counts(e8):
             want += c1 * r_e8.get(b2, 0)
         assert row.count == want, row.beta.doubled
     assert [r.count for r in e8e8][:2] == [1, 480]
+
+
+def signed_permutation_orbit(offs):
+    """The off-diagonal entries (b01, b02, b12) of a genus-3 beta under every
+    permutation and sign change of the three vectors."""
+    entry = {(0, 1): offs[0], (0, 2): offs[1], (1, 2): offs[2]}
+    out = set()
+    for perm in itertools.permutations(range(3)):
+        for sign in itertools.product((1, -1), repeat=3):
+            out.add(tuple(sign[i] * sign[j] * entry[tuple(sorted((perm[i], perm[j])))]
+                          for i, j in ((0, 1), (0, 2), (1, 2))))
+    return out
+
+
+# the genus-3 counts of E8 + E8 and D16+ on the diagonal (1, 1, 1), one per
+# orbit of signed permutations, keyed by the orbit's largest (b01, b02, b12)
+RANK_SIXTEEN_GENUS_THREE = {
+    (0, 0, 0): 47174400, (1, 0, 0): 8386560, (1, 1, -1): 26880, (1, 1, 0): 725760,
+    (1, 1, 1): 725760, (2, 0, 0): 175680, (2, 1, 1): 26880, (2, 2, 2): 480,
+}
+
+
+def test_rank_sixteen_genus_three_counts(e8):
+    """E8 + E8 and D16+ share their genus-3 theta series too (both are the
+    weight-8 Siegel Eisenstein series of degree 3): on the diagonal (1, 1, 1)
+    every count agrees, and each is the convolution of two E8 counts."""
+    diag = (1, 1, 1)
+    e8e8 = count_representations(Lattice(e8_e8_gram()), diag)
+    d16 = count_representations(Lattice(d16_plus_gram()), diag)
+    assert d16 == e8e8
+    assert len(e8e8) == 49 and sum(e8e8.values()) == 480 ** 3
+    for beta, count in e8e8.items():
+        offs = (beta.doubled[0][1], beta.doubled[0][2], beta.doubled[1][2])
+        assert RANK_SIXTEEN_GENUS_THREE[max(signed_permutation_orbit(offs))] == count
+    assert sum(len(signed_permutation_orbit(offs)) for offs in RANK_SIXTEEN_GENUS_THREE) == 49
+    r_e8 = {}
+    for part in itertools.product((0, 1), repeat=3):
+        r_e8.update(count_representations(e8, part))
+    for beta, count in e8e8.items():
+        want = 0
+        for b1, c1 in r_e8.items():
+            b2 = [[x - y for x, y in zip(r, s)] for r, s in zip(beta.doubled, b1.doubled)]
+            if all(b2[i][i] >= 0 for i in range(3)):
+                want += c1 * r_e8.get(BetaMatrix(b2), 0)
+        assert count == want, beta
 
 
 @pytest.mark.parametrize("lam", [(1, 1), (2, 2)])
