@@ -13,7 +13,6 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -190,160 +189,158 @@ def _emit_rational(r):
 # ---------------------------------------------------------------------------
 
 def enumerate_representations(lat, beta):
-    """All ordered tuples (x_1..x_n) with (x_i, x_j) = 2 beta_{ij}, n = beta.n.
-
-    Returns a list of n-tuples of coordinate tuples, lexicographically
-    ordered.  Negative diagonal targets give the empty list.  The search is
-    depth first over the sorted shells; choosing x_t computes v = gram2 x_t
-    once and narrows every later shell k by the mask shell_k v = 4 beta_tk,
-    in int64 when the largest possible product fits and in Python ints
-    otherwise.  A table of counts alone is binned by count_representations;
-    this search lists the tuples a payload reads, and is the counts' oracle.
-    """
+    """All ordered tuples (x_1..x_n) with (x_i, x_j) = 2 beta_{ij}, n = beta.n,
+    as a lexicographically ordered list of n-tuples of coordinate tuples: the
+    index-0 entries of _search's blocks at beta's windows, block by block.
+    Negative diagonal targets give the empty list."""
     n = beta.n
-    if lat.coset_h is not None and len(lat.coset_h) != n:
-        raise ValueError("coset shift count must match the genus")
-    if any(beta.doubled[i][i] < 0 for i in range(n)):
-        return []
-    if n == 0:
-        return [()]
-    g2 = lat.gram2_rows
-    shells = [lat.shell(beta.doubled[i][i], column=i) for i in range(n)]
-    want = [[2 * v for v in row] for row in beta.doubled]
-    biggest = max(int(np.abs(s).max(initial=0)) for s in shells)
-    exact = exact_dtype(max(biggest * biggest * sum(abs(v) for row in g2 for v in row),
-                            max(abs(v) for row in want for v in row)), g2)
-    g2 = np.array(g2, dtype=exact)
-    vecs = [s.astype(exact, copy=False) for s in shells]
-    # row tuples built from the columns, without a temporary list per row
-    rows = [list(zip(*s.T.tolist())) for s in shells]
-    out = []
+    rows, out = [], []
 
-    def extend(chosen, masks):
-        # masks[j]: rows of shell k + j that pair correctly with all chosen
-        k = len(chosen)
-        hits = np.flatnonzero(masks[0]).tolist()
-        if k == n - 1:
-            out.extend(chosen + (rows[k][j],) for j in hits)
-            return
-        for j in hits:
-            v = g2 @ vecs[k][j]
-            later = [mask & (vecs[t] @ v == want[k][t])
-                     for t, mask in enumerate(masks[1:], k + 1)]
-            if all(mask.any() for mask in later):
-                extend(chosen + (rows[k][j],), later)
+    def leaf(index, path, a, b):
+        if not rows:  # () for each padding shell, then each shell's vectors as 1-tuples
+            rows.extend([[()]] * (2 - n))
+            rows.extend([(x,) for x in zip(*lat.shell(beta.doubled[i][i], column=i).T.tolist())]
+                        for i in range(n))
+        head = sum((rows[k][j] for k, j in enumerate(path)), ())
+        first, last = rows[-2:]
+        hit_a, hit_b = np.nonzero(index == 0)
+        out.extend(head + first[i] + last[j]
+                   for i, j in zip(a[hit_a].tolist(), b[hit_b].tolist()))
 
-    extend((), [np.ones(len(s), dtype=bool) for s in shells])
+    _search(lat, *_beta_windows(beta), leaf)
     return out
 
 
-# entries of one block of the last two shells' pairings in the representation
-# count, and of the largest table of one diagonal it keeps; bound its memory
-BIN_ENTRIES = 2 ** 16
-BIN_TABLE = 2 ** 20
+def _beta_windows(beta):
+    """beta's half diagonal, and the windows of width one at its entries."""
+    return ([row[i] // 2 for i, row in enumerate(beta.doubled)],
+            [(beta.doubled[i][j], 1) for i, j in itertools.combinations(range(beta.n), 2)])
 
 
 def count_representations(lat, diag):
-    """The representation numbers of every beta with diagonal diag, as a dict
-    BetaMatrix -> count holding the nonzero counts.
-
-    All these betas read the same shells S_i of the norms 2 diag[i].  By
-    Cauchy-Schwarz an entry 2 beta_ij = (x_i, x_j) of a tuple lies in [-t, t],
-    t = isqrt(4 d_i d_j), so the entries of a tuple combine into one index of
-    mixed radix 2 t + 1 per pair (the ranges of series_betas), and
-    np.bincount counts the indices.  The first n - 2 vectors are chosen in a
-    Python loop; the pairings of the last two shells, S_{n-2} G2 S_{n-1}^T,
-    are formed in blocks of at most BIN_ENTRIES entries.  A pairing x^T G2 y
-    is 2 (x, y), so an odd one, which only a half-integral gram has, matches
-    no beta: its tuple is sent to a bin past the table.  Exact: int64 when the
-    largest pairing fits, Python ints otherwise.  ValueError when the table
-    of betas would pass BIN_TABLE entries; enumerate_representations counts
-    one beta of such a diagonal.
-    """
+    """The nonzero representation numbers of every beta with diagonal diag, as
+    a dict BetaMatrix -> count.  By Cauchy-Schwarz 2 beta_ij = (x_i, x_j) lies
+    in [-t, t], t = isqrt(4 d_i d_j): _search runs in these windows and
+    np.bincount counts its indices.  ValueError when the table would pass
+    BIN_TABLE betas; assemble_coefficient counts one beta of such a diagonal."""
     n = len(diag)
-    if lat.coset_h is not None and len(lat.coset_h) != n:
-        raise ValueError("coset shift count must match the genus")
-    if any(d < 0 for d in diag):
-        return {}
     pairs = list(itertools.combinations(range(n), 2))
-    tops = {(i, j): math.isqrt(4 * diag[i] * diag[j]) for i, j in pairs}
-    shape = [2 * tops[pair] + 1 for pair in pairs]
+    tops = [math.isqrt(max(4 * diag[i] * diag[j], 0)) for i, j in pairs]
+    shape = [2 * t + 1 for t in tops]
     total = math.prod(shape)
     if total > BIN_TABLE:
         raise ValueError(f"the diagonal {tuple(diag)} has {total} betas; "
                          f"the table cap is {BIN_TABLE}")
-    strides = {pair: math.prod(shape[k + 1:]) for k, pair in enumerate(pairs)}
-    shells = [lat.shell(2 * d, column=i) for i, d in enumerate(diag)]
+    counts = np.zeros(total, dtype=np.int64)
+
+    def leaf(index, *_):
+        counts[:] += np.bincount(index.ravel(), minlength=total)[:total]
+
+    _search(lat, diag, [(-t, 2 * t + 1) for t in tops], leaf)
+    found = {}
+    for flat in np.flatnonzero(counts).tolist():
+        doubled = [[2 * diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        for (i, j), t, v in zip(pairs, tops, np.unravel_index(flat, shape)):
+            doubled[i][j] = doubled[j][i] = int(v) - t
+        found[BetaMatrix(doubled)] = int(counts[flat])
+    return found
+
+
+# entries of one index block handed to a leaf, and of the largest table of
+# betas and last-pair block kept whole; they bound the search's memory
+BIN_ENTRIES = 2 ** 16
+BIN_TABLE = 2 ** 20
+
+
+def _search(lat, diag, windows, leaf):
+    """Tuples (x_1..x_n), x_i in column i's shell of norm 2 diag[i], with each
+    (x_i, x_j), i < j, in its window (low, width).  A tuple's entries form a
+    mixed-radix index below total = prod(widths), or at least total if one
+    leaves its window or a pairing x^T G2 y = 2 (x, y) is odd.  Depth first
+    over the first n - 2 vectors, each adding its shares to the later shells'
+    rows; leaf(index, path, a, b) gets the indices of the rows a and columns b
+    of the last two shells still inside every window, at most BIN_ENTRIES at
+    a time, in lexicographic order.  The last pair's block is formed once if n > 2 and
+    it has at most BIN_TABLE entries, else per leaf.  Exact: int64 when the
+    largest pairing fits, else Python ints.  n < 2 pads in front with zero vectors."""
+    n = len(diag)
+    if lat.coset_h is not None and len(lat.coset_h) != n:
+        raise ValueError("coset shift count must match the genus")
+    if any(d < 0 for d in diag):
+        return
+    shells = [np.zeros((1, lat.rank), dtype=np.int64)] * (2 - n) + [
+        lat.shell(2 * d, column=i) for i, d in enumerate(diag)]
     if not all(len(s) for s in shells):
-        return {}
-    if n < 2:
-        return {BetaMatrix.diagonal(diag): len(shells[0]) if n else 1}
-    g2 = lat.gram2_rows
-    halves = any(v % 2 for row in g2 for v in row)
-    biggest = max(int(np.abs(s).max()) for s in shells)
-    exact = exact_dtype(biggest * biggest * sum(abs(v) for row in g2 for v in row), g2)
+        return
+    n, windows = len(shells), list(windows) or [(0, 1)]
+    total = stride = math.prod(width for _, width in windows)
+    spans = {}  # per pair: a table of index shares by doubled offset 2 (entry - low),
+    for pair, (low, width) in zip(itertools.combinations(range(n), 2), windows):
+        stride //= width  # total at odd offsets and past the window; -1 reads its end
+        lut = np.full(2 * width + 2, total, dtype=np.int64)
+        lut[:2 * width:2] = np.arange(width) * stride
+        spans[pair] = lut, 2 * low, 2 * width
+    g2, biggest = lat.gram2_rows, max(int(np.abs(s).max()) for s in shells)
+    exact = exact_dtype(biggest * biggest * sum(abs(v) for row in g2 for v in row)
+                        + max(2 * abs(low) + 2 * width for low, width in windows), g2)
     g2 = np.array(g2, dtype=exact)
     vecs = [s.astype(exact, copy=False) for s in shells]
     dual = [v @ g2 for v in vecs[:-1]]  # the rows G2 x, as G2 is symmetric
 
-    def bins(pairings, pair):
-        # each tuple's share of the index, or total for an odd pairing
-        out = ((pairings >> 1) + tops[pair]) * strides[pair]
-        if halves:
-            out[(pairings & 1).astype(bool)] = total
-        return out.astype(np.int64)
+    def shares(pairings, pair):
+        # each tuple's index share; pairings, a fresh product, is overwritten
+        lut, low2, top = spans[pair]
+        pairings -= low2
+        np.minimum(np.maximum(pairings, -1, out=pairings), top, out=pairings)
+        return lut.take(pairings.astype(np.int64, copy=False))
 
-    # parts[j]: the index shares of views[k + j] against the chosen vectors,
-    # clamped to total; every index below total is a beta of the table
-    def descend(k, base, parts, views, block):
-        if k == n - 2:
-            index = block + (base + parts[0])[:, None] + parts[1]
-            counts[:] += np.bincount(index.ravel(), minlength=total)[:total]
+    whole = (shares(dual[-1] @ vecs[-1].T, (n - 2, n - 1))  # read by more than one leaf
+             if n > 2 and len(vecs[-2]) * len(vecs[-1]) <= BIN_TABLE else None)
+
+    def descend(path, base, parts):
+        # parts[t]: the index shares of shell k + t's rows against the chosen
+        # rows path; a row below total is still inside every window
+        k = len(path)
+        if k < n - 2:
+            for j in np.flatnonzero(parts[0] < total).tolist():
+                later = [part + shares(vecs[t] @ dual[k][j], (k, t))
+                         for t, part in enumerate(parts[1:], k + 1)]
+                descend(path + (j,), base + int(parts[0][j]), later)
             return
-        for r in np.flatnonzero(parts[0] < total).tolist():
-            later = [np.minimum(part + bins(views[t] @ dual[k][r], (k, t)), total)
-                     for t, part in enumerate(parts[1:], k + 1)]
-            descend(k + 1, base + int(parts[0][r]), later, views, block)
+        a, b = (np.flatnonzero(part < total) for part in parts)
+        pa, pb = parts[0][a], parts[1][b]
+        near = (whole if whole is None or len(a) * len(b) == whole.size  # on rows a, cols b
+                else whole.take(a, 0).take(b, 1))
+        cols = max(1, min(len(b), BIN_ENTRIES))
+        step = max(1, BIN_ENTRIES // cols)
+        for r0 in range(0, len(a), step):
+            for c0 in range(0, len(b), cols):
+                ra, cb = a[r0:r0 + step], b[c0:c0 + cols]
+                block = (near[r0:r0 + step, c0:c0 + cols] if near is not None
+                         else shares(dual[-1][ra] @ vecs[-1][cb].T, (n - 2, n - 1)))
+                leaf(block + (base + pa[r0:r0 + step])[:, None] + pb[c0:c0 + cols],
+                     path, ra, cb)
 
-    counts = np.zeros(total, dtype=np.int64)
-    a, b = vecs[-2:]
-    cols = min(len(b), BIN_ENTRIES)
-    rows = max(1, BIN_ENTRIES // cols)
-    for r0 in range(0, len(a), rows):
-        for c0 in range(0, len(b), cols):
-            views = vecs[:-2] + [a[r0:r0 + rows], b[c0:c0 + cols]]
-            block = bins(dual[-1][r0:r0 + rows] @ views[-1].T, (n - 2, n - 1))
-            descend(0, 0, [np.zeros(len(v), dtype=np.int64) for v in views],
-                    views, block)
-    found = {}
-    for flat in np.flatnonzero(counts).tolist():
-        doubled = [[2 * diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), v in zip(pairs, np.unravel_index(flat, shape)):
-            doubled[i][j] = doubled[j][i] = int(v) - tops[(i, j)]
-        found[BetaMatrix(doubled)] = int(counts[flat])
-    return found
+    descend((), 0, [np.zeros(len(s), dtype=np.int64) for s in shells])
 
 
 # ---------------------------------------------------------------------------
 # payload assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GenusCoefficient:
-    beta: BetaMatrix
-    count: int
-    payload: dict = field(default_factory=dict)
+    def __init__(self, beta, count, payload=None):
+        self.beta, self.count = beta, count
+        self.payload = {} if payload is None else payload
 
     @property
     def rank_t(self):
         return self.beta.rank()
 
     def to_json(self):
-        payload = {}
-        for key in sorted(self.payload):
-            terms = self.payload[key]
-            payload[key] = [[list(word), [int(c.numerator), int(c.denominator)]]
-                            for word, c in sorted(terms.items())]
+        payload = {key: [[list(word), [int(c.numerator), int(c.denominator)]]
+                         for word, c in sorted(terms.items())]
+                   for key, terms in sorted(self.payload.items())}
         return {
             "beta": self.beta.to_json(),
             "rank": self.rank_t,
@@ -357,12 +354,7 @@ def filling_key(filling):
 
 
 def _column_major_values(lam, filling):
-    vals = []
-    for c in range(lam[0]):
-        for r in range(len(lam)):
-            if lam[r] > c:
-                vals.append(filling[r][c])
-    return vals
+    return [filling[r][c] for c in range(lam[0]) for r in range(len(lam)) if lam[r] > c]
 
 
 def _nonzero_terms(arr, den):
@@ -474,16 +466,20 @@ def _omega_tilde(t, g2, adj):
 
 
 def assemble_coefficient(lat, beta, lam=()):
-    """Count plus the harmonic Schur payload for each semistandard filling."""
+    """Count plus the harmonic Schur payload for each semistandard filling;
+    with no shape the tuples are counted by _search, not listed."""
     lam = tuple(lam)
-    if lam and len(lam) > beta.n:
-        raise ValueError("shape has more rows than the genus")
-    reps = enumerate_representations(lat, beta)
-    coeff = GenusCoefficient(beta=beta, count=len(reps))
     if not lam:
-        return coeff
+        counts = []
+        _search(lat, *_beta_windows(beta),
+                lambda index, *_: counts.append(int(np.count_nonzero(index == 0))))
+        return GenusCoefficient(beta, sum(counts))
+    if len(lam) > beta.n:
+        raise ValueError("shape has more rows than the genus")
     from fockforms.schur import ssyt_enumerate
 
+    reps = enumerate_representations(lat, beta)
+    coeff = GenusCoefficient(beta, len(reps))
     coords = np.array(reps, dtype=np.int64).reshape(len(reps), beta.n, lat.rank)
     for filling in ssyt_enumerate(lam, beta.n):
         moments = _moments(coords, _column_major_values(lam, filling), lat.rank)
@@ -525,10 +521,9 @@ def series_table(lat, lam=(), n=1, bound=0, jobs=1):
     if lam:
         return list(ordered_map(functools.partial(assemble_coefficient, lat, lam=lam),
                                 betas, jobs))
-    diags = dict.fromkeys(tuple(row[i] // 2 for i, row in enumerate(beta.doubled))
-                          for beta in betas)
+    diags = dict.fromkeys(tuple(_beta_windows(beta)[0]) for beta in betas)
     counts = {}
     for found in ordered_map(functools.partial(count_representations, lat),
                              list(diags), jobs):
         counts.update(found)
-    return [GenusCoefficient(beta=beta, count=counts.get(beta, 0)) for beta in betas]
+    return [GenusCoefficient(beta, counts.get(beta, 0)) for beta in betas]

@@ -11,7 +11,9 @@ products (against theta's moment kernel); the exhaustive box scan of the
 shell enumeration (against enumeration.shell_vectors, with box radii from
 the rational inverse rather than the adjugate); the beta list of a theta
 table as a filter over the full product of entry ranges (against
-theta.series_betas, which grows PSD blocks row by row); solve and nullspace for
+theta.series_betas, which grows PSD blocks row by row); the representation
+search with one boolean mask per shell (against theta's windowed search: its
+binned tables, single-beta counts and listings); solve and nullspace for
 exact rational matrices (against linalg's elimination); and the Schwartz
 forms phi_nq0 and phi_0ell summed over every index tuple (against the
 products of linear forms in fockforms.forms).
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 
-from fockforms.enumeration import integral_rows
+from fockforms.enumeration import exact_dtype, integral_rows
 from fockforms.linalg import RatMat, _eliminate, inverse
 from fockforms.multilinear import MixedForm
 from fockforms.scalars import MINUS_I_4PI, QQ, Scalar
@@ -193,6 +195,48 @@ def series_betas_filter(n, bound):
             if cand.is_psd():
                 out.append(cand)
     out.sort(key=BetaMatrix.sort_key)
+    return out
+
+
+def masked_representations(lat, beta):
+    """Every tuple (x_1..x_n) with (x_i, x_j) = 2 beta_{ij}, lexicographically
+    ordered: a depth-first search over the sorted shells in which choosing
+    x_t narrows each later shell k by the boolean mask shell_k G2 x_t =
+    4 beta_tk, in int64 when the largest product fits and in Python ints
+    otherwise."""
+    n = beta.n
+    if lat.coset_h is not None and len(lat.coset_h) != n:
+        raise ValueError("coset shift count must match the genus")
+    if any(beta.doubled[i][i] < 0 for i in range(n)):
+        return []
+    if n == 0:
+        return [()]
+    g2 = lat.gram2_rows
+    shells = [lat.shell(beta.doubled[i][i], column=i) for i in range(n)]
+    want = [[2 * v for v in row] for row in beta.doubled]
+    biggest = max(int(np.abs(s).max(initial=0)) for s in shells)
+    exact = exact_dtype(max(biggest * biggest * sum(abs(v) for row in g2 for v in row),
+                            max(abs(v) for row in want for v in row)), g2)
+    g2 = np.array(g2, dtype=exact)
+    vecs = [s.astype(exact, copy=False) for s in shells]
+    rows = [list(zip(*s.T.tolist())) for s in shells]
+    out = []
+
+    def extend(chosen, masks):
+        # masks[j]: rows of shell k + j that pair correctly with all chosen
+        k = len(chosen)
+        hits = np.flatnonzero(masks[0]).tolist()
+        if k == n - 1:
+            out.extend(chosen + (rows[k][j],) for j in hits)
+            return
+        for j in hits:
+            v = g2 @ vecs[k][j]
+            later = [mask & (vecs[t] @ v == want[k][t])
+                     for t, mask in enumerate(masks[1:], k + 1)]
+            if all(mask.any() for mask in later):
+                extend(chosen + (rows[k][j],), later)
+
+    extend((), [np.ones(len(s), dtype=bool) for s in shells])
     return out
 
 

@@ -28,7 +28,8 @@ from fockforms.theta import (
     series_betas,
     series_table,
 )
-from oracles import harmonic_project_vec, moment_oracle, series_betas_filter
+from oracles import (harmonic_project_vec, masked_representations, moment_oracle,
+                     series_betas_filter)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -449,12 +450,17 @@ COUNT_LATTICES = {
 ])
 def test_binned_counts_match_enumeration(name, genus, bound):
     """Every count of the binned table is the number of tuples the search
-    lists, for every beta of the table."""
+    lists, and the number the masked oracle lists, for every beta of the
+    table; the single-beta count of assemble_coefficient agrees."""
     lat = COUNT_LATTICES[name]()
     rows = series_table(lat, n=genus, bound=bound)
     assert [r.beta for r in rows] == series_betas(genus, bound)
     assert [r.count for r in rows] == [len(enumerate_representations(lat, r.beta))
                                        for r in rows]
+    oracle = [len(masked_representations(lat, r.beta)) for r in rows]
+    assert [r.count for r in rows] == oracle
+    single = [assemble_coefficient(lat, r.beta).count for r in rows]
+    assert single == oracle and all(type(c) is int for c in single)
     assert any(r.count for r in rows if r.beta.trace())
 
 
@@ -480,6 +486,24 @@ def test_binned_counts_in_blocks(monkeypatch):
             monkeypatch.setattr(theta, "BIN_ENTRIES", entries)
             assert count_representations(lat, diag) == whole
         monkeypatch.undo()
+
+
+def test_search_forms_blocks_at_the_leaves(monkeypatch):
+    """A last-pair block over BIN_TABLE entries is formed at each leaf, on the
+    rows and columns still left: the tables, the single-beta counts and the
+    listings equal those read from the block formed once."""
+    for lat, genus in ((COUNT_LATTICES["z4"](), 3), (COUNT_LATTICES["e7"](), 2)):
+        betas = series_betas(genus, 1)
+        listed = [enumerate_representations(lat, b) for b in betas]
+        counts = [r.count for r in series_table(lat, n=genus, bound=1)]
+        assert len(lat.shell(2)) ** 2 > 125
+        for entries in (7, theta.BIN_ENTRIES):
+            monkeypatch.setattr(theta, "BIN_TABLE", 125)
+            monkeypatch.setattr(theta, "BIN_ENTRIES", entries)
+            assert [enumerate_representations(lat, b) for b in betas] == listed
+            assert [r.count for r in series_table(lat, n=genus, bound=1)] == counts
+            assert [assemble_coefficient(lat, b).count for b in betas] == list(map(len, listed))
+            monkeypatch.undo()
 
 
 def test_binned_counts_python_int_branch(monkeypatch):
@@ -962,6 +986,18 @@ def test_rank_sixteen_genus_two_counts(e8):
             want += c1 * r_e8.get(b2, 0)
         assert row.count == want, row.beta.doubled
     assert [r.count for r in e8e8][:2] == [1, 480]
+
+
+def test_rank_sixteen_genus_four_schottky_counts():
+    """At genus 4 the theta series of E8 + E8 and D16+ differ by a multiple of
+    Igusa's Schottky form (Amer. J. Math. 103, 1981).  At beta = D4 / 2 (the
+    doubled beta is the D4 Cartan matrix) a tuple is a simple-root basis of a
+    D4 root sublattice, and Aut(D4), of order 1152, permutes those bases
+    simply transitively: E8 holds 3150 D4 root sublattices, E8 + E8 twice
+    that, and D16+ one per 4 of its 16 coordinates."""
+    beta = BetaMatrix([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
+    assert assemble_coefficient(Lattice(e8_e8_gram()), beta).count == 2 * 3150 * 1152
+    assert assemble_coefficient(Lattice(d16_plus_gram()), beta).count == math.comb(16, 4) * 1152
 
 
 def signed_permutation_orbit(offs):
