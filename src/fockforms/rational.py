@@ -1,11 +1,27 @@
 """The exact rational type QQ: gmpy2's mpq when it is installed, else
-fractions.Fraction.
+fractions.Fraction, and _accum, the sparse accumulate step.
 
-It lives apart from the coefficient ring in scalars, so a layer that only
-needs rationals, as `theta` and `enumeration` do, does not load the ring.
+They live apart from the coefficient ring in scalars, so a layer that only
+needs rationals, as `theta`, `enumeration` and `schur` do, does not load the
+ring.
 """
 
 try:
     from gmpy2 import mpq as QQ  # same arithmetic, much faster
 except ImportError:  # pragma: no cover
     from fractions import Fraction as QQ
+
+
+def _accum(vec, key, value):
+    """vec[key] += value in place, dropping the key when the sum is zero.
+
+    The one sparse accumulate step of the exact layers: RatMat rows, schur
+    tensors and MixedForm terms all add through it.  value is an int, a QQ or
+    a Scalar; a zero value added to an absent key leaves no entry.
+    """
+    s = vec.get(key)
+    s = value if s is None else s + value
+    if s:
+        vec[key] = s
+    else:
+        vec.pop(key, None)

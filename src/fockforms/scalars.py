@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from fockforms.rational import QQ
+from fockforms.rational import QQ, _accum  # _accum is re-exported
 
 
 # _UNIT[p][q] = (c, f): e_p * e_q = f * e_c over the basis 1, i, sqrt2, i sqrt2
@@ -388,21 +388,6 @@ class Scalar:
             else:
                 parts.append(f"({body})*pi^{k}")
         return " + ".join(parts)
-
-
-def _accum(vec, key, value):
-    """vec[key] += value in place, dropping the key when the sum is zero.
-
-    The one sparse accumulate step of the exact layers: RatMat rows, schur
-    tensors and MixedForm terms all add through it.  value is an int, a QQ or
-    a Scalar; a zero value added to an absent key leaves no entry.
-    """
-    s = vec.get(key)
-    s = value if s is None else s + value
-    if s:
-        vec[key] = s
-    else:
-        vec.pop(key, None)
 
 
 ZERO = Scalar.zero()

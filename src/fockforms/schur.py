@@ -2,7 +2,8 @@
 harmonic projection.
 
 Words of length ell over the alphabet 1..N index the tensor space; a tensor
-is a dict word -> value, the value a QQ or a Scalar.
+is a dict word -> value, the value a QQ or a Scalar (or an int, for the Young
+step of theta's payloads).
 
 * young_apply_vec(lam, vec) is the one Young projector pi_lam: the row
   average of the row-major base tableau, then the signed column average,
@@ -10,7 +11,8 @@ is a dict word -> value, the value a QQ or a Scalar.
   idempotent.  The averages and kappa together scale the plain sums by
   1 / prod hooks.  The row sum is taken one row orbit at a time, in time
   linear in its output.  It serves both layers: theta applies it to the
-  rational payloads and harmonic_apply_vec to the forms' output words.
+  payloads' integer numerators and harmonic_apply_vec to the forms' output
+  words.
 * omega_eigenvalues(lam, n) lists the factors of the harmonic projector
   pi_[lam], which takes a lam-isotypic tensor to its traceless part for a
   symmetric bilinear form b1.  Let C_ij contract slots i < j with b1 and
@@ -46,8 +48,7 @@ import bisect
 import itertools
 import math
 
-from fockforms.linalg import RatMat
-from fockforms.scalars import QQ, _accum
+from fockforms.rational import QQ, _accum
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +210,8 @@ def _arrangements(letters):
 
 
 def young_apply_vec(lam, vec):
-    """pi_lam on a dict word -> QQ or Scalar: the row sum, then the signed
-    column sum, divided by prod hooks = kappa |R| |C|.
+    """pi_lam on a dict word -> int, QQ or Scalar: the row sum, then the
+    signed column sum, divided by prod hooks = kappa |R| |C|.
 
     The row sum goes one row orbit at a time: as r runs over R, r w runs over
     the orbit of w, |Stab(w)| times each.  So every orbit, keyed by its
@@ -241,6 +242,8 @@ def young_apply_vec(lam, vec):
 
 def young_projector(lam, alphabet):
     """The matrix of young_apply_vec on the basis words."""
+    from fockforms.linalg import RatMat
+
     ell = sum(lam)
     mat = RatMat.zero(alphabet ** ell, alphabet ** ell)
     for word in all_words(alphabet, ell):

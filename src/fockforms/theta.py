@@ -190,24 +190,24 @@ def _emit_rational(r):
 
 def enumerate_representations(lat, beta):
     """All ordered tuples (x_1..x_n) with (x_i, x_j) = 2 beta_{ij}, n = beta.n,
-    as a lexicographically ordered list of n-tuples of coordinate tuples: the
-    index-0 entries of _search's blocks at beta's windows, block by block.
-    Negative diagonal targets give the empty list."""
-    n = beta.n
-    rows, out = [], []
+    as an int64 array (reps, n, m) in lexicographic order: the leaves keep
+    the row numbers of _search's index-0 entries at beta's windows, and each
+    shell gathers its column once.  Negative diagonal targets give no rows."""
+    n, picks = beta.n, []
 
     def leaf(index, path, a, b):
-        if not rows:  # () for each padding shell, then each shell's vectors as 1-tuples
-            rows.extend([[()]] * (2 - n))
-            rows.extend([(x,) for x in zip(*lat.shell(beta.doubled[i][i], column=i).T.tolist())]
-                        for i in range(n))
-        head = sum((rows[k][j] for k, j in enumerate(path)), ())
-        first, last = rows[-2:]
         hit_a, hit_b = np.nonzero(index == 0)
-        out.extend(head + first[i] + last[j]
-                   for i, j in zip(a[hit_a].tolist(), b[hit_b].tolist()))
+        pick = np.empty((len(hit_a), len(path) + 2), dtype=np.int64)
+        pick[:, :-2] = path
+        pick[:, -2], pick[:, -1] = a[hit_a], b[hit_b]
+        picks.append(pick)
 
     _search(lat, *_beta_windows(beta), leaf)
+    rows = np.concatenate(picks) if picks else np.zeros((0, max(n, 2)), dtype=np.int64)
+    picks.clear()  # the search's recursive closure keeps the leaf alive until a gc
+    out = np.empty((len(rows), n, lat.rank), dtype=np.int64)
+    for i in range(n):  # a padding shell's column comes first and is dropped
+        out[:, i] = lat.shell(beta.doubled[i][i], column=i)[rows[:, i - n]]
     return out
 
 
@@ -357,11 +357,13 @@ def _column_major_values(lam, filling):
     return [filling[r][c] for c in range(lam[0]) for r in range(len(lam)) if lam[r] > c]
 
 
-def _nonzero_terms(arr, den):
+def _nonzero_terms(arr, den=1):
     """The nonzero entries of an integer array divided by den, as a dict
-    word -> QQ with letters counted from 1."""
-    return {tuple(int(i) + 1 for i in idx): QQ(int(arr[idx]), den)
-            for idx in zip(*np.nonzero(arr))}
+    word -> value with letters counted from 1: Python ints when den is 1,
+    else QQ."""
+    idx = np.nonzero(arr)
+    values = [v if den == 1 else QQ(v, den) for v in arr[idx].tolist()]
+    return dict(zip(map(tuple, (np.transpose(idx) + 1).tolist()), values))
 
 
 # entries of one chunk's product block in the moment kernel; bounds its memory
@@ -374,50 +376,64 @@ def _moments(coords, slot_values, m):
     slot_values (1-based).
 
     Slots that read one column are symmetric, so each group of them is
-    formed only on sorted index tuples (330 instead of 4,096 at m = 8,
-    ell = 4), summed over the representations a chunk at a time and
-    expanded to every word by one gather.  Exact: int64 when the largest
-    possible sum fits, Python ints otherwise.
+    formed only on its sorted index tuples, degree by degree: a sorted
+    d-tuple is its (d - 1)-prefix times one letter, one gather and one
+    product.  The groups' blocks are summed over the representations a chunk
+    at a time by one matmul, which also takes a lone group's last degree;
+    one gather expands the sums to every word.  Exact: int64 when the
+    largest possible sum fits, Python ints otherwise.
     """
     groups = {}
     for slot, column in enumerate(slot_values):
         groups.setdefault(column, []).append(slot)
-    combos, gather = _symmetric_layout(m, tuple(map(tuple, groups.values())))
-    biggest = int(np.abs(coords).max(initial=0))
-    exact = exact_dtype(len(coords) * max(biggest, 1) ** len(slot_values))
-    widths = [len(combo) for combo in combos]
-    rows = max(1, MOMENT_ENTRIES // math.prod(widths))
+    chains, gather = _symmetric_layout(m, tuple(map(tuple, groups.values())))
+    biggest = max(int(coords.max(initial=1)), -int(coords.min(initial=0)))
+    exact = exact_dtype(len(coords) * biggest ** len(slot_values))
+    lone = len(chains) == 1  # its operands: the sorted (k - 1)-tuples and the column
+    steps = [chain[:len(chain) - lone] for chain in chains]
+    widths = [len(step[-1][0]) if step else 1 for step in steps] + [m] * lone
+    rows = max(1, MOMENT_ENTRIES // max(math.prod(widths[:-1]), widths[-1]))
     total = np.zeros((math.prod(widths[:-1]), widths[-1]), dtype=exact)
     for start in range(0, len(coords), rows):
         part = coords[start:start + rows].astype(exact)
-        blocks = [part[:, column - 1][:, combo].prod(axis=2)
-                  for column, combo in zip(groups, combos)]
-        left = np.ones((len(part), 1), dtype=exact)
-        for block in blocks[:-1]:
+        left, blocks = np.ones((len(part), 1), dtype=exact), []
+        for column, step in zip(groups, steps):
+            x, block = part[:, column - 1], left
+            for parent, letter in step:
+                block = block[:, parent] * x[:, letter]
+            blocks.append(block)
+        *blocks, last = blocks + [x] * lone
+        for block in blocks:
             left = (left[:, :, None] * block[:, None, :]).reshape(len(part), -1)
-        total += left.T @ blocks[-1]
+        total += left.T @ last
+    if lone:
+        total = total[chains[0][-1]]  # at the (parent, letter) of each sorted k-tuple
     return total.ravel()[gather].reshape((m,) * len(slot_values))
 
 
 @functools.lru_cache(maxsize=16)
 def _symmetric_layout(m, groups):
-    """For slot groups (tuples of slots), the sorted index tuples of each
-    group, and for every word of (m,)*ell in C order the flat position of its
-    entry in the product of the groups' blocks: each group's sorted letters
-    are ranked among its tuples, and the ranks combined in mixed radix."""
+    """For slot groups (tuples of slots), each group's chain: for d = 1..k,
+    the parent (the rank of the (d - 1)-prefix) and the last letter of each
+    sorted d-tuple, in lexicographic order; and for every word of (m,)*ell in
+    C order the flat position of its entry in the product of the groups'
+    blocks: each group's sorted letters are ranked among its k-tuples, and
+    the ranks combined in mixed radix."""
     ell = sum(map(len, groups))
     words = np.indices((m,) * ell).reshape(ell, -1)
-    combos, flat = [], np.zeros(m ** ell, dtype=np.int64)
+    chains, flat = [], np.zeros(m ** ell, dtype=np.int64)
     for slots in groups:
-        k = len(slots)
-        combo = np.array(list(itertools.combinations_with_replacement(range(m), k)),
-                         dtype=np.int64)
-        radix = m ** np.arange(k - 1, -1, -1)
-        rank = np.zeros(m ** k, dtype=np.int64)
+        combo, chain = np.zeros((1, 1), dtype=np.int64), []  # after a leading 0
+        for _ in slots:  # each sorted tuple times every letter from its last on
+            parent, letter = np.nonzero(np.arange(m) >= combo[:, -1:])
+            combo = np.column_stack([combo[parent], letter])
+            chain.append((parent, letter))
+        radix = m ** np.arange(len(slots), -1, -1)
+        rank = np.zeros(m ** len(slots), dtype=np.int64)
         rank[combo @ radix] = np.arange(len(combo))
-        flat = flat * len(combo) + rank[radix @ np.sort(words[list(slots)], axis=0)]
-        combos.append(combo)
-    return combos, flat
+        flat = flat * len(combo) + rank[radix[1:] @ np.sort(words[list(slots)], axis=0)]
+        chains.append(chain)
+    return chains, flat
 
 
 def _harmonic_payload(lat, lam, moments):
@@ -428,8 +444,9 @@ def _harmonic_payload(lat, lam, moments):
     C_ij(G2) is an integer operator.  So the Brauer product over c of
     (1 - Omega / c) (see schur) maps N / D to (c det N - Omega~ N) / (c det D)
     factor by factor, on integer arrays.  Omega commutes with the slot
-    permutations, so the Young projector runs once, on the quotient; the
-    trace check of harmonic projection is its exit check.
+    permutations, so the Young projector runs once, on the integer
+    numerators of the last factor, and each output word is divided by D
+    once; the trace check of harmonic projection is its exit check.
     """
     from fockforms.schur import assert_traceless, omega_eigenvalues, young_apply_vec
 
@@ -449,8 +466,7 @@ def _harmonic_payload(lat, lam, moments):
         num = c * det * num - _omega_tilde(num, np.array(g2, dtype=exact),
                                            np.array(adj, dtype=exact))
         den *= c * det
-    terms = _nonzero_terms(num, den)
-    payload = young_apply_vec(lam, terms) if terms else {}
+    payload = {w: v / den for w, v in young_apply_vec(lam, _nonzero_terms(num)).items()}
     assert_traceless(payload, g2, ell)
     return payload
 
@@ -480,9 +496,8 @@ def assemble_coefficient(lat, beta, lam=()):
 
     reps = enumerate_representations(lat, beta)
     coeff = GenusCoefficient(beta, len(reps))
-    coords = np.array(reps, dtype=np.int64).reshape(len(reps), beta.n, lat.rank)
     for filling in ssyt_enumerate(lam, beta.n):
-        moments = _moments(coords, _column_major_values(lam, filling), lat.rank)
+        moments = _moments(reps, _column_major_values(lam, filling), lat.rank)
         coeff.payload[filling_key(filling)] = _harmonic_payload(lat, lam, moments)
     return coeff
 

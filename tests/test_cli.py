@@ -661,11 +661,13 @@ def test_subcommands_load_only_their_layers():
          {"fockforms.forms", "fockforms.multilinear", "fockforms.weil",
           "fockforms.schur", "fockforms.linalg", "fockforms.scalars",
           "concurrent.futures", "multiprocessing"}),
+        # a payload table needs schur, but neither the ring nor the matrices
         ("import fockforms.cli; fockforms.cli.main(['theta', '--lattice', "
          f"{z4!r}, '--lambda', '2', '--bound', '1', '--jobs', '1'])",
          {"numpy", "fockforms.theta", "fockforms.enumeration", "fockforms.schur"},
          {"fockforms.forms", "fockforms.multilinear", "fockforms.weil",
-          "concurrent.futures", "multiprocessing"}),
+          "fockforms.scalars", "fockforms.linalg", "concurrent.futures",
+          "multiprocessing"}),
         ("import fockforms.cli; fockforms.cli.main(['verify', '--identity', "
          "'closedness', '--p', '1', '--q', '1'])",
          {"fockforms.forms", "fockforms.weil"},

@@ -286,6 +286,11 @@ def pair_loop_representations(lat, beta):
     return out
 
 
+def listed(lat, beta):
+    """The listing read as a list of tuples of coordinate tuples."""
+    return [tuple(map(tuple, rep)) for rep in enumerate_representations(lat, beta).tolist()]
+
+
 def gram_beta(gram, vectors):
     """The index matrix of a tuple: doubled entries are the pairings."""
     return BetaMatrix([[sum(gram[i][j] * x[i] * y[j]
@@ -317,7 +322,7 @@ def test_search_matches_pair_loop(seed):
                       for i in range(m) for j in range(m)) % 2 == 0]
         betas.append(gram_beta(gram, rng.choices(box, k=n)))
         for beta in betas:
-            reps = enumerate_representations(lat, beta)
+            reps = listed(lat, beta)
             assert reps == pair_loop_representations(lat, beta)
             found += len(reps)
     assert found > 0
@@ -330,7 +335,7 @@ def test_search_python_int_fallback():
     x, y = (3001, -4999), (-2000, 1717)
     for vectors in ((x, y), (x, x), (y, x)):
         beta = gram_beta(gram, vectors)
-        reps = enumerate_representations(lat, beta)
+        reps = listed(lat, beta)
         assert tuple(vectors) in reps
         assert reps == pair_loop_representations(lat, beta)
 
@@ -342,7 +347,7 @@ def test_z4_series_counts_two_paths(z4):
     for r in rows:
         brute = brute_tuples(gram, r.beta, 4)
         assert r.count == len(brute)
-        assert sorted(enumerate_representations(z4, r.beta)) == brute
+        assert sorted(listed(z4, r.beta)) == brute
 
 
 def test_e8_root_count(e8):
@@ -358,7 +363,7 @@ def test_nonzero_shells_have_even_count(q23):
 
 def test_genus_two_orthogonal_pairs(z2):
     beta = BetaMatrix.diagonal([1, 1])
-    reps = enumerate_representations(z2, beta)
+    reps = listed(z2, beta)
     assert len(reps) == 8
     gram = [[1, 0], [0, 1]]
     assert sorted(reps) == brute_tuples(gram, beta, 2)
@@ -367,7 +372,7 @@ def test_genus_two_orthogonal_pairs(z2):
 def test_degenerate_beta_diagonal_pairs(z2):
     # x = y forced when the pairing saturates Cauchy-Schwarz
     beta = BetaMatrix.from_entries([[1, 1], [1, 1]])
-    reps = enumerate_representations(z2, beta)
+    reps = listed(z2, beta)
     assert len(reps) == 4
     assert all(x == y for x, y in reps)
     assert beta.rank() == 1
@@ -379,7 +384,7 @@ def test_zero_beta(z4):
 
 
 def test_negative_beta_empty(z4):
-    assert enumerate_representations(z4, BetaMatrix([[-2]])) == []
+    assert enumerate_representations(z4, BetaMatrix([[-2]])).tolist() == []
 
 
 def test_unimodular_change_of_basis_preserves_counts(q23):
@@ -494,15 +499,15 @@ def test_search_forms_blocks_at_the_leaves(monkeypatch):
     listings equal those read from the block formed once."""
     for lat, genus in ((COUNT_LATTICES["z4"](), 3), (COUNT_LATTICES["e7"](), 2)):
         betas = series_betas(genus, 1)
-        listed = [enumerate_representations(lat, b) for b in betas]
+        tuples = [listed(lat, b) for b in betas]
         counts = [r.count for r in series_table(lat, n=genus, bound=1)]
         assert len(lat.shell(2)) ** 2 > 125
         for entries in (7, theta.BIN_ENTRIES):
             monkeypatch.setattr(theta, "BIN_TABLE", 125)
             monkeypatch.setattr(theta, "BIN_ENTRIES", entries)
-            assert [enumerate_representations(lat, b) for b in betas] == listed
+            assert [listed(lat, b) for b in betas] == tuples
             assert [r.count for r in series_table(lat, n=genus, bound=1)] == counts
-            assert [assemble_coefficient(lat, b).count for b in betas] == list(map(len, listed))
+            assert [assemble_coefficient(lat, b).count for b in betas] == list(map(len, tuples))
             monkeypatch.undo()
 
 
@@ -626,7 +631,7 @@ def dict_path_payload(lat, beta, lam):
     filling, harmonic_project_vec(young_apply_vec(lam, moment_oracle(...)),
     gram, lam), all three independent of theta's moment kernel and Brauer
     product."""
-    reps = enumerate_representations(lat, beta)
+    reps = enumerate_representations(lat, beta).tolist()
     gram = RatMat.from_rows(lat.gram2_rows).scale(QQ(1, 2))
     out = {}
     for filling in ssyt_enumerate(lam, beta.n):
@@ -660,7 +665,7 @@ def array_path_cases():
                                (3, 1, (rank3, rank4))):
         betas = [b for b in series_betas(n, bound) if b.trace()]
         for lat in lattices:
-            hit = [b for b in betas if enumerate_representations(lat, b)]
+            hit = [b for b in betas if len(enumerate_representations(lat, b))]
             k = 4 if lat.rank < 4 else 2
             cases.extend((lat, b) for b in rng.sample(hit, min(k, len(hit))))
     return cases
@@ -712,7 +717,7 @@ def test_array_path_leaves_int64(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def dense_moment(lat, beta, ell):
-    reps = enumerate_representations(lat, beta)
+    reps = enumerate_representations(lat, beta).tolist()
     if not reps:
         return np.zeros((lat.rank,) * ell, dtype=np.int64)
     arr = np.array([r[0] for r in reps], dtype=np.int64)
@@ -1056,6 +1061,33 @@ def test_e8_genus_two_payloads_vanish(e8, lam):
         assert row.payload and all(terms == {} for terms in row.payload.values())
 
 
+def test_e8_e8_degree_four_payloads_are_delta():
+    """With lambda = (4) the theta series of E8 + E8 is a cusp form of weight
+    8 + 4 = 12, so a multiple of Delta = q - 24 q^2 + ...: the payload at
+    beta = 2 is tau(2) = -24 times the payload at beta = 1, word by word."""
+    lat = Lattice(e8_e8_gram())
+    one, two = (assemble_coefficient(lat, BetaMatrix.diagonal([b]), lam=(4,)).payload["1,1,1,1"]
+                for b in (1, 2))
+    assert len(one) == 32768
+    assert two == {w: -24 * v for w, v in one.items()}
+
+
+def test_e8_e8_genus_two_payloads_are_chi10():
+    """With lambda = (2, 2) the genus-2 payload transforms by det^2, so the
+    theta series of E8 + E8 is a cusp form of scalar weight 8 + 2 = 10, a
+    multiple of Igusa's chi10: its coefficients at [[1, r/2], [r/2, 1]] run
+    1 : -2 : 1 for r = 1, 0, -1 (Eichler & Zagier, The Theory of Jacobi
+    Forms, 1985, section 6), and a cusp form vanishes at a rank-1 beta."""
+    lat = Lattice(e8_e8_gram())
+    plus, zero, minus, flat = (
+        assemble_coefficient(lat, BetaMatrix.from_entries(b), lam=(2, 2)).payload["1,1|2,2"]
+        for b in ([[1, "1/2"], ["1/2", 1]], [[1, 0], [0, 1]], [[1, "-1/2"], ["-1/2", 1]],
+                  [[1, 1], [1, 1]]))
+    assert len(zero) == 20512 and zero[(1, 1, 2, 2)] == 768
+    assert plus == minus == {w: v / -2 for w, v in zero.items()}
+    assert flat == {}
+
+
 def pochhammer(a, k):
     out = QQ(1)
     for t in range(k):
@@ -1103,7 +1135,7 @@ def test_single_row_payload_is_zonal(gram, ell, constant):
     for b in range(1, 5):
         beta = BetaMatrix.diagonal([b])
         payload = assemble_coefficient(lat, beta, lam=(ell,)).payload[key]
-        shell = [rep[0] for rep in enumerate_representations(lat, beta)]
+        shell = [rep[0] for rep in enumerate_representations(lat, beta).tolist()]
         for y in ((1, 0, 0, 0), (1, 2, -1, 1), (3, -1, 2, -2)):
             y = y[:m]
             gy = [sum(gram[i][k] * y[k] for k in range(m)) for i in range(m)]
@@ -1141,6 +1173,22 @@ def test_half_integral_beta_serialization():
 
 def test_filling_key_format():
     assert filling_key(((1, 2), (2,))) == "1,2|2"
+
+
+@pytest.mark.parametrize("slots", [[1, 1, 1], [1, 2, 2, 1], [3, 1, 2, 1]])
+def test_moments_across_chunks(monkeypatch, slots):
+    """Chunks of a few rows, the last one partial (23 representations, at
+    most 40 entries per operand block), give the oracle's moments on one,
+    two and three slot groups, from int64 and from Python-int coordinates,
+    and past int64."""
+    rng = random.Random(22)
+    coords = np.array([[[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+                       for _ in range(23)], dtype=np.int64)
+    monkeypatch.setattr(theta, "MOMENT_ENTRIES", 40)
+    for arr in (coords, coords.astype(object), coords << 40):
+        moments = theta._moments(arr, slots, 3)
+        assert theta._nonzero_terms(moments) == moment_oracle(arr.tolist(), slots, 3)
+        assert moments.any()
 
 
 def test_moment_overflow_guard():
