@@ -38,7 +38,8 @@ from fockforms.multilinear import (
     z_del,
     z_mul,
 )
-from fockforms.scalars import MINUS_I_4PI, QQ, Scalar, _accum
+from fockforms.rational import QQ, _accum
+from fockforms.scalars import MINUS_I_4PI, Scalar
 from fockforms.schur import (_sort_with_sign, all_words, harmonic_apply_vec, perm_act_word,
                              young_apply_vec)
 from fockforms.weil import lowering, omega_kprime

@@ -8,7 +8,7 @@ installed) is fast enough.
 
 from __future__ import annotations
 
-from fockforms.scalars import QQ, _accum
+from fockforms.rational import QQ, _accum
 
 
 class RatMat:

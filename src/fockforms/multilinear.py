@@ -20,7 +20,8 @@ import functools
 import operator
 from dataclasses import dataclass
 
-from fockforms.scalars import ONE, QQ, ZERO, Scalar, _accum
+from fockforms.rational import QQ, _accum
+from fockforms.scalars import ONE, ZERO, Scalar
 from fockforms.schur import insert_pair_word, perm_act_word
 
 
@@ -224,9 +225,6 @@ class MixedForm:
 
     def __hash__(self):
         raise TypeError("MixedForm is mutable; not hashable")
-
-    def nnz(self):
-        return len(self.terms)
 
     def sorted_terms(self):
         """(key, coeff) pairs in key order, each key decoded to tuples."""

@@ -26,15 +26,16 @@ vol. 2, 4.5.1).  QQ values appear only at the boundaries: the constructors,
 rational_of, JSON and repr.
 
 The ring operations are memo functions (Michie, Nature 218, 1968) over
-hash-consed values (Filliatre & Conchon, ML Workshop 2006).  A Scalar gets a
-value id the first time it enters an operation; equal values share one id
-for as long as the id table lives, and ids come from a counter that never
-repeats.  __mul__, __add__, __neg__ and scale look their result up in a
-table keyed by the operand ids (scale by id, num and den) and run the kernel
-only on a miss; equal results are one shared object, which is safe because
-a Scalar is never changed in place.  When a table reaches MEMO_ENTRIES
-entries every table is cleared.  Ids already handed out stay valid: none is
-reused, so a stale id can never hit another value's entry.
+hash-consed values (Filliatre & Conchon, ML Workshop 2006).  Scalar(terms)
+returns the one object the id table holds for that value, made with a new
+value id the first time the value is seen, so every Scalar has an id and
+equal values made while the table lives are one object; ids come from a
+counter that never repeats.  __mul__, __add__ and scale look their result up
+in a table keyed by the operand ids (scale by id, num and den) and run the
+kernel only on a miss, and negation is scaling by -1.  Sharing is safe
+because a Scalar is never changed in place.  When a table reaches
+MEMO_ENTRIES entries every table is cleared.  Ids already handed out stay
+valid: none is reused, so a stale id can never hit another value's entry.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from fockforms.rational import QQ, _accum  # _accum is re-exported
+from fockforms.rational import QQ
 
 
 # _UNIT[p][q] = (c, f): e_p * e_q = f * e_c over the basis 1, i, sqrt2, i sqrt2
@@ -143,10 +144,6 @@ def _add(x, y):
     return out
 
 
-def _neg(x):
-    return {k: tuple((c, -n, d) for c, n, d in q) for k, q in x.items()}
-
-
 def _scale(x, num, den):
     """x * num/den for integers num and den > 0."""
     if not num:
@@ -159,17 +156,16 @@ def _scale(x, num, den):
 # a table holding this many entries clears every table
 MEMO_ENTRIES = 2 ** 13
 
-_new_id = itertools.count(1).__next__  # value ids; 0 marks a Scalar without one
-_IDS = {}     # frozenset of terms items -> the Scalar whose id that value has
+_new_id = itertools.count(1).__next__  # value ids
+_IDS = {}     # frozenset of terms items -> the Scalar holding that value
 _MUL = {}     # (id, id) -> product
 _ADD = {}     # (id, id) -> sum
-_NEG = {}     # id -> negation
 _SCALE = {}   # (id, num, den) -> scaled value
 
 
 def _forget():
     """Clear every table; the ids already handed out are never reused."""
-    for table in (_IDS, _MUL, _ADD, _NEG, _SCALE):
+    for table in (_IDS, _MUL, _ADD, _SCALE):
         table.clear()
 
 
@@ -180,32 +176,21 @@ def _keep(table, key, value):
     return value
 
 
-def _cons(s):
-    """The Scalar the id table holds for the value of s; on first sight of
-    the value, s itself, with a new id."""
-    key = frozenset(s.terms.items())
-    held = _IDS.get(key)
-    if held is None:
-        s._id = _new_id()
-        held = _keep(_IDS, key, s)
-    return held
-
-
-def _vid(s):
-    """The value id of s, assigned when it first enters an operation."""
-    s._id = _cons(s)._id
-    return s._id
-
-
 class Scalar:
     """Element of Q(i, sqrt2)[pi, 1/pi], keyed by pi-exponent."""
 
     __slots__ = ("terms", "_id")
 
-    def __init__(self, terms=None):
+    def __new__(cls, terms=None):
         # terms: dict pi_exponent -> tuple of reduced (unit, num, den) entries
-        self.terms = terms if terms is not None else {}
-        self._id = 0  # the value id, assigned by the first operation
+        terms = terms if terms is not None else {}
+        key = frozenset(terms.items())
+        held = _IDS.get(key)
+        if held is None:
+            held = object.__new__(cls)
+            held.terms, held._id = terms, _new_id()
+            _keep(_IDS, key, held)
+        return held
 
     def __reduce__(self):
         # an id is only meaningful in the process that handed it out
@@ -257,18 +242,14 @@ class Scalar:
     # -- ring operations: memo lookups, the kernels only on a miss ------------
 
     def __add__(self, other):
-        key = (self._id or _vid(self), other._id or _vid(other))
+        key = (self._id, other._id)
         s = _ADD.get(key)
         if s is None:
-            s = _keep(_ADD, key, _cons(Scalar(_add(self.terms, other.terms))))
+            s = _keep(_ADD, key, Scalar(_add(self.terms, other.terms)))
         return s
 
     def __neg__(self):
-        key = self._id or _vid(self)
-        s = _NEG.get(key)
-        if s is None:
-            s = _keep(_NEG, key, _cons(Scalar(_neg(self.terms))))
-        return s
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -276,10 +257,10 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return self.scale(other)
-        key = (self._id or _vid(self), other._id or _vid(other))
+        key = (self._id, other._id)
         s = _MUL.get(key)
         if s is None:
-            s = _keep(_MUL, key, _cons(Scalar(_mul(self.terms, other.terms))))
+            s = _keep(_MUL, key, Scalar(_mul(self.terms, other.terms)))
         return s
 
     def __rmul__(self, other):
@@ -290,10 +271,10 @@ class Scalar:
         num, den = int(r.numerator), int(r.denominator)
         if num == den:  # Scalars are never changed in place, so self serves
             return self
-        key = (self._id or _vid(self), num, den)
+        key = (self._id, num, den)
         s = _SCALE.get(key)
         if s is None:
-            s = _keep(_SCALE, key, _cons(Scalar(_scale(self.terms, num, den))))
+            s = _keep(_SCALE, key, Scalar(_scale(self.terms, num, den)))
         return s
 
     def __pow__(self, n):
@@ -392,7 +373,6 @@ class Scalar:
 
 ZERO = Scalar.zero()
 ONE = Scalar.one()
-I = Scalar.i()
 MINUS_I_4PI = Scalar.unit(b=QQ(-1, 4), pi_exp=-1)  # -i/(4 pi)
 
 

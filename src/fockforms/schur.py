@@ -96,7 +96,8 @@ def hook_content_count(lam, n):
     if num == 0:
         return 0
     count, rem = divmod(num, hook_product(lam))
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"the hook product of {lam} does not divide {num}")
     return count
 
 
@@ -323,5 +324,5 @@ def assert_traceless(vec, b1_rows, ell):
     """The exit check of harmonic projection: every slot-pair contraction of
     vec with the form b1_rows (nested lists) is zero."""
     for i, j in pair_positions(ell):
-        leftover = contract_vec(vec, b1_rows, i, j)
-        assert not leftover, f"trace survived harmonic projection at slots ({i},{j})"
+        if contract_vec(vec, b1_rows, i, j):
+            raise ArithmeticError(f"trace survived harmonic projection at slots ({i},{j})")

@@ -217,16 +217,19 @@ def _beta_windows(beta):
             [(beta.doubled[i][j], 1) for i, j in itertools.combinations(range(beta.n), 2)])
 
 
-def count_representations(lat, diag):
-    """The nonzero representation numbers of every beta with diagonal diag, as
-    a dict BetaMatrix -> count.  By Cauchy-Schwarz 2 beta_ij = (x_i, x_j) lies
-    in [-t, t], t = isqrt(4 d_i d_j): _search runs in these windows and
+def count_representations(lat, diag, windows=None):
+    """The nonzero representation numbers of every beta with diagonal diag and
+    each 2 beta_ij, i < j, in its window (low, width), as a dict BetaMatrix ->
+    count.  With no windows, those of Cauchy-Schwarz: 2 beta_ij = (x_i, x_j)
+    lies in [-t, t], t = isqrt(4 d_i d_j).  _search runs in the windows and
     np.bincount counts its indices.  ValueError when the table would pass
-    BIN_TABLE betas; assemble_coefficient counts one beta of such a diagonal."""
+    BIN_TABLE betas; the windows of _beta_windows(beta) hold beta alone."""
     n = len(diag)
     pairs = list(itertools.combinations(range(n), 2))
-    tops = [math.isqrt(max(4 * diag[i] * diag[j], 0)) for i, j in pairs]
-    shape = [2 * t + 1 for t in tops]
+    if windows is None:
+        windows = [(-t, 2 * t + 1)
+                   for t in (math.isqrt(max(4 * diag[i] * diag[j], 0)) for i, j in pairs)]
+    shape = [width for _, width in windows]
     total = math.prod(shape)
     if total > BIN_TABLE:
         raise ValueError(f"the diagonal {tuple(diag)} has {total} betas; "
@@ -236,12 +239,12 @@ def count_representations(lat, diag):
     def leaf(index, *_):
         counts[:] += np.bincount(index.ravel(), minlength=total)[:total]
 
-    _search(lat, diag, [(-t, 2 * t + 1) for t in tops], leaf)
+    _search(lat, diag, windows, leaf)
     found = {}
     for flat in np.flatnonzero(counts).tolist():
         doubled = [[2 * diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), t, v in zip(pairs, tops, np.unravel_index(flat, shape)):
-            doubled[i][j] = doubled[j][i] = int(v) - t
+        for (i, j), (low, _), v in zip(pairs, windows, np.unravel_index(flat, shape)):
+            doubled[i][j] = doubled[j][i] = low + int(v)
         found[BetaMatrix(doubled)] = int(counts[flat])
     return found
 
@@ -357,13 +360,11 @@ def _column_major_values(lam, filling):
     return [filling[r][c] for c in range(lam[0]) for r in range(len(lam)) if lam[r] > c]
 
 
-def _nonzero_terms(arr, den=1):
-    """The nonzero entries of an integer array divided by den, as a dict
-    word -> value with letters counted from 1: Python ints when den is 1,
-    else QQ."""
+def _nonzero_terms(arr):
+    """The nonzero entries of an integer array as a dict word -> Python int,
+    with letters counted from 1."""
     idx = np.nonzero(arr)
-    values = [v if den == 1 else QQ(v, den) for v in arr[idx].tolist()]
-    return dict(zip(map(tuple, (np.transpose(idx) + 1).tolist()), values))
+    return dict(zip(map(tuple, (np.transpose(idx) + 1).tolist()), arr[idx].tolist()))
 
 
 # entries of one chunk's product block in the moment kernel; bounds its memory
@@ -483,13 +484,11 @@ def _omega_tilde(t, g2, adj):
 
 def assemble_coefficient(lat, beta, lam=()):
     """Count plus the harmonic Schur payload for each semistandard filling;
-    with no shape the tuples are counted by _search, not listed."""
+    with no shape the tuples are counted in beta's windows, not listed."""
     lam = tuple(lam)
     if not lam:
-        counts = []
-        _search(lat, *_beta_windows(beta),
-                lambda index, *_: counts.append(int(np.count_nonzero(index == 0))))
-        return GenusCoefficient(beta, sum(counts))
+        found = count_representations(lat, *_beta_windows(beta))
+        return GenusCoefficient(beta, found.get(beta, 0))
     if len(lam) > beta.n:
         raise ValueError("shape has more rows than the genus")
     from fockforms.schur import ssyt_enumerate

@@ -674,7 +674,7 @@ def test_subcommands_load_only_their_layers():
          {"numpy", "concurrent.futures", "multiprocessing"}),
         ("import fockforms.cli; fockforms.cli.main(['dims'])",
          {"fockforms.schur", "fockforms.linalg"},
-         {"numpy", "fockforms.forms", "multiprocessing"}),
+         {"numpy", "fockforms.forms", "fockforms.scalars", "multiprocessing"}),
         ("import fockforms; assert 'fockforms.multilinear' not in sys.modules; "
          "from fockforms import Scalar, QQ, MixedForm, SpaceParams",
          {"fockforms.scalars", "fockforms.multilinear"},

@@ -25,7 +25,8 @@ from fockforms.multilinear import (
     z_del,
     z_mul,
 )
-from fockforms.scalars import MINUS_I_4PI, QQ, Scalar, _accum
+from fockforms.rational import QQ, _accum
+from fockforms.scalars import MINUS_I_4PI, Scalar
 from fockforms.schur import all_words, assert_traceless, partitions_of, young_apply_vec
 from fockforms.weil import lowering, o_p
 import oracles

@@ -22,7 +22,8 @@ from fockforms.multilinear import (
     z_mul,
 )
 from fockforms.multilinear import _FIELD, _gen_bit, _offset, _unpack
-from fockforms.scalars import ONE, QQ, Scalar, _accum
+from fockforms.rational import QQ, _accum
+from fockforms.scalars import ONE, Scalar
 from fockforms.schur import _sort_with_sign
 
 P21 = SpaceParams(2, 1, 1)

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockforms import scalars as S
-from fockforms.scalars import MINUS_I_4PI, QQ, Scalar, _accum, _quad_mul, rational_of
+from fockforms.rational import QQ, _accum
+from fockforms.scalars import MINUS_I_4PI, Scalar, _quad_mul, rational_of
 
 rationals = st.builds(
     lambda n, d: QQ(n, d),
@@ -212,11 +213,12 @@ def test_equal_values_have_equal_terms(x, y):
 
 # -- the memo tables -----------------------------------------------------------
 
-TABLES = ("_IDS", "_MUL", "_ADD", "_NEG", "_SCALE")
+TABLES = ("_IDS", "_MUL", "_ADD", "_SCALE")
 
 
 def _copy(x):
-    """The value of x in a new object, which has no id yet."""
+    """x rebuilt from a copy of its terms: the object the id table holds for
+    that value, a new one if the table was cleared since x was made."""
     return Scalar(dict(x.terms))
 
 
@@ -226,7 +228,9 @@ def _copy(x):
 def test_memo_matches_bare_kernels(bound, values, r):
     """The memoised *, +, -, negation and scale give the kernels' values.
     With a tiny bound the tables are cleared mid-test, and still no id is
-    handed out twice and no id ever stands for two values."""
+    handed out twice and no id ever stands for two values.  Each example
+    starts from empty tables: one whose lookups all hit inserts nothing, so
+    clears nothing, and would leave tables filled at the real bound."""
     issued = []
     fresh = S._new_id
 
@@ -238,12 +242,13 @@ def test_memo_matches_bare_kernels(bound, values, r):
     floor = fresh()  # above every id handed out before this example
     with mock.patch.object(S, "MEMO_ENTRIES", bound), \
             mock.patch.object(S, "_new_id", recording):
+        S._forget()
         for x in values:
             for y in values + [_copy(x)]:
                 cases = [(x * y, S._mul(x.terms, y.terms)),
                          (x + y, S._add(x.terms, y.terms)),
-                         (x - y, S._add(x.terms, S._neg(y.terms))),
-                         (-x, S._neg(x.terms)),
+                         (x - y, S._add(x.terms, S._scale(y.terms, -1, 1))),
+                         (-x, S._scale(x.terms, -1, 1)),
                          (_copy(x) * y, S._mul(x.terms, y.terms))]
                 # 1/2 and 1/3 share a numerator: the key must hold den too
                 cases += [(x.scale(t), S._scale(x.terms, int(t.numerator), int(t.denominator)))
@@ -265,7 +270,7 @@ def test_equal_values_share_one_id_and_one_result():
     x = Scalar.unit(a=QQ(3, 4), b=QQ(-1, 2), pi_exp=-1)
     y = Scalar.unit(c=QQ(5), pi_exp=2)
     same = x.scale(QQ(2)).scale(QQ(1, 2))
-    assert same.terms == x.terms and same._id == x._id
+    assert same is x and _copy(x) is x and x._id
     assert _copy(x) * y is x * y
     assert x + _copy(y) is _copy(x) + y
     assert -_copy(x) is -x
@@ -286,12 +291,12 @@ def test_forget_keeps_handed_out_ids():
 
 
 def test_ids_do_not_travel_in_a_pickle():
-    """A value id only means something in the process that handed it out."""
+    """A value id only means something in the process that handed it out:
+    a pickle carries the terms alone, and unpickling in the same process
+    returns the object the id table holds for that value."""
     x = Scalar.unit(a=QQ(1, 3), c=QQ(2), pi_exp=-2)
-    x * x
-    assert x._id
-    back = pickle.loads(pickle.dumps(x))
-    assert back == x and back._id == 0
+    assert x._id and x.__reduce__() == (Scalar, (x.terms,))
+    assert pickle.loads(pickle.dumps(x)) is x
 
 
 # -- JSON rows ---------------------------------------------------------------

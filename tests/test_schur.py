@@ -2,7 +2,11 @@
 
 import functools
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +26,21 @@ from fockforms.schur import (
 )
 from fockforms.scalars import QQ, Scalar
 from oracles import contraction_matrix, harmonic_complement, harmonic_project_vec, insertion_matrix
+
+
+@pytest.mark.parametrize("call", [
+    "schur.assert_traceless({(1, 1): 1}, [[1]], 2)",
+    "schur.hook_product = lambda lam: 7; schur.hook_content_count((2,), 2)",
+], ids=["traceless", "hook-content"])
+def test_exit_checks_raise_under_python_O(call):
+    """The exit checks raise ArithmeticError, not assert, so python -O, which
+    strips asserts, still stops on a trace left by the Brauer product or on a
+    hook product that does not divide."""
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", f"from fockforms import schur; {call}"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0 and "ArithmeticError" in proc.stderr, proc.stderr
 
 
 def test_partitions():
