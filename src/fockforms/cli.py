@@ -186,8 +186,11 @@ def cmd_theta(args):
         raise InputError(f"payload needs |lambda| <= {PAYLOAD_DEGREE} and "
                          f"rank ** |lambda| <= {PAYLOAD_WORDS}")
     check_theta_work(lat, args.genus, args.bound)
-    rows = series_table(lat, lam=lam, n=args.genus, bound=args.bound,
-                        jobs=args.jobs)
+    try:
+        rows = series_table(lat, lam=lam, n=args.genus, bound=args.bound,
+                            jobs=args.jobs)
+    except OverflowError as exc:  # the basis as given is too skewed for the shells
+        raise InputError(f"cannot enumerate the lattice in this basis: {exc}")
     doc = {
         "genus": args.genus,
         "lambda": list(lam),
@@ -225,12 +228,7 @@ def check_theta_work(lat, n, bound):
     # above 2^450 whenever some d_i <= 2^-900
     diag = [float(min(max(d / 2, 2.0 ** -900), 2.0 ** 900))
             for d in _ldl(lat.gram2_rows, 1)[1]]
-    # any t gives a bound, and 1e-6 exceeds its rounding error; the grid
-    # brackets lat.rank / (4 bound), the minimizer for small t d_i, by 2^10
-    t0 = lat.rank / (4 * bound)
-    log_points = 1e-6 + min(
-        2 * t * bound + sum(_log_theta(t * d) for d in diag)
-        for t in (t0 * 2 ** (s / 8) for s in range(-80, 81)))
+    log_points = _log_points(diag, bound)
     if log_points > math.log(THETA_POINTS):
         raise InputError(f"the shells up to --bound {bound} may hold "
                          f"2^{log_points / math.log(2):.1f} lattice vectors; "
@@ -241,18 +239,22 @@ def check_theta_work(lat, n, bound):
                          f"tuples; the cap is 2^27")
 
 
-def _log_theta(a):
-    """An upper bound on log sum_k e^{-a k^2}, a > 0.
+def _log_points(diag, bound):
+    """The least log of check_theta_work's bound over 161 values of t, which
+    bracket len(diag) / (4 bound), the minimiser for small t d_i, by 2^10,
+    plus 1e-6 for rounding.  For log theta(a), below pi Jacobi's theta(a) =
+    sqrt(pi / a) theta(pi^2 / a) moves a to b >= pi, where the terms |k| >= 3
+    sum to at most 2 e^{-9b} / (1 - e^{-7b}), as k^2 >= 9 + 7 (k - 3)."""
+    import numpy as np
 
-    Below pi, Jacobi's theta(a) = sqrt(pi / a) theta(pi^2 / a) moves the
-    argument to b >= pi, where the terms |k| >= 3 sum to at most
-    2 e^{-9b} / (1 - e^{-7b}), as k^2 >= 9 + 7 (k - 3) for k >= 3.
-    """
-    scale = 0.0
-    if a < math.pi:
-        scale, a = 0.5 * math.log(math.pi / a), math.pi ** 2 / a
-    tail = math.exp(-9 * a) / -math.expm1(-7 * a)
-    return scale + math.log1p(2 * (math.exp(-a) + math.exp(-4 * a) + tail))
+    t = len(diag) / (4 * bound) * 2.0 ** (np.arange(-80, 81) / 8)
+    a = np.multiply.outer(t, diag)
+    small = a < np.pi
+    b = np.where(small, np.pi ** 2 / a, a)
+    tail = np.exp(-9 * b) / -np.expm1(-7 * b)
+    log_theta = (np.where(small, 0.5 * np.log(np.pi / a), 0.0)
+                 + np.log1p(2 * (np.exp(-b) + np.exp(-4 * b) + tail)))
+    return 1e-6 + float(np.min(2 * t * bound + log_theta.sum(axis=1)))
 
 
 def cmd_intertwine(args):

@@ -163,39 +163,41 @@ def shell_vectors(gram2, target):
                              + math.sqrt((top + 1.0) / D[i])) for i in range(m)]
     tol = 1e-6 + 1e-12 * top + sum(2.0 * math.sqrt(D[i] * (top + 1.0)) * delta[i]
                                    for i in range(1, m))
-    found = []
-
-    def descend(i, fixed, q, budget):
-        # fixed: coordinates i+1..m-1 of each frontier row; q: their exact
-        # partial form; budget: target minus their float LDL terms
-        if i == 0:
-            found.append(_solve_first(fixed, q, G, target))
-            return
-        c = fixed @ U[i, i + 1:]
-        r = np.sqrt(np.maximum(budget + tol, 0.0) / D[i])
-        lo = np.maximum(np.ceil(-c - r - delta[i]), -radii[i]).astype(np.int64)
-        hi = np.minimum(np.floor(-c + r + delta[i]), radii[i]).astype(np.int64)
-        counts = np.maximum(hi - lo + 1, 0)
-        ends = np.cumsum(counts)
-        g = fixed @ G[i, i + 1:]
-        total = int(ends[-1]) if len(ends) else 0
-        for start in range(0, total, CHUNK):
-            k = np.arange(start, min(start + CHUNK, total))
-            p = np.searchsorted(ends, k, side="right")
-            xi = lo[p] + (k - ends[p] + counts[p])
-            step = xi + c[p]
-            rest = budget[p] - D[i] * step * step
-            keep = rest >= -tol
-            p, xi = p[keep], xi[keep]
-            xe = xi.astype(exact)
-            descend(i - 1, np.column_stack((xi, fixed[p])),
-                    q[p] + (G[i, i] * xe + 2 * g[p]) * xe, rest[keep])
-
-    descend(m - 1, np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=exact),
-            np.array([top]))
-    out = np.concatenate(found)
-    found.clear()
+    form = (G, D, U, radii, delta, tol, target)
+    out = np.concatenate(list(_descend(m - 1, np.zeros((1, 0), dtype=np.int64),
+                                       np.zeros(1, dtype=exact), np.array([top]), form)))
     return out[np.lexsort(out.T[::-1])]
+
+
+def _descend(i, fixed, q, budget, form):
+    """The solution blocks of shell_vectors below level i, depth first, at
+    most CHUNK partial vectors a step.  fixed: coordinates i+1..m-1 of each
+    frontier row; q: their exact partial form; budget: target minus their
+    float LDL terms; form: the exact G, the float D and U, the box radii, the
+    margins delta and tol, and the target."""
+    G, D, U, radii, delta, tol, target = form
+    if i == 0:
+        yield _solve_first(fixed, q, G, target)
+        return
+    c = fixed @ U[i, i + 1:]
+    r = np.sqrt(np.maximum(budget + tol, 0.0) / D[i])
+    lo = np.maximum(np.ceil(-c - r - delta[i]), -radii[i]).astype(np.int64)
+    hi = np.minimum(np.floor(-c + r + delta[i]), radii[i]).astype(np.int64)
+    counts = np.maximum(hi - lo + 1, 0)
+    ends = np.cumsum(counts)
+    g = fixed @ G[i, i + 1:]
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, CHUNK):
+        k = np.arange(start, min(start + CHUNK, total))
+        p = np.searchsorted(ends, k, side="right")
+        xi = lo[p] + (k - ends[p] + counts[p])
+        step = xi + c[p]
+        rest = budget[p] - D[i] * step * step
+        keep = rest >= -tol
+        p, xi = p[keep], xi[keep]
+        xe = xi.astype(G.dtype)
+        yield from _descend(i - 1, np.column_stack((xi, fixed[p])),
+                            q[p] + (G[i, i] * xe + 2 * g[p]) * xe, rest[keep], form)
 
 
 @functools.lru_cache(maxsize=16)

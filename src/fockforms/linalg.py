@@ -61,9 +61,6 @@ class RatMat:
             return NotImplemented
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.rows == other.rows
 
-    def __hash__(self):
-        raise TypeError("RatMat not hashable")
-
     def is_zero(self):
         return all(not r for r in self.rows)
 

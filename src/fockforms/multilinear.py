@@ -223,9 +223,6 @@ class MixedForm:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("MixedForm is mutable; not hashable")
-
     def sorted_terms(self):
         """(key, coeff) pairs in key order, each key decoded to tuples."""
         return sorted(((_unpack(k), c) for k, c in self.terms.items()),

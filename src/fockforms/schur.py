@@ -57,14 +57,17 @@ from fockforms.rational import QQ, _accum
 
 def partitions_of(ell):
     """Weakly decreasing positive tuples summing to ell, lex-descending."""
-    def rec(rest, cap):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, cap), 0, -1):
-            for tail in rec(rest - first, first):
-                yield (first,) + tail
-    return list(rec(ell, ell))
+    return list(_partitions(ell, ell))
+
+
+def _partitions(rest, cap):
+    """partitions_of(rest) with every part at most cap, as a generator."""
+    if rest == 0:
+        yield ()
+        return
+    for first in range(min(rest, cap), 0, -1):
+        for tail in _partitions(rest - first, first):
+            yield (first,) + tail
 
 
 def conjugate(lam):
@@ -106,29 +109,21 @@ def ssyt_enumerate(lam, n):
 
     Rows weakly increase left to right, columns strictly increase downward.
     """
-    rows = len(lam)
-    tableau = [[0] * part for part in lam]
-    out = []
+    return list(_fillings(lam, n, [[0] * part for part in lam], 0, 0))
 
-    def fill(i, j):
-        if i == rows:
-            out.append(tuple(tuple(r) for r in tableau))
-            return
-        ni, nj = (i, j + 1) if j + 1 < lam[i] else (i + 1, 0)
-        lo = 1
-        if j > 0:
-            lo = max(lo, tableau[i][j - 1])
-        if i > 0:
-            lo = max(lo, tableau[i - 1][j] + 1)
-        for v in range(lo, n + 1):
-            tableau[i][j] = v
-            fill(ni, nj)
-        tableau[i][j] = 0
 
-    if rows == 0:
-        return [()]
-    fill(0, 0)
-    return out
+def _fillings(lam, n, tableau, i, j):
+    """The semistandard completions of tableau from box (i, j) on, in
+    row-major order; each box is bounded below by its left and upper
+    neighbours, which are filled before it."""
+    if i == len(lam):
+        yield tuple(map(tuple, tableau))
+        return
+    ni, nj = (i, j + 1) if j + 1 < lam[i] else (i + 1, 0)
+    lo = max(tableau[i][j - 1] if j else 1, tableau[i - 1][j] + 1 if i else 1)
+    for v in range(lo, n + 1):
+        tableau[i][j] = v
+        yield from _fillings(lam, n, tableau, ni, nj)
 
 
 # ---------------------------------------------------------------------------

@@ -190,21 +190,18 @@ def _emit_rational(r):
 
 def enumerate_representations(lat, beta):
     """All ordered tuples (x_1..x_n) with (x_i, x_j) = 2 beta_{ij}, n = beta.n,
-    as an int64 array (reps, n, m) in lexicographic order: the leaves keep
-    the row numbers of _search's index-0 entries at beta's windows, and each
-    shell gathers its column once.  Negative diagonal targets give no rows."""
+    as an int64 array (reps, n, m) in lexicographic order: each block of
+    _search at beta's windows gives the row numbers of its index-0 entries,
+    and each shell gathers its column once.  Negative diagonal targets give
+    no rows."""
     n, picks = beta.n, []
-
-    def leaf(index, path, a, b):
+    for index, path, a, b in _search(lat, *_beta_windows(beta)):
         hit_a, hit_b = np.nonzero(index == 0)
         pick = np.empty((len(hit_a), len(path) + 2), dtype=np.int64)
         pick[:, :-2] = path
         pick[:, -2], pick[:, -1] = a[hit_a], b[hit_b]
         picks.append(pick)
-
-    _search(lat, *_beta_windows(beta), leaf)
     rows = np.concatenate(picks) if picks else np.zeros((0, max(n, 2)), dtype=np.int64)
-    picks.clear()  # the search's recursive closure keeps the leaf alive until a gc
     out = np.empty((len(rows), n, lat.rank), dtype=np.int64)
     for i in range(n):  # a padding shell's column comes first and is dropped
         out[:, i] = lat.shell(beta.doubled[i][i], column=i)[rows[:, i - n]]
@@ -235,11 +232,8 @@ def count_representations(lat, diag, windows=None):
         raise ValueError(f"the diagonal {tuple(diag)} has {total} betas; "
                          f"the table cap is {BIN_TABLE}")
     counts = np.zeros(total, dtype=np.int64)
-
-    def leaf(index, *_):
-        counts[:] += np.bincount(index.ravel(), minlength=total)[:total]
-
-    _search(lat, diag, windows, leaf)
+    for index, *_ in _search(lat, diag, windows):
+        counts += np.bincount(index.ravel(), minlength=total)[:total]
     found = {}
     for flat in np.flatnonzero(counts).tolist():
         doubled = [[2 * diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
@@ -249,23 +243,24 @@ def count_representations(lat, diag, windows=None):
     return found
 
 
-# entries of one index block handed to a leaf, and of the largest table of
+# entries of one index block the search yields, and of the largest table of
 # betas and last-pair block kept whole; they bound the search's memory
 BIN_ENTRIES = 2 ** 16
 BIN_TABLE = 2 ** 20
 
 
-def _search(lat, diag, windows, leaf):
+def _search(lat, diag, windows):
     """Tuples (x_1..x_n), x_i in column i's shell of norm 2 diag[i], with each
     (x_i, x_j), i < j, in its window (low, width).  A tuple's entries form a
     mixed-radix index below total = prod(widths), or at least total if one
     leaves its window or a pairing x^T G2 y = 2 (x, y) is odd.  Depth first
     over the first n - 2 vectors, each adding its shares to the later shells'
-    rows; leaf(index, path, a, b) gets the indices of the rows a and columns b
-    of the last two shells still inside every window, at most BIN_ENTRIES at
-    a time, in lexicographic order.  The last pair's block is formed once if n > 2 and
-    it has at most BIN_TABLE entries, else per leaf.  Exact: int64 when the
-    largest pairing fits, else Python ints.  n < 2 pads in front with zero vectors."""
+    rows (_descend); yields blocks (index, path, a, b), the indices of the
+    rows a and columns b of the last two shells still inside every window, at
+    most BIN_ENTRIES at a time, in lexicographic order.  The last pair's block
+    is formed once if n > 2 and it has at most BIN_TABLE entries, else per
+    block.  Exact: int64 when the largest pairing fits, else Python ints.
+    n < 2 pads in front with zero vectors."""
     n = len(diag)
     if lat.coset_h is not None and len(lat.coset_h) != n:
         raise ValueError("coset shift count must match the genus")
@@ -289,42 +284,46 @@ def _search(lat, diag, windows, leaf):
     g2 = np.array(g2, dtype=exact)
     vecs = [s.astype(exact, copy=False) for s in shells]
     dual = [v @ g2 for v in vecs[:-1]]  # the rows G2 x, as G2 is symmetric
-
-    def shares(pairings, pair):
-        # each tuple's index share; pairings, a fresh product, is overwritten
-        lut, low2, top = spans[pair]
-        pairings -= low2
-        np.minimum(np.maximum(pairings, -1, out=pairings), top, out=pairings)
-        return lut.take(pairings.astype(np.int64, copy=False))
-
-    whole = (shares(dual[-1] @ vecs[-1].T, (n - 2, n - 1))  # read by more than one leaf
+    whole = (_shares(dual[-1] @ vecs[-1].T, spans[n - 2, n - 1])  # read by several blocks
              if n > 2 and len(vecs[-2]) * len(vecs[-1]) <= BIN_TABLE else None)
+    yield from _descend(vecs, dual, spans, total, whole, (), 0,
+                        [np.zeros(len(s), dtype=np.int64) for s in shells])
 
-    def descend(path, base, parts):
-        # parts[t]: the index shares of shell k + t's rows against the chosen
-        # rows path; a row below total is still inside every window
-        k = len(path)
-        if k < n - 2:
-            for j in np.flatnonzero(parts[0] < total).tolist():
-                later = [part + shares(vecs[t] @ dual[k][j], (k, t))
-                         for t, part in enumerate(parts[1:], k + 1)]
-                descend(path + (j,), base + int(parts[0][j]), later)
-            return
-        a, b = (np.flatnonzero(part < total) for part in parts)
-        pa, pb = parts[0][a], parts[1][b]
-        near = (whole if whole is None or len(a) * len(b) == whole.size  # on rows a, cols b
-                else whole.take(a, 0).take(b, 1))
-        cols = max(1, min(len(b), BIN_ENTRIES))
-        step = max(1, BIN_ENTRIES // cols)
-        for r0 in range(0, len(a), step):
-            for c0 in range(0, len(b), cols):
-                ra, cb = a[r0:r0 + step], b[c0:c0 + cols]
-                block = (near[r0:r0 + step, c0:c0 + cols] if near is not None
-                         else shares(dual[-1][ra] @ vecs[-1][cb].T, (n - 2, n - 1)))
-                leaf(block + (base + pa[r0:r0 + step])[:, None] + pb[c0:c0 + cols],
-                     path, ra, cb)
 
-    descend((), 0, [np.zeros(len(s), dtype=np.int64) for s in shells])
+def _shares(pairings, span):
+    """Each tuple's index share from its pairings (a fresh product, which is
+    overwritten) by the pair's span (lut, 2 low, 2 width) of _search."""
+    lut, low2, top = span
+    pairings -= low2
+    np.minimum(np.maximum(pairings, -1, out=pairings), top, out=pairings)
+    return lut.take(pairings.astype(np.int64, copy=False))
+
+
+def _descend(vecs, dual, spans, total, whole, path, base, parts):
+    """_search's blocks below the chosen rows path, whose shares sum to base;
+    parts[t] holds the index shares of shell k + t's rows against path, and a
+    row below total is still inside every window."""
+    n, k = len(vecs), len(path)
+    if k < n - 2:
+        for j in np.flatnonzero(parts[0] < total).tolist():
+            later = [part + _shares(vecs[t] @ dual[k][j], spans[k, t])
+                     for t, part in enumerate(parts[1:], k + 1)]
+            yield from _descend(vecs, dual, spans, total, whole, path + (j,),
+                                base + int(parts[0][j]), later)
+        return
+    a, b = (np.flatnonzero(part < total) for part in parts)
+    pa, pb = parts[0][a], parts[1][b]
+    near = (whole if whole is None or len(a) * len(b) == whole.size  # on rows a, cols b
+            else whole.take(a, 0).take(b, 1))
+    cols = max(1, min(len(b), BIN_ENTRIES))
+    step = max(1, BIN_ENTRIES // cols)
+    for r0 in range(0, len(a), step):
+        for c0 in range(0, len(b), cols):
+            ra, cb = a[r0:r0 + step], b[c0:c0 + cols]
+            block = (near[r0:r0 + step, c0:c0 + cols] if near is not None
+                     else _shares(dual[-1][ra] @ vecs[-1][cb].T, spans[n - 2, n - 1]))
+            yield (block + (base + pa[r0:r0 + step])[:, None] + pb[c0:c0 + cols],
+                   path, ra, cb)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from __future__ import annotations
 import functools
 
 from fockforms.multilinear import compose, identity_op, op_sum, wedge_left, z_del, z_mul
-from fockforms.scalars import QQ, Scalar
+from fockforms.rational import QQ
+from fockforms.scalars import Scalar
 
 
 def _check_columns(params, j, k, name):

@@ -11,12 +11,13 @@ products (against theta's moment kernel); the exhaustive box scan of the
 shell enumeration (against enumeration.shell_vectors, with box radii from
 the rational inverse rather than the adjugate); the beta list of a theta
 table as a filter over the full product of entry ranges (against
-theta.series_betas, which grows PSD blocks row by row); the representation
-search with one boolean mask per shell (against theta's windowed search: its
-binned tables, single-beta counts and listings); solve and nullspace for
-exact rational matrices (against linalg's elimination); and the Schwartz
-forms phi_nq0 and phi_0ell summed over every index tuple (against the
-products of linear forms in fockforms.forms).
+theta.series_betas, which grows PSD blocks row by row); the log theta bound
+one value at a time (against the array pass of cli's work bound); the
+representation search with one boolean mask per shell (against theta's
+windowed search: its binned tables, single-beta counts and listings); solve
+and nullspace for exact rational matrices (against linalg's elimination);
+and the Schwartz forms phi_nq0 and phi_0ell summed over every index tuple
+(against the products of linear forms in fockforms.forms).
 """
 
 import itertools
@@ -196,6 +197,20 @@ def series_betas_filter(n, bound):
                 out.append(cand)
     out.sort(key=BetaMatrix.sort_key)
     return out
+
+
+def _log_theta(a):
+    """An upper bound on log sum_k e^{-a k^2}, a > 0.
+
+    Below pi, Jacobi's theta(a) = sqrt(pi / a) theta(pi^2 / a) moves the
+    argument to b >= pi, where the terms |k| >= 3 sum to at most
+    2 e^{-9b} / (1 - e^{-7b}), as k^2 >= 9 + 7 (k - 3) for k >= 3.
+    """
+    scale = 0.0
+    if a < math.pi:
+        scale, a = 0.5 * math.log(math.pi / a), math.pi ** 2 / a
+    tail = math.exp(-9 * a) / -math.expm1(-7 * a)
+    return scale + math.log1p(2 * (math.exp(-a) + math.exp(-4 * a) + tail))
 
 
 def masked_representations(lat, beta):

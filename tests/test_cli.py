@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fockforms import cli, enumeration, forms, theta, workers
+import oracles
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -435,6 +437,44 @@ def test_theta_pivot_below_float_range(capsys, tmp_path):
     code, out, _ = run_main(capsys, "theta", "--lattice", str(doc), "--bound", "0")
     assert code == 0
     assert [r["count"] for r in json.loads(out)["rows"]] == [1]
+
+
+@pytest.mark.parametrize("genus,jobs", [("1", "1"), ("2", "1"), ("1", "2")])
+def test_theta_shell_box_past_int64(capsys, tmp_path, genus, jobs):
+    """Z^2 in the basis (1, 0), (2^62, 1): its LDL diagonal (1, 1) passes the
+    work bound, but the shell box reads diag(G2^-1), whose radius passes
+    int64, so the run exits 2 with empty stdout.  In the basis (1, 0),
+    (2^40, 1) the counts are still those of Z^2."""
+    for power in (62, 40):
+        doc = tmp_path / f"z2_{power}.json"
+        doc.write_text(json.dumps({"gram": [[1, 2 ** power],
+                                            [2 ** power, 2 ** (2 * power) + 1]]}))
+        code, out, err = run_main(capsys, "theta", "--lattice", str(doc), "--bound", "1",
+                                  "--genus", genus, "--jobs", jobs)
+        if power == 62:
+            assert code == 2 and out == ""
+            assert "exceed int64" in json.loads(err)["error"]
+        else:
+            assert code == 0
+            assert [r["count"] for r in json.loads(out)["rows"]][:2] == [1, 4]
+
+
+def test_work_bound_matches_scalar_oracle():
+    """The work bound's one array pass over the grid of t gives the minimum
+    of the scalar log theta bound over the same grid."""
+    e8 = json.loads((FIXTURES / "e8.json").read_text())["gram"]
+    z4 = json.loads((FIXTURES / "z4.json").read_text())["gram"]
+    cases = [(e8, range(1, 13)), (z4, range(1, 4))] + [
+        ([[scale * (i == j) for j in range(rank)] for i in range(rank)], range(1, 4))
+        for scale, rank in ((1, 16), (1, 64), (2, 40), (1, 128))]
+    for gram, bounds in cases:
+        lat = theta.Lattice(gram)
+        diag = [float(d / 2) for d in enumeration._ldl(lat.gram2_rows, 1)[1]]
+        for bound in bounds:
+            t0 = lat.rank / (4 * bound)
+            expected = 1e-6 + min(2 * t * bound + sum(oracles._log_theta(t * d) for d in diag)
+                                  for t in (t0 * 2 ** (s / 8) for s in range(-80, 81)))
+            assert math.isclose(cli._log_points(diag, bound), expected, rel_tol=1e-13)
 
 
 def test_theta_payload_past_int64(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -491,6 +492,31 @@ def test_binned_counts_in_blocks(monkeypatch):
             monkeypatch.setattr(theta, "BIN_ENTRIES", entries)
             assert count_representations(lat, diag) == whole
         monkeypatch.undo()
+
+
+def test_enumerators_leave_no_garbage(z4, e8):
+    """The search, the shell descent, the tableau and partition generators
+    recurse at module level: with caches warm, no call leaves a reference
+    cycle for the cyclic gc to free."""
+    calls = [
+        lambda: series_table(z4, n=2, bound=1),
+        lambda: assemble_coefficient(z4, BetaMatrix.diagonal([1, 1]), (2, 2)),
+        lambda: count_representations(e8, (1, 1, 1)),
+        lambda: enumerate_representations(e8, BetaMatrix.diagonal([1, 1])),
+        lambda: Lattice.load(FIXTURES / "z4.json").shell(2),
+        lambda: ssyt_enumerate((2, 1), 3),
+        lambda: partitions_of(5),
+    ]
+    for call in calls:
+        call()
+    gc.collect()
+    gc.disable()
+    try:
+        for number, call in enumerate(calls):
+            call()
+            assert gc.collect() == 0, number
+    finally:
+        gc.enable()
 
 
 def test_search_forms_blocks_at_the_leaves(monkeypatch):
