@@ -18,7 +18,7 @@ import itertools
 import math
 import numbers
 import time
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from fockforms.linalg import RatMat, inverse
 from fockforms.multilinear import (
@@ -45,22 +45,28 @@ from fockforms.schur import (_sort_with_sign, all_words, harmonic_apply_vec, per
 from fockforms.weil import lowering, omega_kprime
 
 
-@dataclass(frozen=True)
-class Conventions:
-    """The printed constants the identity suite is sensitive to."""
-    d_second_rat: object = QQ(1, 4)      # rational part of the 1/(4 pi) in d''
-    lambda_offset: int = -1              # denominator p + q + ell + offset
-    sigma_negative_sign: int = -1        # sign of the negative block in A_j(sigma)
-    metric_sign: int = -1                # sign of the metric correction in the recursion
-    kprime_weight: object = QQ(1)        # multiplier of the diagonal weight in K'
+class Conventions(namedtuple("Conventions", "d_second_rat lambda_offset sigma_negative_sign "
+                             "metric_sign kprime_weight", defaults=(QQ(1, 4), -1, -1, -1, QQ(1)))):
+    """The printed constants the identity suite is sensitive to:
+    d_second_rat          rational part of the 1/(4 pi) in d''
+    lambda_offset         denominator p + q + ell + offset
+    sigma_negative_sign   sign of the negative block in A_j(sigma)
+    metric_sign           sign of the metric correction in the recursion
+    kprime_weight         multiplier of the diagonal weight in K'"""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # the operator builders and _shared are keyed on Conventions equality,
         # and 0.25 == QQ(1, 4): a float field would be served the exact one's
         # operators or fail, depending on what the process built first
-        for field in fields(self):
-            if not isinstance(getattr(self, field.name), numbers.Rational):
-                raise TypeError(f"Conventions.{field.name} must be an int or a rational")
+        for name, value in zip(self._fields, self):
+            if not isinstance(value, numbers.Rational):
+                raise TypeError(f"Conventions.{name} must be an int or a rational")
+        return self
+
+    # namedtuple's own _make, and so _replace, would skip the checks
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 DEFAULT_CONVENTIONS = Conventions()
@@ -578,18 +584,9 @@ def holomorphicity_residuals(params, ell, conv=DEFAULT_CONVENTIONS):
 # reporting layer
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VerificationReport:
-    identity: str
-    p: int
-    q: int
-    n: int
-    ell: int
-    passed: bool
-    cases: int
-    failed_label: str = ""
-    sample: tuple = ()
-    seconds: float = 0.0  # not in to_json, so reports are byte-identical across runs
+class VerificationReport(namedtuple("VerificationReport", "identity p q n ell passed cases "
+                                    "failed_label sample seconds", defaults=("", (), 0.0))):
+    __slots__ = ()  # seconds is not in to_json, so reports are byte-identical across runs
 
     def to_json(self):
         out = {

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from fockforms.rational import QQ, _accum
 from fockforms.scalars import ONE, ZERO, Scalar
@@ -98,17 +98,19 @@ def _unpack(key):
     return tuple(z), tuple(w), word
 
 
-@dataclass(frozen=True)
-class SpaceParams:
-    p: int
-    q: int
-    n: int = 1
+class SpaceParams(namedtuple("SpaceParams", "p q n", defaults=(1,))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.p < 1 or self.q < 1 or self.n < 1:
             raise ValueError("p, q, n must all be >= 1")
         if self.p + self.q > _M or self.n > _N:
             raise ValueError(f"packed term keys hold p + q <= {_M} and n <= {_N}")
+        return self
+
+    # namedtuple's own _make, and so _replace, would skip the checks
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def m(self):

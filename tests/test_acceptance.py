@@ -10,7 +10,6 @@ import itertools
 import pathlib
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -93,11 +92,11 @@ def test_criterion_4_lowering_and_holomorphicity():
 
 def test_criterion_5_mutation_sensitivity():
     mutants = {
-        "d_second_rat": replace(DEFAULT_CONVENTIONS, d_second_rat=QQ(1, 2)),
-        "lambda_offset": replace(DEFAULT_CONVENTIONS, lambda_offset=0),
-        "sigma_negative_sign": replace(DEFAULT_CONVENTIONS, sigma_negative_sign=1),
-        "metric_sign": replace(DEFAULT_CONVENTIONS, metric_sign=1),
-        "kprime_weight": replace(DEFAULT_CONVENTIONS, kprime_weight=QQ(2)),
+        "d_second_rat": DEFAULT_CONVENTIONS._replace(d_second_rat=QQ(1, 2)),
+        "lambda_offset": DEFAULT_CONVENTIONS._replace(lambda_offset=0),
+        "sigma_negative_sign": DEFAULT_CONVENTIONS._replace(sigma_negative_sign=1),
+        "metric_sign": DEFAULT_CONVENTIONS._replace(metric_sign=1),
+        "kprime_weight": DEFAULT_CONVENTIONS._replace(kprime_weight=QQ(2)),
     }
     probes = [
         ("closedness", 2, 1, 1, 2), ("kprime", 2, 1, 1, 2),

@@ -711,14 +711,14 @@ def test_subcommands_load_only_their_layers():
         ("import fockforms.cli; fockforms.cli.main(['verify', '--identity', "
          "'closedness', '--p', '1', '--q', '1'])",
          {"fockforms.forms", "fockforms.weil"},
-         {"numpy", "concurrent.futures", "multiprocessing"}),
+         {"numpy", "concurrent.futures", "multiprocessing", "dataclasses", "inspect"}),
         ("import fockforms.cli; fockforms.cli.main(['dims'])",
          {"fockforms.schur", "fockforms.linalg"},
          {"numpy", "fockforms.forms", "fockforms.scalars", "multiprocessing"}),
         ("import fockforms; assert 'fockforms.multilinear' not in sys.modules; "
          "from fockforms import Scalar, QQ, MixedForm, SpaceParams",
          {"fockforms.scalars", "fockforms.multilinear"},
-         {"numpy"}),
+         {"numpy", "dataclasses", "inspect"}),
     ]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for code, loaded, absent in cases:

@@ -6,6 +6,7 @@ identity over the small grid.
 """
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -451,13 +452,12 @@ def test_bracket_hook_shape_is_traceless():
 
 def _mutants():
     base = DEFAULT_CONVENTIONS
-    from dataclasses import replace
     return {
-        "d_second_rat": replace(base, d_second_rat=QQ(1, 2)),
-        "lambda_offset": replace(base, lambda_offset=0),
-        "sigma_negative_sign": replace(base, sigma_negative_sign=1),
-        "metric_sign": replace(base, metric_sign=1),
-        "kprime_weight": replace(base, kprime_weight=QQ(2)),
+        "d_second_rat": base._replace(d_second_rat=QQ(1, 2)),
+        "lambda_offset": base._replace(lambda_offset=0),
+        "sigma_negative_sign": base._replace(sigma_negative_sign=1),
+        "metric_sign": base._replace(metric_sign=1),
+        "kprime_weight": base._replace(kprime_weight=QQ(2)),
     }
 
 
@@ -575,6 +575,30 @@ def test_conventions_refuse_inexact_fields(field, value):
         Conventions(**{field: value})
 
 
+def test_records_keep_their_checks_through_every_constructor():
+    """namedtuple's own _make, and so _replace, skip __new__; the records
+    route both through it, so no constructor admits a field the checks refuse."""
+    for build in (lambda: Conventions(kprime_weight=0.25),
+                  lambda: DEFAULT_CONVENTIONS._replace(metric_sign=0.5),
+                  lambda: Conventions._make([0.25, -1, -1, -1, 1])):
+        with pytest.raises(TypeError):
+            build()
+    for build in (lambda: SpaceParams(0, 1), lambda: SpaceParams(2, 1)._replace(p=9),
+                  lambda: SpaceParams._make((5, 4, 1))):
+        with pytest.raises(ValueError):
+            build()
+    records = [DEFAULT_CONVENTIONS, SpaceParams(p=2, q=1, n=1),
+               F.run_identity("closedness", 2, 1, 1, 1)]
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], record[0])
+        again = pickle.loads(pickle.dumps(record))
+        assert type(again) is type(record) and again == record
+    pr = params_n1(2, 1)
+    assert F.d_operator(pr, "full", Conventions()) is F.d_operator(
+        pr, "full", DEFAULT_CONVENTIONS._replace())
+
+
 def _lowering_by_primitive(params, ell, conv):
     """The lowering residual with d applied to the assembled primitive."""
     from fockforms.multilinear import a_of_f
@@ -605,8 +629,7 @@ def test_run_identity_reports():
 
 
 def test_run_identity_failure_sample():
-    from dataclasses import replace
-    bad = replace(DEFAULT_CONVENTIONS, metric_sign=1)
+    bad = DEFAULT_CONVENTIONS._replace(metric_sign=1)
     rep = F.run_identity("recursion", 2, 1, 1, 2, conv=bad)
     assert not rep.passed
     data = rep.to_json()
