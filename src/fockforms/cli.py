@@ -9,8 +9,10 @@ runs them: `theta` loads numpy and the lattice layers but not the form
 layers (`forms`, `weil`, `multilinear`), a count-only `theta` (no
 `--lambda`) loads no payload layer, and a payload `theta` loads `schur` but
 neither `linalg` nor `scalars`; `dims` loads no coefficient ring (`scalars`);
-`verify`, `dims` and `intertwine-check` load no numpy; and the process pool is imported only when more than one worker
-will start, since start-up is a large share of a short command.
+`verify` loads no `linalg`, since no identity inverts a matrix; `verify`,
+`dims` and `intertwine-check` load no numpy; and the process pool is
+imported only when more than one worker will start, since start-up is a
+large share of a short command.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ import numbers
 import time
 from collections import namedtuple
 
-from fockforms.linalg import RatMat, inverse
 from fockforms.multilinear import (
     LinearOperator,
     MixedForm,
@@ -267,12 +266,6 @@ def a_sigma(params, j, col=1, conv=DEFAULT_CONVENTIONS):
         pieces.append((i_neg, ins @ z_del(mu, col)))
         pieces.append((i_neg * Scalar.from_rational(QQ(-1, 4), pi_exp=-1), ins @ z_mul(mu, col)))
     return op_sum(pieces)
-
-
-def a_sigma_combo(params, j, coeffs, conv=DEFAULT_CONVENTIONS):
-    """Column-linear combination sum_l coeffs[l-1] * a_sigma(col = l)."""
-    return op_sum((c, a_sigma(params, j, l, conv))
-                  for l, c in enumerate(coeffs, start=1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -532,37 +525,25 @@ def sigma_word_plain(params, cols, conv=DEFAULT_CONVENTIONS):
     return compose(a_sigma(params, 1, col, conv) for col in cols)
 
 
-def sigma_word_transformed(params, cols, a_mat, conv=DEFAULT_CONVENTIONS):
-    """One a_sigma_combo per letter of cols, with weights a (a^{-1} e_col).
+def residual_sigma_gl(params, cols, x, test_form, conv=DEFAULT_CONVENTIONS):
+    """[omega(X), sigma(cols)] - sigma(X . cols) on test_form.
 
-    Those weights are e_col for every invertible a, so each atom is
-    a_sigma(col) and the result equals sigma_word_plain by construction.
-    This tests the column bookkeeping of a_sigma_combo, not a property of the
-    forms: a real GL_n statement would also substitute z -> z a in the
-    multiplications and act on d/dz by the contragredient a^{-T}.
+    omega(X) is sum_jk x[j-1][k-1] omega_kprime(j, k), E_jk sending eps_j to
+    eps_k, and X . cols turns each letter j of cols into k with weight
+    x[j-1][k-1].  Each A(sigma) at column j moves under an antisymmetric X as
+    the column itself, so the residual is zero: sigma is o(n)-equivariant.  A
+    symmetric part of X leaves a residual, since omega moves the
+    multiplications and the derivatives of A(sigma) contragrediently.
     """
-    a_inv = inverse(a_mat)
-    atoms = []
-    for col in cols:
-        vec = [a_inv.entry(r, col - 1) for r in range(params.n)]
-        weighted = [QQ(0)] * params.n
-        for k in range(params.n):
-            if vec[k] == 0:
-                continue
-            for l in range(params.n):
-                weighted[l] += a_mat.entry(l, k) * vec[k]
-        atoms.append(a_sigma_combo(params, 1, weighted, conv))
-    return compose(atoms)
-
-
-def residual_sigma_gl(params, cols, a_mat, test_form, conv=DEFAULT_CONVENTIONS):
-    """sigma_word_transformed minus sigma_word_plain on test_form.
-
-    Zero for every a and every test form by construction (see
-    sigma_word_transformed): the sigma_gl cell checks no property of the forms.
-    """
-    return (sigma_word_transformed(params, cols, a_mat, conv)(test_form)
-            - sigma_word_plain(params, cols, conv)(test_form))
+    cols = tuple(cols)
+    columns = range(1, params.n + 1)
+    omega = op_sum((x[j - 1][k - 1], omega_kprime(params, j, k))
+                   for j in columns for k in columns)
+    moved = op_sum((x[j - 1][k - 1] * c, sigma_word_plain(params, word, conv))
+                   for j in columns for k in columns
+                   for word, c in _input_derivation(cols, j, k).items())
+    sigma = sigma_word_plain(params, cols, conv)
+    return omega(sigma(test_form)) - sigma(omega(test_form)) - moved(test_form)
 
 
 def holomorphicity_residuals(params, ell, conv=DEFAULT_CONVENTIONS):
@@ -646,26 +627,20 @@ def _residual_cases(identity, params, ell, conv):
     elif identity == "sigma_gl":
         import random
         rng = random.Random(1000 * p + 100 * q + 10 * n + ell)
-        a_mat = _random_invertible(n, rng)
-        test = phi_nq0(params)
+        x = [[0] * n for _ in range(n)]
+        for j in range(n):
+            for k in range(j + 1, n):
+                x[j][k] = rng.choice((-3, -2, -1, 1, 2, 3))
+                x[k][j] = -x[j][k]
+        vacuum = MixedForm.vacuum(params)
         for word in all_words(n, min(ell, 2)):
-            yield f"word={word}", residual_sigma_gl(params, word, a_mat, test, conv)
+            yield f"word={word}", residual_sigma_gl(params, word, x, vacuum, conv)
     elif identity == "holomorphicity":
         main, killed = holomorphicity_residuals(params, ell, conv)
         yield "projected lowering", main
         yield "projected correction", killed
     else:
         raise ValueError(f"unknown identity {identity}")
-
-
-def _random_invertible(n, rng):
-    while True:
-        mat = RatMat.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        try:
-            inverse(mat)
-            return mat
-        except ValueError:
-            continue
 
 
 IDENTITIES = ("closedness", "kprime", "recursion", "lem3a", "prop3a", "lowering",

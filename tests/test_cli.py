@@ -711,7 +711,13 @@ def test_subcommands_load_only_their_layers():
         ("import fockforms.cli; fockforms.cli.main(['verify', '--identity', "
          "'closedness', '--p', '1', '--q', '1'])",
          {"fockforms.forms", "fockforms.weil"},
-         {"numpy", "concurrent.futures", "multiprocessing", "dataclasses", "inspect"}),
+         {"numpy", "fockforms.linalg", "concurrent.futures", "multiprocessing",
+          "dataclasses", "inspect"}),
+        # the o(n) check needs no matrix inverse
+        ("import fockforms.cli; fockforms.cli.main(['verify', '--identity', "
+         "'sigma_gl', '--p', '2', '--q', '1', '--n', '2', '--ell', '2'])",
+         {"fockforms.forms", "fockforms.weil"},
+         {"numpy", "fockforms.linalg"}),
         ("import fockforms.cli; fockforms.cli.main(['dims'])",
          {"fockforms.schur", "fockforms.linalg"},
          {"numpy", "fockforms.forms", "fockforms.scalars", "multiprocessing"}),

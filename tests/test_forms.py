@@ -21,6 +21,7 @@ from fockforms.multilinear import (
     deriv_pos,
     insert_letter,
     interior,
+    op_sum,
     rho_x,
     wedge_left,
     z_del,
@@ -335,14 +336,68 @@ def test_equivariance_two_columns():
             assert F.residual_equivariance(pr, word, perm).is_zero()
 
 
+SIGMA_GL_CELLS = [(2, 1, 2), (3, 1, 2), (3, 1, 3)]
+
+
+def _column_matrix(n, rng, sign):
+    """An n x n integer matrix with x[k][j] = sign * x[j][k] and entries drawn
+    from +-1, +-2, +-3: antisymmetric for sign -1, symmetric for sign 1."""
+    x = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j + (sign < 0), n):
+            x[j][k] = rng.choice((-3, -2, -1, 1, 2, 3))
+            x[k][j] = sign * x[j][k]
+    return x
+
+
 def test_sigma_gl_invariance():
+    """sigma is o(n)-equivariant: an antisymmetric X gives zero on every word,
+    on the vacuum and on phi_nq0.  It is not gl_n-equivariant: a symmetric X
+    leaves a residual on every word, and E_12 on some word of each cell."""
     rng = random.Random(41)
-    for n, (p, q) in [(2, (2, 1)), (2, (3, 1)), (3, (3, 1))]:
+    for p, q, n in SIGMA_GL_CELLS:
         pr = SpaceParams(p, q, n)
-        a = F._random_invertible(n, rng)
-        for test_form in (MixedForm.vacuum(pr), F.phi_nq0(pr)):
-            for word in itertools.product(range(1, n + 1), repeat=2):
-                assert F.residual_sigma_gl(pr, word, a, test_form).is_zero()
+        vacuum = MixedForm.vacuum(pr)
+        words = list(itertools.product(range(1, n + 1), repeat=2))
+        anti = _column_matrix(n, rng, -1)
+        for test_form in (vacuum, F.phi_nq0(pr)):
+            for word in words:
+                assert F.residual_sigma_gl(pr, word, anti, test_form).is_zero()
+        sym = _column_matrix(n, rng, 1)
+        for word in words:
+            assert not F.residual_sigma_gl(pr, word, sym, vacuum).is_zero(), (p, q, n, word)
+        e12 = [[int((j, k) == (0, 1)) for k in range(n)] for j in range(n)]
+        assert not all(F.residual_sigma_gl(pr, word, e12, vacuum).is_zero() for word in words)
+
+
+def _a_sigma_copy(mul_col=None):
+    """forms.a_sigma written out again; with mul_col, its multiplications read
+    that column whatever the column asked for."""
+    def build(params, j, col=1, conv=DEFAULT_CONVENTIONS):
+        pieces = []
+        for idx in params.letters():
+            unit = Scalar.i() if idx <= params.p else Scalar.unit(b=conv.sigma_negative_sign)
+            ins = insert_letter(j, idx)
+            pieces.append((unit, ins @ z_del(idx, col)))
+            pieces.append((unit * Scalar.from_rational(QQ(-1, 4), pi_exp=-1),
+                           ins @ z_mul(idx, mul_col or col)))
+        return op_sum(pieces)
+    return build
+
+
+def test_sigma_gl_cell_catches_column_one_multiplications(monkeypatch):
+    """With A(sigma)'s multiplications reading column 1, every word of the
+    (2,1,2) and (3,1,3) cells fails; the faithful copy passes them all."""
+    for mutant, fails in ((_a_sigma_copy(), False), (_a_sigma_copy(mul_col=1), True)):
+        monkeypatch.setattr(F, "a_sigma", mutant)
+        for p, q, n in ((2, 1, 2), (3, 1, 3)):
+            cases = list(F._residual_cases("sigma_gl", SpaceParams(p, q, n), 2,
+                                           DEFAULT_CONVENTIONS))
+            assert len(cases) == n * n
+            for label, residual in cases:
+                assert residual.is_zero() != fails, (mutant, p, q, n, label)
+    monkeypatch.undo()
+    assert F.run_identity("sigma_gl", 3, 1, 3, 2).passed
 
 
 def test_holomorphicity():
