@@ -17,6 +17,7 @@ letters live in 1..m.  epsilon(k) = +1 for k <= p and -1 for k > p.
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from collections import namedtuple
 
@@ -198,6 +199,8 @@ class MixedForm:
 
     def scale(self, s):
         if not isinstance(s, Scalar):
+            if not isinstance(s, numbers.Rational):
+                raise TypeError(f"a scale factor must be a Scalar or a rational, not {s!r}")
             s = Scalar.from_rational(QQ(s))
         if s.is_zero():
             return MixedForm(self.params)
@@ -313,6 +316,8 @@ def op_sum(pieces):
     kept = []
     for coeff, op in pieces:
         if not isinstance(coeff, Scalar):
+            if not isinstance(coeff, numbers.Rational):
+                raise TypeError(f"a coefficient must be a Scalar or a rational, not {coeff!r}")
             coeff = QQ(coeff)
         if coeff == 0 or coeff == ZERO:
             continue
@@ -336,129 +341,110 @@ def op_sum(pieces):
     return LinearOperator(apply)
 
 
-def _lift(term_fn):
-    """Promote a per-term rewriter (key, coeff) -> iterable of (key, coeff).
-
-    A rewriter never yields a zero coefficient, so only a sum can cancel.
-    """
-    def apply(form):
-        params = form.params
-        terms = {}
-        get = terms.get
-        for key, c in form.terms.items():
-            for nkey, nc in term_fn(params, key, c):
-                s = get(nkey)
-                if s is None:
-                    terms[nkey] = nc
-                elif s := s + nc:
-                    terms[nkey] = s
-                else:
-                    del terms[nkey]
-        return MixedForm(params, terms)
-    return LinearOperator(apply)
-
+# Each builder returns one loop over the operand's terms.  z_mul, z_del,
+# wedge_left, interior, insert_letter and tensor_permute send distinct keys to
+# distinct keys, and each image coefficient is +-c or c times an exponent >= 1,
+# never zero: they write each image straight into the new dict, with no
+# accumulate step and no zero test.  The others accumulate through _accum.
 
 def z_mul(idx, col=1):
     """Multiplication by z_{idx,col}."""
-    up = 1 << _offset(idx, col)
-    def term(params, key, c):
-        fock, wedge, word = key
-        yield (_fock_times(fock, up), wedge, word), c
-    return _lift(term)
+    off = _offset(idx, col)
+    up = 1 << off
+    def apply(form):
+        terms = {}
+        for (fock, wedge, word), c in form.terms.items():
+            if (fock >> off) & _FIELD == _FIELD:
+                raise ValueError(f"a Fock exponent exceeds {_FIELD}")
+            terms[fock + up, wedge, word] = c
+        return MixedForm(form.params, terms)
+    return LinearOperator(apply)
 
 
 def z_del(idx, col=1):
     """The derivation d/dz_{idx,col}."""
     off = _offset(idx, col)
     down = 1 << off
-    def term(params, key, c):
-        fock, wedge, word = key
-        e = (fock >> off) & _FIELD
-        if e:
-            yield (fock - down, wedge, word), c.scale(e)
-    return _lift(term)
+    def apply(form):
+        return MixedForm(form.params, {(fock - down, wedge, word): c.scale(e)
+                                       for (fock, wedge, word), c in form.terms.items()
+                                       if (e := (fock >> off) & _FIELD)})
+    return LinearOperator(apply)
 
 
 def wedge_left(alpha, mu):
     """Exterior left multiplication by the generator w_{alpha,mu}."""
     bit = _gen_bit(alpha, mu)
     below = bit - 1
-    def term(params, key, c):
-        fock, wedge, word = key
-        if not wedge & bit:
-            yield (fock, wedge | bit, word), (-c if (wedge & below).bit_count() & 1 else c)
-    return _lift(term)
+    def apply(form):
+        return MixedForm(form.params, {
+            (fock, wedge | bit, word): -c if (wedge & below).bit_count() & 1 else c
+            for (fock, wedge, word), c in form.terms.items() if not wedge & bit})
+    return LinearOperator(apply)
 
 
 def interior(alpha, mu):
     """Graded contraction dual to wedge_left; an anti-derivation of degree -1."""
     bit = _gen_bit(alpha, mu)
     below = bit - 1
-    def term(params, key, c):
-        fock, wedge, word = key
-        if wedge & bit:
-            yield (fock, wedge ^ bit, word), (-c if (wedge & below).bit_count() & 1 else c)
-    return _lift(term)
+    def apply(form):
+        return MixedForm(form.params, {
+            (fock, wedge ^ bit, word): -c if (wedge & below).bit_count() & 1 else c
+            for (fock, wedge, word), c in form.terms.items() if wedge & bit})
+    return LinearOperator(apply)
 
 
-def _wedge_replace(key, c, moves):
-    """Derivation moving each generator bit old of the wedge to new, over
+def _wedge_replace(moves):
+    """The derivation moving each generator bit old of the wedge to new, over
     (old, new) pairs; the sign counts the generators passed on the way."""
-    fock, wedge, word = key
-    for old, new in moves:
-        if wedge & old:
-            rest = wedge ^ old
-            if not rest & new:
-                passed = (rest & ((old - 1) ^ (new - 1))).bit_count()
-                yield (fock, rest | new, word), (-c if passed & 1 else c)
+    def apply(form):
+        terms = {}
+        for (fock, wedge, word), c in form.terms.items():
+            for old, new in moves:
+                if wedge & old:
+                    rest = wedge ^ old
+                    if not rest & new:
+                        passed = (rest & ((old - 1) ^ (new - 1))).bit_count()
+                        _accum(terms, (fock, rest | new, word), -c if passed & 1 else c)
+        return MixedForm(form.params, terms)
+    return LinearOperator(apply)
 
 
 def deriv_pos(alpha, beta):
     """D_{alpha,beta}: sends w_{beta,mu} to w_{alpha,mu} in each slot."""
-    moves = [(_gen_bit(beta, mu), _gen_bit(alpha, mu)) for mu in range(1, _M + 1)]
-    def term(params, key, c):
-        yield from _wedge_replace(key, c, moves)
-    return _lift(term)
+    return _wedge_replace([(_gen_bit(beta, mu), _gen_bit(alpha, mu)) for mu in range(1, _M + 1)])
 
 
 def deriv_neg(mu, nu):
     """D_{mu,nu}: sends w_{alpha,nu} to w_{alpha,mu} in each slot."""
-    moves = [(_gen_bit(a, nu), _gen_bit(a, mu)) for a in range(1, _M + 1)]
-    def term(params, key, c):
-        yield from _wedge_replace(key, c, moves)
-    return _lift(term)
+    return _wedge_replace([(_gen_bit(a, nu), _gen_bit(a, mu)) for a in range(1, _M + 1)])
 
 
 def rho_x(alpha, mu):
     """Derivation on tensor words swapping e_alpha <-> e_mu letterwise."""
-    def term(params, key, c):
-        fock, wedge, word = key
-        for s, letter in enumerate(word):
-            if letter == alpha:
-                yield (fock, wedge, word[:s] + (mu,) + word[s + 1:]), c
-            elif letter == mu:
-                yield (fock, wedge, word[:s] + (alpha,) + word[s + 1:]), c
-    return _lift(term)
+    swap = {alpha: (mu,), mu: (alpha,)}
+    def apply(form):
+        terms = {}
+        for (fock, wedge, word), c in form.terms.items():
+            for s, letter in enumerate(word):
+                if letter in swap:
+                    _accum(terms, (fock, wedge, word[:s] + swap[letter] + word[s + 1:]), c)
+        return MixedForm(form.params, terms)
+    return LinearOperator(apply)
 
 
 def insert_letter(j, letter):
-    def term(params, key, c):
-        fock, wedge, word = key
-        if len(word) < j - 1:
-            raise ValueError(f"slot {j} out of range for word of length {len(word)}")
-        yield (fock, wedge, word[:j - 1] + (letter,) + word[j - 1:]), c
-    return _lift(term)
-
-
-def _metric_letters(params, mode):
-    """(letter, sign) pairs of the mode's metric tensor sum sign e_k (x) e_k."""
-    if mode != "minus":
-        for alpha in params.positive():
-            yield alpha, 1
-    if mode != "plus":
-        sign = -1 if mode == "full" else 1
-        for mu in params.negative():
-            yield mu, sign
+    """Insert the letter at slot j >= 1 of each word, of length at least j - 1."""
+    if j < 1:
+        raise ValueError(f"slot {j} is below 1")
+    def apply(form):
+        terms = {}
+        for (fock, wedge, word), c in form.terms.items():
+            if len(word) < j - 1:
+                raise ValueError(f"slot {j} out of range for word of length {len(word)}")
+            terms[fock, wedge, word[:j - 1] + (letter,) + word[j - 1:]] = c
+        return MixedForm(form.params, terms)
+    return LinearOperator(apply)
 
 
 def insert_metric(i, j, mode="full"):
@@ -471,14 +457,21 @@ def insert_metric(i, j, mode="full"):
     if i == j:
         raise ValueError("metric insertion needs two distinct positions")
     lo, hi = (i, j) if i < j else (j, i)
-    def term(params, key, c):
-        fock, wedge, word = key
-        if len(word) < hi - 2:
-            raise ValueError(f"positions ({i},{j}) out of range")
-        for letter, sign in _metric_letters(params, mode):
-            nw = insert_pair_word(word, lo, hi, letter, letter)
-            yield (fock, wedge, nw), (c if sign > 0 else -c)
-    return _lift(term)
+    if lo < 1:
+        raise ValueError(f"position {lo} is below 1")
+    def apply(form):
+        # (letter, negated) over the letters of the mode's metric tensor
+        letters = [(a, False) for a in form.params.positive() if mode != "minus"] \
+            + [(mu, mode == "full") for mu in form.params.negative() if mode != "plus"]
+        terms = {}
+        for (fock, wedge, word), c in form.terms.items():
+            if len(word) < hi - 2:
+                raise ValueError(f"positions ({i},{j}) out of range")
+            for letter, negated in letters:
+                nw = insert_pair_word(word, lo, hi, letter, letter)
+                _accum(terms, (fock, wedge, nw), -c if negated else c)
+        return MixedForm(form.params, terms)
+    return LinearOperator(apply)
 
 
 def metric_pair_insertion(j, k, mode="full"):
@@ -509,10 +502,14 @@ def tensor_permute(perm):
     perm is a tuple with perm[s-1] = image of s, on words of length len(perm).
     """
     ell = len(perm)
-    def term(params, key, c):
-        fock, wedge, word = key
-        if len(word) != ell:
-            raise ValueError("permutation length does not match word")
-        yield (fock, wedge, perm_act_word(perm, word)), c
-    return _lift(term)
+    if sorted(perm) != list(range(1, ell + 1)):
+        raise ValueError(f"{perm} is not a permutation of 1..{ell}")
+    def apply(form):
+        terms = {}
+        for (fock, wedge, word), c in form.terms.items():
+            if len(word) != ell:
+                raise ValueError("permutation length does not match word")
+            terms[fock, wedge, perm_act_word(perm, word)] = c
+        return MixedForm(form.params, terms)
+    return LinearOperator(apply)
 

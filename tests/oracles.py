@@ -16,8 +16,10 @@ one value at a time (against the array pass of cli's work bound); the
 representation search with one boolean mask per shell (against theta's
 windowed search: its binned tables, single-beta counts and listings); solve
 and nullspace for exact rational matrices (against linalg's elimination);
-and the Schwartz forms phi_nq0 and phi_0ell summed over every index tuple
-(against the products of linear forms in fockforms.forms).
+the Schwartz forms phi_nq0 and phi_0ell summed over every index tuple
+(against the products of linear forms in fockforms.forms); and the Fock-model
+operators as per-term rewriters, one generator per term and every image added
+through get/add/drop (against the one-pass builders of fockforms.multilinear).
 """
 
 import itertools
@@ -27,11 +29,11 @@ import numpy as np
 
 from fockforms.enumeration import exact_dtype, integral_rows
 from fockforms.linalg import RatMat, _eliminate, inverse
-from fockforms.multilinear import MixedForm
+from fockforms.multilinear import _FIELD, _M, MixedForm, _fock_times, _gen_bit, _offset
 from fockforms.scalars import MINUS_I_4PI, QQ, Scalar
 from fockforms.schur import (_accum, all_words, assert_traceless, contract_vec,
                              insert_pair_word, omega_eigenvalues, pair_positions,
-                             remove_pair_word, word_index)
+                             perm_act_word, remove_pair_word, word_index)
 from fockforms.theta import BetaMatrix
 
 
@@ -358,3 +360,144 @@ def phi_0ell(params, word):
         for key, c in piece.terms.items():
             _accum(terms, key, c)
     return MixedForm(params, terms)
+
+
+# ---------------------------------------------------------------------------
+# Fock-model operators, one term at a time
+# ---------------------------------------------------------------------------
+#
+# Each *_terms(...) returns a rewriter (params, key, coeff) -> iterable of
+# (key, coeff) that never yields a zero coefficient; lift turns it into the
+# operator form -> MixedForm that adds every image through get/add/drop.
+
+def lift(term_fn):
+    def apply(form):
+        params = form.params
+        terms = {}
+        get = terms.get
+        for key, c in form.terms.items():
+            for nkey, nc in term_fn(params, key, c):
+                s = get(nkey)
+                if s is None:
+                    terms[nkey] = nc
+                elif s := s + nc:
+                    terms[nkey] = s
+                else:
+                    del terms[nkey]
+        return MixedForm(params, terms)
+    return apply
+
+
+def z_mul_terms(idx, col=1):
+    up = 1 << _offset(idx, col)
+    def term(params, key, c):
+        fock, wedge, word = key
+        yield (_fock_times(fock, up), wedge, word), c
+    return term
+
+
+def z_del_terms(idx, col=1):
+    off = _offset(idx, col)
+    down = 1 << off
+    def term(params, key, c):
+        fock, wedge, word = key
+        e = (fock >> off) & _FIELD
+        if e:
+            yield (fock - down, wedge, word), c.scale(e)
+    return term
+
+
+def wedge_left_terms(alpha, mu):
+    bit = _gen_bit(alpha, mu)
+    below = bit - 1
+    def term(params, key, c):
+        fock, wedge, word = key
+        if not wedge & bit:
+            yield (fock, wedge | bit, word), (-c if (wedge & below).bit_count() & 1 else c)
+    return term
+
+
+def interior_terms(alpha, mu):
+    bit = _gen_bit(alpha, mu)
+    below = bit - 1
+    def term(params, key, c):
+        fock, wedge, word = key
+        if wedge & bit:
+            yield (fock, wedge ^ bit, word), (-c if (wedge & below).bit_count() & 1 else c)
+    return term
+
+
+def _wedge_replace(key, c, moves):
+    fock, wedge, word = key
+    for old, new in moves:
+        if wedge & old:
+            rest = wedge ^ old
+            if not rest & new:
+                passed = (rest & ((old - 1) ^ (new - 1))).bit_count()
+                yield (fock, rest | new, word), (-c if passed & 1 else c)
+
+
+def deriv_pos_terms(alpha, beta):
+    moves = [(_gen_bit(beta, mu), _gen_bit(alpha, mu)) for mu in range(1, _M + 1)]
+    def term(params, key, c):
+        yield from _wedge_replace(key, c, moves)
+    return term
+
+
+def deriv_neg_terms(mu, nu):
+    moves = [(_gen_bit(a, nu), _gen_bit(a, mu)) for a in range(1, _M + 1)]
+    def term(params, key, c):
+        yield from _wedge_replace(key, c, moves)
+    return term
+
+
+def rho_x_terms(alpha, mu):
+    def term(params, key, c):
+        fock, wedge, word = key
+        for s, letter in enumerate(word):
+            if letter == alpha:
+                yield (fock, wedge, word[:s] + (mu,) + word[s + 1:]), c
+            elif letter == mu:
+                yield (fock, wedge, word[:s] + (alpha,) + word[s + 1:]), c
+    return term
+
+
+def insert_letter_terms(j, letter):
+    def term(params, key, c):
+        fock, wedge, word = key
+        if len(word) < j - 1:
+            raise ValueError(f"slot {j} out of range for word of length {len(word)}")
+        yield (fock, wedge, word[:j - 1] + (letter,) + word[j - 1:]), c
+    return term
+
+
+def _metric_letters(params, mode):
+    if mode != "minus":
+        for alpha in params.positive():
+            yield alpha, 1
+    if mode != "plus":
+        sign = -1 if mode == "full" else 1
+        for mu in params.negative():
+            yield mu, sign
+
+
+def insert_metric_terms(i, j, mode="full"):
+    lo, hi = (i, j) if i < j else (j, i)
+    def term(params, key, c):
+        fock, wedge, word = key
+        if len(word) < hi - 2:
+            raise ValueError(f"positions ({i},{j}) out of range")
+        for letter, sign in _metric_letters(params, mode):
+            nw = insert_pair_word(word, lo, hi, letter, letter)
+            yield (fock, wedge, nw), (c if sign > 0 else -c)
+    return term
+
+
+def tensor_permute_terms(perm):
+    ell = len(perm)
+    def term(params, key, c):
+        fock, wedge, word = key
+        if len(word) != ell:
+            raise ValueError("permutation length does not match word")
+        yield (fock, wedge, perm_act_word(perm, word)), c
+    return term

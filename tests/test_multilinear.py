@@ -1,15 +1,19 @@
 """The three-slot term algebra and its atomic operators."""
 
 import random
+from decimal import Decimal
 
 import pytest
 
+import oracles
 from fockforms.cli import LIMITS
 from fockforms.multilinear import (
     MixedForm,
     SpaceParams,
     a_of_f,
     compose,
+    deriv_neg,
+    deriv_pos,
     insert_letter,
     insert_metric,
     interior,
@@ -343,3 +347,111 @@ def test_sub_of_equal_forms_is_zero_and_matches_accumulate():
         for other in (f.scale(QQ(2)), z_mul(3)(f), random_form(P22, rng, nterms=5)):
             assert (f - other) == accumulate(f, other), trial
         assert len(z_mul(3)(f).terms) == len(f.terms)
+
+
+# each builder with its per-term oracle, whether it sends distinct keys to
+# distinct keys, and the arguments it is checked at on words of length 2
+BUILDERS = [
+    (z_mul, oracles.z_mul_terms, True, [(1, 1), (3, 2), (4, 1)]),
+    (z_del, oracles.z_del_terms, True, [(1, 1), (2, 2), (4, 1)]),
+    (wedge_left, oracles.wedge_left_terms, True, [(1, 3), (2, 4)]),
+    (interior, oracles.interior_terms, True, [(1, 3), (2, 3)]),
+    (insert_letter, oracles.insert_letter_terms, True, [(1, 2), (2, 4), (3, 1)]),
+    (tensor_permute, oracles.tensor_permute_terms, True, [((1, 2),), ((2, 1),)]),
+    (rho_x, oracles.rho_x_terms, False, [(1, 3), (2, 4)]),
+    (deriv_pos, oracles.deriv_pos_terms, False, [(1, 2), (2, 1), (1, 1)]),
+    (deriv_neg, oracles.deriv_neg_terms, False, [(3, 4), (4, 3)]),
+    (insert_metric, oracles.insert_metric_terms, False,
+     [(1, 2), (3, 1), (2, 4, "plus"), (1, 4, "minus")]),
+]
+
+
+def test_builders_match_per_term_oracles():
+    """Every builder gives the form its per-term rewriter gives through
+    get/add/drop, and a one-to-one builder keeps one term per input term it
+    does not kill."""
+    rng = random.Random(43)
+    for params in (SpaceParams(2, 2, 2), SpaceParams(3, 2, 1)):
+        for trial in range(4):
+            f = random_form(params, rng, nterms=10, maxdeg=3)
+            for builder, term_fn, one_to_one, arglist in BUILDERS:
+                for args in arglist:
+                    image = builder(*args)(f)
+                    assert image.terms == oracles.lift(term_fn(*args))(f).terms, \
+                        (params, trial, builder.__name__, args)
+                    if one_to_one:
+                        kept = sum(1 for key, c in f.terms.items()
+                                   if any(True for _ in term_fn(*args)(params, key, c)))
+                        assert len(image.terms) == kept, (builder.__name__, args)
+
+
+def cancelling_pair(oracle, pool):
+    """The first key two monomials of the pool share in their images, and the
+    difference of the two, weighted so that the key cancels."""
+    seen = {}
+    for m in pool:
+        for key, c in oracle(m).terms.items():
+            if key in seen:
+                m1, c1 = seen[key]
+                return key, m1.scale(c) - m.scale(c1)
+            seen[key] = (m, c)
+    raise AssertionError("no two images meet")
+
+
+def test_one_to_many_builders_cancel_like_their_oracles():
+    """Two monomials whose images share a key, weighted so that key cancels:
+    rho_x and the wedge derivations drop it, as the oracle does."""
+    params = P22
+    gens = [(a, mu) for a in params.positive() for mu in params.negative()]
+    wedges = [()] + [(g,) for g in gens] + [(g, h) for g in gens for h in gens if g < h]
+    words = [(a, b) for a in params.letters() for b in params.letters()]
+    pool = [MixedForm.monomial(params, z=[(1, 1, 1)], w=w, t=t) for w in wedges for t in words]
+    rng = random.Random(47)
+    # insert_metric's images never meet, nor D_{alpha,alpha}'s: they cannot cancel
+    for builder, term_fn, arglist in [(rho_x, oracles.rho_x_terms, [(1, 3), (2, 4)]),
+                                      (deriv_pos, oracles.deriv_pos_terms, [(1, 2), (2, 1)]),
+                                      (deriv_neg, oracles.deriv_neg_terms, [(3, 4), (4, 3)])]:
+        for args in arglist:
+            op, oracle = builder(*args), oracles.lift(term_fn(*args))
+            key, f = cancelling_pair(oracle, pool)
+            yielded = sum(1 for k, c in f.terms.items() for _ in term_fn(*args)(params, k, c))
+            assert key not in op(f).terms and len(op(f).terms) < yielded
+            assert op(f).terms == oracle(f).terms
+            g = f + random_form(params, rng, nterms=4)
+            assert op(g).terms == oracle(g).terms, (builder.__name__, args)
+
+
+def test_builders_refuse_bad_slots_and_permutations():
+    """A slot below 1 or a tuple that is not a permutation of 1..len is
+    refused when the operator is built; the length checks stay at apply."""
+    for bad in (lambda: insert_letter(0, 1), lambda: insert_letter(-1, 2),
+                lambda: insert_metric(0, 2), lambda: insert_metric(3, 0),
+                lambda: metric_pair_insertion(2, 0),
+                lambda: tensor_permute((1, 1)), lambda: tensor_permute((3, 1)),
+                lambda: tensor_permute((0, 1)), lambda: tensor_permute((2,)),
+                lambda: tensor_permute((1, 2, 2))):
+        with pytest.raises(ValueError):
+            bad()
+    f = MixedForm.monomial(P21, t=(2, 3))
+    assert tensor_permute(())(MixedForm.vacuum(P21)) == MixedForm.vacuum(P21)
+    for bad in (lambda: insert_metric(1, 5)(f), lambda: tensor_permute((2, 1, 3))(f),
+                lambda: insert_letter(4, 1)(f)):
+        with pytest.raises(ValueError):
+            bad()
+    full = MixedForm.monomial(P21, z=[(2, 1, _FIELD)])
+    with pytest.raises(ValueError, match=f"a Fock exponent exceeds {_FIELD}"):
+        z_mul(2, 1)(full)
+    assert z_mul(1, 1)(full) == MixedForm.monomial(P21, z=[(1, 1, 1), (2, 1, _FIELD)])
+
+
+def test_scale_and_op_sum_refuse_non_rationals():
+    """A float is read as its binary fraction, so it is refused as a scale
+    factor or a coefficient; ints, QQ and Scalars are still taken."""
+    f = MixedForm.monomial(P21, z=[(1, 1, 1)], t=(2,))
+    for bad in (0.1, 1.0, 0.5 + 0j, Decimal("0.1")):
+        with pytest.raises(TypeError):
+            f.scale(bad)
+        with pytest.raises(TypeError):
+            op_sum([(bad, z_mul(1))])
+    assert f.scale(2) == f.scale(QQ(2)) == f.scale(Scalar.from_rational(2)) == f + f
+    assert op_sum([(QQ(1, 2), z_mul(1)), (1, z_mul(1))])(f) == z_mul(1)(f).scale(QQ(3, 2))
