@@ -28,8 +28,8 @@ from fockforms.multilinear import (
     compose,
     identity_op,
     insert_letter,
+    insert_metric,
     interior,
-    metric_pair_insertion,
     op_sum,
     rho_x,
     tensor_permute,
@@ -358,10 +358,10 @@ def piece_B(params, ell, j):
 
 
 def piece_C(params, ell, j, mode):
-    """(1/4pi) sum_k A_{jk}(metric) on the degree ell-2 member."""
+    """(1/4pi) sum_{i != j} of the metric at slots i, j, on the degree ell-2 member."""
     coeff = Scalar.from_rational(QQ(1, 4), pi_exp=-1)
-    return op_sum((coeff, metric_pair_insertion(j, k, mode))
-                  for k in range(1, ell))(phi_ell(params, ell - 2))
+    return op_sum((coeff, insert_metric(i, j, mode))
+                  for i in range(1, ell + 1) if i != j)(phi_ell(params, ell - 2))
 
 
 # ---------------------------------------------------------------------------

@@ -149,20 +149,26 @@ class MixedForm:
 
     @staticmethod
     def monomial(params, z=(), w=(), t=(), coeff=None):
-        """Build a one-term form; z is a list of (index, column, exponent)."""
+        """Build a one-term form; z is a list of (index, column, exponent).
+
+        Every index, column, exponent, generator entry and letter is an int
+        (bools refused) in its range; anything else raises ValueError.
+        """
         m = params.m
         fock = 0
         for idx, col, e in z:
-            if not (1 <= idx <= m and 1 <= col <= params.n):
-                raise ValueError(f"fock variable ({idx},{col}) outside space")
-            if not (isinstance(e, int) and 0 <= e <= _FIELD):
-                raise ValueError(f"exponent {e} of ({idx},{col}) outside 0..{_FIELD}")
+            if not (type(idx) is int and type(col) is int
+                    and 1 <= idx <= m and 1 <= col <= params.n):
+                raise ValueError(f"fock variable ({idx!r},{col!r}) outside space")
+            if not (type(e) is int and 0 <= e <= _FIELD):
+                raise ValueError(f"exponent {e!r} of ({idx},{col}) outside 0..{_FIELD}")
             fock = _fock_times(fock, e << _offset(idx, col))
         sign = 1
         wedge = 0
         for a, mu in w:
-            if not (1 <= a <= params.p and params.p < mu <= m):
-                raise ValueError(f"wedge generator ({a},{mu}) outside space")
+            if not (type(a) is int and type(mu) is int
+                    and 1 <= a <= params.p and params.p < mu <= m):
+                raise ValueError(f"wedge generator ({a!r},{mu!r}) outside space")
             bit = _gen_bit(a, mu)
             if wedge & bit:
                 return MixedForm(params)
@@ -170,8 +176,8 @@ class MixedForm:
                 sign = -sign
             wedge |= bit
         for letter in t:
-            if not 1 <= letter <= m:
-                raise ValueError(f"tensor letter {letter} outside space")
+            if not (type(letter) is int and 1 <= letter <= m):
+                raise ValueError(f"tensor letter {letter!r} outside space")
         c = coeff if coeff is not None else Scalar.one()
         if sign < 0:
             c = -c
@@ -248,15 +254,24 @@ class MixedForm:
 
     @staticmethod
     def from_json(params, data):
+        """The inverse of to_json; items with the same key add up.
+
+        Each item is an object with exactly the keys z, w, t and c: z a list
+        of [index, column, exponent], w a list of [alpha, mu], t a list of
+        letters, all ints, and c a Scalar row list; anything else raises
+        ValueError.
+        """
         terms = {}
         for item in data:
-            piece = MixedForm.monomial(
-                params,
-                z=[tuple(v) for v in item["z"]],
-                w=[tuple(g) for g in item["w"]],
-                t=item["t"],
-                coeff=Scalar.from_json(item["c"]),
-            )
+            if not isinstance(item, dict) or item.keys() != {"z", "w", "t", "c"}:
+                raise ValueError(f"a form item is an object with the keys z, w, t, c: {item!r}")
+            z, w, t = item["z"], item["w"], item["t"]
+            if not (isinstance(z, list) and all(isinstance(v, list) and len(v) == 3 for v in z)
+                    and isinstance(w, list) and all(isinstance(g, list) and len(g) == 2 for g in w)
+                    and isinstance(t, list)):
+                raise ValueError(f"a form item has z, w and t lists of triples, pairs "
+                                 f"and letters: {item!r}")
+            piece = MixedForm.monomial(params, z=z, w=w, t=t, coeff=Scalar.from_json(item["c"]))
             for key, c in piece.terms.items():
                 _accum(terms, key, c)
         return MixedForm(params, terms)
@@ -342,10 +357,12 @@ def op_sum(pieces):
 
 
 # Each builder returns one loop over the operand's terms.  z_mul, z_del,
-# wedge_left, interior, insert_letter and tensor_permute send distinct keys to
-# distinct keys, and each image coefficient is +-c or c times an exponent >= 1,
-# never zero: they write each image straight into the new dict, with no
-# accumulate step and no zero test.  The others accumulate through _accum.
+# wedge_left, interior, insert_letter, insert_metric and tensor_permute never
+# send two inputs to one image (an input of insert_metric is a key and a
+# letter of the metric), and each image coefficient is +-c or c times an
+# exponent >= 1, never zero: they write each image straight into the new dict,
+# with no accumulate step and no zero test.  The others accumulate through
+# _accum.
 
 def z_mul(idx, col=1):
     """Multiplication by z_{idx,col}."""
@@ -451,9 +468,11 @@ def insert_metric(i, j, mode="full"):
     """Insert a metric tensor so its two letters land at result positions i, j.
 
     mode 'plus' inserts sum_alpha e_alpha (x) e_alpha, 'minus' inserts
-    sum_mu e_mu (x) e_mu, and 'full' their difference.  The operand word
-    must have length (result length) - 2.
+    sum_mu e_mu (x) e_mu, and 'full' their difference; any other mode is
+    refused.  The operand word must have length (result length) - 2.
     """
+    if mode not in ("full", "plus", "minus"):
+        raise ValueError(f"metric mode {mode!r} is not 'full', 'plus' or 'minus'")
     if i == j:
         raise ValueError("metric insertion needs two distinct positions")
     lo, hi = (i, j) if i < j else (j, i)
@@ -469,29 +488,14 @@ def insert_metric(i, j, mode="full"):
                 raise ValueError(f"positions ({i},{j}) out of range")
             for letter, negated in letters:
                 nw = insert_pair_word(word, lo, hi, letter, letter)
-                _accum(terms, (fock, wedge, nw), -c if negated else c)
+                terms[fock, wedge, nw] = -c if negated else c
         return MixedForm(form.params, terms)
     return LinearOperator(apply)
 
 
-def metric_pair_insertion(j, k, mode="full"):
-    """The composed insertion A_j(e) A_k(e) summed over the metric letters.
-
-    Inserting at slot k of the operand (length L, giving L+1) and then at slot
-    j of the result (giving L+2) puts the two letters at result positions j
-    and k + 1 when j <= k, and at k and j otherwise.  Requires 1 <= k <= L+1
-    and 1 <= j <= L+2.
-    """
-    return insert_metric(j, k + 1, mode) if j <= k else insert_metric(k, j, mode)
-
-
 def a_of_f(ell, mode="full"):
-    """Total metric insertion into words of result length ell.
-
-    Equals half the double sum of metric_pair_insertion over j in 1..ell,
-    k in 1..ell-1; by the j/k symmetry this is the plain sum over unordered
-    pairs of result positions, which is how it is computed here.
-    """
+    """Total metric insertion into words of result length ell: the sum of
+    insert_metric over the unordered pairs of result positions."""
     return op_sum((1, insert_metric(i, j, mode))
                   for i in range(1, ell + 1) for j in range(i + 1, ell + 1))
 

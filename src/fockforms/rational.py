@@ -15,9 +15,13 @@ except ImportError:  # pragma: no cover
 def _accum(vec, key, value):
     """vec[key] += value in place, dropping the key when the sum is zero.
 
-    The one sparse accumulate step of the exact layers: RatMat rows, schur
-    tensors and MixedForm terms all add through it.  value is an int, a QQ or
-    a Scalar; a zero value added to an absent key leaves no entry.
+    The sparse accumulate step of the exact layers: linalg's RatMat sums,
+    products and elimination, schur's tensors, MixedForm's +, -, * and
+    from_json, the operators rho_x, deriv_pos and deriv_neg, and
+    forms.phi_linear add through it.  The one-to-one operator builders write
+    their images directly, and op_sum inlines its own accumulate.  value is an
+    int, a QQ or a Scalar; a zero value added to an absent key leaves no
+    entry.
     """
     s = vec.get(key)
     s = value if s is None else s + value

@@ -17,7 +17,6 @@ from fockforms.multilinear import (
     insert_letter,
     insert_metric,
     interior,
-    metric_pair_insertion,
     op_sum,
     rho_x,
     tensor_permute,
@@ -25,6 +24,7 @@ from fockforms.multilinear import (
     z_del,
     z_mul,
 )
+from fockforms.forms import phi_ell, piece_C
 from fockforms.multilinear import _FIELD, _gen_bit, _offset, _unpack
 from fockforms.rational import QQ, _accum
 from fockforms.scalars import ONE, Scalar
@@ -130,20 +130,23 @@ def test_insert_metric_example():
     assert out == expect
 
 
-def test_a_of_f_matches_half_double_sum():
-    rng = random.Random(7)
-    for ell in (2, 3, 4):
-        f = random_form(P21, rng, nterms=4, ell=ell - 2)
-        direct = a_of_f(ell, "full")(f)
-        double = MixedForm(P21)
-        for j in range(1, ell + 1):
-            for k in range(1, ell):
-                double = double + metric_pair_insertion(j, k, "full")(f)
-        assert direct == double.scale(QQ(1, 2)), ell
+def test_piece_C_sums_to_twice_a_of_f():
+    """Summed over j, piece_C meets each unordered pair of result slots twice,
+    so it is 2 (1/4pi) a_of_f on the degree ell-2 member, in every mode."""
+    twice = Scalar.from_rational(QQ(1, 2), pi_exp=-1)
+    for params in (P21, P22):
+        for ell in (2, 3, 4):
+            for mode in ("full", "plus", "minus"):
+                total = MixedForm(params)
+                for j in range(1, ell + 1):
+                    total = total + piece_C(params, ell, j, mode)
+                want = a_of_f(ell, mode)(phi_ell(params, ell - 2)).scale(twice)
+                assert total == want and not total.is_zero(), (params, ell, mode)
 
 
-def test_metric_pair_insertion_is_literal_composition():
-    # A_j(e) A_k(e): insert at slot k of the operand, then at slot j
+def test_insert_metric_is_literal_composition():
+    # the sum over the metric letters of A_hi(e) A_lo(e): insert at slot lo of
+    # the operand, then at slot hi > lo of the result
     rng = random.Random(19)
     for params in (P21, P22, SpaceParams(3, 1, 1)):
         letters = {
@@ -155,12 +158,20 @@ def test_metric_pair_insertion_is_literal_composition():
         for length in (0, 1, 2):
             f = random_form(params, rng, nterms=4, ell=length)
             for mode, pairs in letters.items():
-                for j in range(1, length + 3):
-                    for k in range(1, length + 2):
-                        literal = op_sum((sign, insert_letter(j, l) @ insert_letter(k, l))
-                                         for l, sign in pairs)
-                        assert metric_pair_insertion(j, k, mode)(f) == literal(f), \
-                            (params, length, mode, j, k)
+                for hi in range(2, length + 3):
+                    for lo in range(1, hi):
+                        literal = op_sum((sign, insert_letter(hi, l) @ insert_letter(lo, l))
+                                         for l, sign in pairs)(f)
+                        assert insert_metric(lo, hi, mode)(f) == literal, \
+                            (params, length, mode, lo, hi)
+                        assert insert_metric(hi, lo, mode)(f) == literal
+
+
+def test_misspelt_metric_mode_is_refused_when_built():
+    for bad in (lambda: insert_metric(1, 2, "ful"), lambda: a_of_f(2, "ful"),
+                lambda: piece_C(P21, 2, 1, "ful")):
+        with pytest.raises(ValueError, match="metric mode 'ful'"):
+            bad()
 
 
 def test_insert_letter_slots():
@@ -190,6 +201,37 @@ def test_json_rejects_bad_indices():
     with pytest.raises(ValueError):
         MixedForm.from_json(P21, [{"z": [[9, 1, 1]], "w": [], "t": [],
                               "c": [[0, 1, 1, 0, 1, 0, 1, 0, 1]]}])
+
+
+ONE_ROW = ONE.to_json()
+
+
+@pytest.mark.parametrize("item", [
+    {"z": [], "w": [], "t": [1.0], "c": ONE_ROW},
+    {"z": [], "w": [], "t": [True], "c": ONE_ROW},
+    {"z": [], "w": [], "t": ["1"], "c": ONE_ROW},
+    {"z": [[1, 1, True]], "w": [], "t": [], "c": ONE_ROW},
+    {"z": [[True, 1, 1]], "w": [], "t": [], "c": ONE_ROW},
+    {"z": [[1, 1.0, 1]], "w": [], "t": [], "c": ONE_ROW},
+    {"z": [], "w": [[1, 3.0]], "t": [], "c": ONE_ROW},
+    {"z": [], "w": [[True, 3]], "t": [], "c": ONE_ROW},
+    {"z": [], "w": [], "c": ONE_ROW},
+    {"z": [], "w": [], "t": [], "c": ONE_ROW, "x": 0},
+    {"z": [[1, 1]], "w": [], "t": [], "c": ONE_ROW},
+    {"z": [1], "w": [], "t": [], "c": ONE_ROW},
+    {"z": [], "w": [[1, 3, 1]], "t": [], "c": ONE_ROW},
+    {"z": [], "w": [], "t": "1", "c": ONE_ROW},
+    [[], [], [], ONE_ROW],
+    None,
+], ids=["float-letter", "bool-letter", "str-letter", "bool-exponent", "bool-index",
+        "float-column", "float-generator", "bool-generator", "no-t", "extra-key",
+        "short-z", "int-z", "long-w", "str-t", "list-item", "null-item"])
+def test_json_refuses_malformed_items(item):
+    """An item that is not an object with the keys z, w, t and c, or whose
+    indices, exponents, generators or letters are not ints, is refused: the
+    shape by from_json, the entry types by MixedForm.monomial."""
+    with pytest.raises(ValueError):
+        MixedForm.from_json(P21, [item])
 
 
 def test_packed_keys_round_trip_in_tuple_order():
@@ -349,8 +391,9 @@ def test_sub_of_equal_forms_is_zero_and_matches_accumulate():
         assert len(z_mul(3)(f).terms) == len(f.terms)
 
 
-# each builder with its per-term oracle, whether it sends distinct keys to
-# distinct keys, and the arguments it is checked at on words of length 2
+# each builder with its per-term oracle, whether its images never meet (it
+# sends distinct inputs to distinct keys), and the arguments it is checked at
+# on words of length 2
 BUILDERS = [
     (z_mul, oracles.z_mul_terms, True, [(1, 1), (3, 2), (4, 1)]),
     (z_del, oracles.z_del_terms, True, [(1, 1), (2, 2), (4, 1)]),
@@ -361,15 +404,15 @@ BUILDERS = [
     (rho_x, oracles.rho_x_terms, False, [(1, 3), (2, 4)]),
     (deriv_pos, oracles.deriv_pos_terms, False, [(1, 2), (2, 1), (1, 1)]),
     (deriv_neg, oracles.deriv_neg_terms, False, [(3, 4), (4, 3)]),
-    (insert_metric, oracles.insert_metric_terms, False,
+    (insert_metric, oracles.insert_metric_terms, True,
      [(1, 2), (3, 1), (2, 4, "plus"), (1, 4, "minus")]),
 ]
 
 
 def test_builders_match_per_term_oracles():
     """Every builder gives the form its per-term rewriter gives through
-    get/add/drop, and a one-to-one builder keeps one term per input term it
-    does not kill."""
+    get/add/drop, and the images of a one-to-one builder never meet: it keeps
+    as many terms as its rewriter yields, so it may write them directly."""
     rng = random.Random(43)
     for params in (SpaceParams(2, 2, 2), SpaceParams(3, 2, 1)):
         for trial in range(4):
@@ -380,9 +423,9 @@ def test_builders_match_per_term_oracles():
                     assert image.terms == oracles.lift(term_fn(*args))(f).terms, \
                         (params, trial, builder.__name__, args)
                     if one_to_one:
-                        kept = sum(1 for key, c in f.terms.items()
-                                   if any(True for _ in term_fn(*args)(params, key, c)))
-                        assert len(image.terms) == kept, (builder.__name__, args)
+                        yielded = sum(1 for key, c in f.terms.items()
+                                      for _ in term_fn(*args)(params, key, c))
+                        assert len(image.terms) == yielded, (builder.__name__, args)
 
 
 def cancelling_pair(oracle, pool):
@@ -426,7 +469,6 @@ def test_builders_refuse_bad_slots_and_permutations():
     refused when the operator is built; the length checks stay at apply."""
     for bad in (lambda: insert_letter(0, 1), lambda: insert_letter(-1, 2),
                 lambda: insert_metric(0, 2), lambda: insert_metric(3, 0),
-                lambda: metric_pair_insertion(2, 0),
                 lambda: tensor_permute((1, 1)), lambda: tensor_permute((3, 1)),
                 lambda: tensor_permute((0, 1)), lambda: tensor_permute((2,)),
                 lambda: tensor_permute((1, 2, 2))):
