@@ -13,11 +13,17 @@ neither `linalg` nor `scalars`; `dims` loads no coefficient ring (`scalars`);
 `dims` and `intertwine-check` load no numpy; and the process pool is
 imported only when more than one worker will start, since start-up is a
 large share of a short command.
+
+`run()`, the entry point of `python -m fockforms.cli` and of the `fockforms`
+script, switches the cyclic gc off (a run makes only a fixed few cycles, in
+argparse and json) and freezes the heap at exit, so the interpreter's final
+collections skip it; in-process callers call `main()`, which keeps the gc.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -350,5 +356,13 @@ def main(argv=None):
         return 2
 
 
+def run():
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -25,6 +25,7 @@ from fockforms.multilinear import (
     MixedForm,
     SpaceParams,
     a_of_f,
+    check_metric_mode,
     compose,
     identity_op,
     insert_letter,
@@ -358,7 +359,9 @@ def piece_B(params, ell, j):
 
 
 def piece_C(params, ell, j, mode):
-    """(1/4pi) sum_{i != j} of the metric at slots i, j, on the degree ell-2 member."""
+    """(1/4pi) sum_{i != j} of the metric at slots i, j, on the degree ell-2
+    member; the mode is checked even where there is no such i."""
+    check_metric_mode(mode)
     coeff = Scalar.from_rational(QQ(1, 4), pi_exp=-1)
     return op_sum((coeff, insert_metric(i, j, mode))
                   for i in range(1, ell + 1) if i != j)(phi_ell(params, ell - 2))

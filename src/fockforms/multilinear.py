@@ -256,11 +256,13 @@ class MixedForm:
     def from_json(params, data):
         """The inverse of to_json; items with the same key add up.
 
-        Each item is an object with exactly the keys z, w, t and c: z a list
-        of [index, column, exponent], w a list of [alpha, mu], t a list of
-        letters, all ints, and c a Scalar row list; anything else raises
-        ValueError.
+        The data is a list of items, each an object with exactly the keys z,
+        w, t and c: z a list of [index, column, exponent], w a list of
+        [alpha, mu], t a list of letters, all ints, and c a Scalar row list;
+        anything else raises ValueError.
         """
+        if not isinstance(data, list):
+            raise ValueError(f"a form is a list of items: {data!r}")
         terms = {}
         for item in data:
             if not isinstance(item, dict) or item.keys() != {"z", "w", "t", "c"}:
@@ -464,6 +466,12 @@ def insert_letter(j, letter):
     return LinearOperator(apply)
 
 
+def check_metric_mode(mode):
+    """Refuse a metric mode other than 'full', 'plus' or 'minus'."""
+    if mode not in ("full", "plus", "minus"):
+        raise ValueError(f"metric mode {mode!r} is not 'full', 'plus' or 'minus'")
+
+
 def insert_metric(i, j, mode="full"):
     """Insert a metric tensor so its two letters land at result positions i, j.
 
@@ -471,8 +479,7 @@ def insert_metric(i, j, mode="full"):
     sum_mu e_mu (x) e_mu, and 'full' their difference; any other mode is
     refused.  The operand word must have length (result length) - 2.
     """
-    if mode not in ("full", "plus", "minus"):
-        raise ValueError(f"metric mode {mode!r} is not 'full', 'plus' or 'minus'")
+    check_metric_mode(mode)
     if i == j:
         raise ValueError("metric insertion needs two distinct positions")
     lo, hi = (i, j) if i < j else (j, i)
@@ -495,7 +502,9 @@ def insert_metric(i, j, mode="full"):
 
 def a_of_f(ell, mode="full"):
     """Total metric insertion into words of result length ell: the sum of
-    insert_metric over the unordered pairs of result positions."""
+    insert_metric over the unordered pairs of result positions; the mode is
+    checked even where there are none."""
+    check_metric_mode(mode)
     return op_sum((1, insert_metric(i, j, mode))
                   for i in range(1, ell + 1) for j in range(i + 1, ell + 1))
 

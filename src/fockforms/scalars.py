@@ -331,10 +331,12 @@ class Scalar:
     def from_json(data):
         """The inverse of to_json; rows that share a pi-exponent add up.
 
-        Each row is [k, a_num, a_den, b_num, b_den, c_num, c_den, d_num,
-        d_den] of ints (bools refused) with nonzero denominators; anything
-        else raises ValueError.
+        The data is a list of rows, each [k, a_num, a_den, b_num, b_den,
+        c_num, c_den, d_num, d_den] of ints (bools refused) with nonzero
+        denominators; anything else raises ValueError.
         """
+        if not isinstance(data, list):
+            raise ValueError(f"a Scalar is a list of rows: {data!r}")
         terms = {}
         for row in data:
             if not isinstance(row, (list, tuple)) or len(row) != 9:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import hashlib
 import json
 import math
@@ -744,3 +745,108 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"][0]["rank"] == 2
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    """`python -m fockforms.cli` keeps the documented exit codes: the default
+    verify and dims print their recorded stdout with exit 0, and a malformed
+    lattice or argument exits 2 with nothing on stdout, the lattice with a
+    JSON error on stderr."""
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "fockforms.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+
+    for argv in (("verify",), ("dims",)):
+        proc = module(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[argv]
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"gram": [[1, 2], [2, 1]]}')
+    proc = module("theta", "--lattice", str(bad))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "cannot load lattice" in json.loads(proc.stderr)["error"]
+    proc = module("verify", "--p", "x")
+    assert proc.returncode == 2 and proc.stdout == ""
+
+
+def test_module_and_script_enter_through_run():
+    """The module's __main__ block and the console script both call cli.run:
+    after the module runs as __main__ the collector is off and the heap
+    frozen, and pyproject.toml points the script at run."""
+    code = ("import gc, runpy, sys\n"
+            "sys.argv = ['fockforms', 'dims', '--lambda', '1', '--n', '2']\n"
+            "try:\n"
+            "    runpy.run_module('fockforms.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stderr.split() == ["0", "False", "True"], proc.stderr
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    assert 'fockforms = "fockforms.cli:run"' in pyproject.splitlines()
+
+
+def test_run_switches_gc_off_and_freezes_at_exit(monkeypatch):
+    """cli.run calls main with the cyclic gc off, returns its exit code
+    unchanged and leaves the heap frozen, also when main exits by raising."""
+    seen = []
+
+    def fake_main(code):
+        seen.append(gc.isenabled())
+        if isinstance(code, BaseException):
+            raise code
+        return code
+
+    try:
+        for code in (0, 1, 2):
+            monkeypatch.setattr(cli, "main", lambda: fake_main(code))
+            assert cli.run() == code
+            assert not gc.isenabled() and gc.get_freeze_count() > 0
+            gc.unfreeze()
+        monkeypatch.setattr(cli, "main", lambda: fake_main(SystemExit(2)))
+        with pytest.raises(SystemExit):
+            cli.run()
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    assert seen == [False] * 4
+
+
+def test_main_keeps_the_collector(capsys):
+    """In-process callers of main keep the cyclic gc and an unfrozen heap."""
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    for argv in (("dims", "--lambda", "1", "--n", "2"),
+                 ("verify", "--identity", "bogus", "--p", "1", "--q", "1")):
+        run_main(capsys, *argv)
+        assert gc.isenabled() and gc.get_freeze_count() == 0, argv
+
+
+@pytest.mark.parametrize("code,argv", [
+    (0, ("verify", "--identity", "closedness", "--p", "2", "--q", "1", "--ell", "2")),
+    (0, ("theta", "--lattice", str(FIXTURES / "z4.json"), "--genus", "2", "--bound", "1")),
+    (0, ("theta", "--lattice", str(FIXTURES / "z4.json"), "--genus", "2", "--lambda", "2,2",
+         "--bound", "1")),
+    (0, ("dims",)),
+    (0, ("intertwine-check",)),
+    (2, ("theta", "--lattice", str(FIXTURES / "z4.json"), "--genus", "0")),
+], ids=["verify-cell", "theta-count", "theta-payload", "dims", "intertwine-check", "exit-2"])
+def test_runs_leave_only_parser_and_encoder_garbage(capsys, code, argv):
+    """With caches warm and gc off, a run leaves for the cyclic gc exactly what
+    its argparse parser leaves, plus, when it prints a report, what one
+    json.dumps with indent leaves (the pure-Python encoder's closures): a
+    fixed amount per process, which is why cli.run may switch the gc off."""
+    assert run_main(capsys, *argv)[0] == code
+    gc.collect()
+    gc.disable()
+    try:
+        run_main(capsys, *argv)
+        garbage = gc.collect()
+        cli.build_parser().parse_args(list(argv))
+        expected = gc.collect()
+        if code != 2:
+            json.dumps({"passed": True}, indent=1)
+            expected += gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == expected > 0

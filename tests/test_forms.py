@@ -5,6 +5,7 @@ file pins the low-parameter values to frozen literals and runs every named
 identity over the small grid.
 """
 
+import gc
 import itertools
 import pickle
 import random
@@ -570,6 +571,25 @@ def test_grid_pass_mutates_no_kept_form():
     _grid_rows()
     for form, before in kept:
         assert form.to_json() == before
+
+
+def test_identities_leave_no_garbage():
+    """Every identity family of the default grid, at its cells with p + q <= 3
+    and ell <= 2, makes no reference cycle: with caches warm and gc disabled,
+    no cell leaves anything for the cyclic gc to free.  The CLI runs with gc
+    off, so a cycle here would be memory that is never returned."""
+    cells = [cell for cell in F.default_grid() if cell[1] + cell[2] <= 3 and cell[4] <= 2]
+    assert {cell[0] for cell in cells} == set(F.IDENTITIES)
+    for cell in cells:
+        F.run_identity(*cell)
+    gc.collect()
+    gc.disable()
+    try:
+        for cell in cells:
+            F.run_identity(*cell)
+            assert gc.collect() == 0, cell
+    finally:
+        gc.enable()
 
 
 def test_shared_budget_bounds_held_terms(monkeypatch):

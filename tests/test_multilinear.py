@@ -168,8 +168,11 @@ def test_insert_metric_is_literal_composition():
 
 
 def test_misspelt_metric_mode_is_refused_when_built():
+    """Also where the sum over slot pairs is empty: a_of_f below two result
+    slots and piece_C at degree 1."""
     for bad in (lambda: insert_metric(1, 2, "ful"), lambda: a_of_f(2, "ful"),
-                lambda: piece_C(P21, 2, 1, "ful")):
+                lambda: a_of_f(1, "ful"), lambda: a_of_f(0, "ful"),
+                lambda: piece_C(P21, 2, 1, "ful"), lambda: piece_C(P21, 1, 1, "ful")):
         with pytest.raises(ValueError, match="metric mode 'ful'"):
             bad()
 
@@ -223,15 +226,26 @@ ONE_ROW = ONE.to_json()
     {"z": [], "w": [], "t": "1", "c": ONE_ROW},
     [[], [], [], ONE_ROW],
     None,
+    {"z": [], "w": [], "t": [], "c": 5},
+    {"z": [], "w": [], "t": [], "c": None},
+    {"z": [], "w": [], "t": [], "c": ""},
+    {"z": [], "w": [], "t": [], "c": {}},
+    {"z": [], "w": [], "t": [], "c": tuple(ONE_ROW)},
 ], ids=["float-letter", "bool-letter", "str-letter", "bool-exponent", "bool-index",
         "float-column", "float-generator", "bool-generator", "no-t", "extra-key",
-        "short-z", "int-z", "long-w", "str-t", "list-item", "null-item"])
+        "short-z", "int-z", "long-w", "str-t", "list-item", "null-item",
+        "int-c", "null-c", "str-c", "dict-c", "tuple-c"])
 def test_json_refuses_malformed_items(item):
-    """An item that is not an object with the keys z, w, t and c, or whose
-    indices, exponents, generators or letters are not ints, is refused: the
-    shape by from_json, the entry types by MixedForm.monomial."""
+    """An item that is not an object with the keys z, w, t and c, whose
+    indices, exponents, generators or letters are not ints, or whose c is not
+    a list, is refused: the shape by from_json, the entry types by
+    MixedForm.monomial, c by Scalar.from_json.  So is a form that is not a
+    list of items: a str or a dict is not read as its characters or keys."""
     with pytest.raises(ValueError):
         MixedForm.from_json(P21, [item])
+    for data in (item, 5, None, "", {}, (item,)):
+        with pytest.raises(ValueError):
+            MixedForm.from_json(P21, data)
 
 
 def test_packed_keys_round_trip_in_tuple_order():

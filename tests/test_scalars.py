@@ -325,8 +325,14 @@ def test_from_json_adds_rows_with_one_pi_exponent():
     [ROW[:5]],                           # a short row
     [ROW + [1]],
     [3],
+    5,                                   # data that is not a list of rows
+    None,
+    "",
+    {},
+    (ROW,),
 ], ids=["half-exponent", "float-exponent", "bool-exponent", "bool-entry",
-        "str-entry", "zero-den", "zero-last-den", "short", "long", "not-a-row"])
+        "str-entry", "zero-den", "zero-last-den", "short", "long", "not-a-row",
+        "int-data", "null-data", "str-data", "dict-data", "tuple-data"])
 def test_from_json_refuses_malformed_rows(rows):
     with pytest.raises(ValueError):
         Scalar.from_json(rows)
