@@ -18,6 +18,9 @@ large share of a short command.
 script, switches the cyclic gc off (a run makes only a fixed few cycles, in
 argparse and json) and freezes the heap at exit, so the interpreter's final
 collections skip it; in-process callers call `main()`, which keeps the gc.
+It also sets OPENBLAS_NUM_THREADS to 1 unless the caller set it, before
+numpy is imported: no BLAS call of a run is large enough to share, and an
+idle OpenBLAS worker thread spins against the main thread.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ THETA_GENUS = 16
 THETA_BETAS = 2 ** 16
 THETA_POINTS = 2 ** 20
 # every representation is an n-tuple of shell points, so P^n bounds the
-# tuples the search may list at genus n when P bounds the points
+# tuples the search may visit at genus n when P bounds the points
 THETA_TUPLES = 2 ** 27
 
 IDENTITY_ALIASES = {
@@ -242,7 +245,7 @@ def check_theta_work(lat, n, bound):
                          f"2^{log_points / math.log(2):.1f} lattice vectors; "
                          f"the cap is 2^20")
     if n * log_points > math.log(THETA_TUPLES):
-        raise InputError(f"--genus {n} --bound {bound} may list "
+        raise InputError(f"--genus {n} --bound {bound} may visit "
                          f"2^{n * log_points / math.log(2):.1f} representation "
                          f"tuples; the cap is 2^27")
 
@@ -357,6 +360,7 @@ def main(argv=None):
 
 
 def run():
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
     try:
         return main()

@@ -188,26 +188,6 @@ def _emit_rational(r):
 # representation enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_representations(lat, beta):
-    """All ordered tuples (x_1..x_n) with (x_i, x_j) = 2 beta_{ij}, n = beta.n,
-    as an int64 array (reps, n, m) in lexicographic order: each block of
-    _search at beta's windows gives the row numbers of its index-0 entries,
-    and each shell gathers its column once.  Negative diagonal targets give
-    no rows."""
-    n, picks = beta.n, []
-    for index, path, a, b in _search(lat, *_beta_windows(beta)):
-        hit_a, hit_b = np.nonzero(index == 0)
-        pick = np.empty((len(hit_a), len(path) + 2), dtype=np.int64)
-        pick[:, :-2] = path
-        pick[:, -2], pick[:, -1] = a[hit_a], b[hit_b]
-        picks.append(pick)
-    rows = np.concatenate(picks) if picks else np.zeros((0, max(n, 2)), dtype=np.int64)
-    out = np.empty((len(rows), n, lat.rank), dtype=np.int64)
-    for i in range(n):  # a padding shell's column comes first and is dropped
-        out[:, i] = lat.shell(beta.doubled[i][i], column=i)[rows[:, i - n]]
-    return out
-
-
 def _beta_windows(beta):
     """beta's half diagonal, and the windows of width one at its entries."""
     return ([row[i] // 2 for i, row in enumerate(beta.doubled)],
@@ -260,14 +240,8 @@ def _search(lat, diag, windows):
     most BIN_ENTRIES at a time, in lexicographic order.  The last pair's block
     is formed once if n > 2 and it has at most BIN_TABLE entries, else per
     block.  Exact: int64 when the largest pairing fits, else Python ints.
-    n < 2 pads in front with zero vectors."""
-    n = len(diag)
-    if lat.coset_h is not None and len(lat.coset_h) != n:
-        raise ValueError("coset shift count must match the genus")
-    if any(d < 0 for d in diag):
-        return
-    shells = [np.zeros((1, lat.rank), dtype=np.int64)] * (2 - n) + [
-        lat.shell(2 * d, column=i) for i, d in enumerate(diag)]
+    The shells are _shells's, so n < 2 pads in front with zero vectors."""
+    shells = _shells(lat, diag)
     if not all(len(s) for s in shells):
         return
     n, windows = len(shells), list(windows) or [(0, 1)]
@@ -288,6 +262,15 @@ def _search(lat, diag, windows):
              if n > 2 and len(vecs[-2]) * len(vecs[-1]) <= BIN_TABLE else None)
     yield from _descend(vecs, dual, spans, total, whole, (), 0,
                         [np.zeros(len(s), dtype=np.int64) for s in shells])
+
+
+def _shells(lat, diag):
+    """Column i's shell of norm 2 diag[i] for each i (empty when diag[i] < 0),
+    padded in front with the zero vector to at least two shells."""
+    if lat.coset_h is not None and len(lat.coset_h) != len(diag):
+        raise ValueError("coset shift count must match the genus")
+    return [np.zeros((1, lat.rank), dtype=np.int64)] * (2 - len(diag)) + [
+        lat.shell(2 * d, column=i) for i, d in enumerate(diag)]
 
 
 def _shares(pairings, span):
@@ -366,49 +349,61 @@ def _nonzero_terms(arr):
     return dict(zip(map(tuple, (np.transpose(idx) + 1).tolist()), arr[idx].tolist()))
 
 
-# entries of one chunk's product block in the moment kernel; bounds its memory
-MOMENT_ENTRIES = 2 ** 14
+# entries of one operand of the moment matmul, and of the moment arrays one
+# pass of _moments fills; they bound the payload's memory
+MOMENT_ENTRIES, MOMENT_TOTAL = 2 ** 14, 2 ** 20
 
 
-def _moments(coords, slot_values, m):
-    """The dense moment array of shape (m,)*ell: the sum over the rows of
-    coords (reps, n, m) of the outer product of the columns named by
-    slot_values (1-based).
+def _moments(lat, beta, slot_lists):
+    """beta's tuple count, and per slot list (the column each slot reads,
+    from 1) the (m,)*ell sum over beta's tuples of the outer product of those
+    columns, from one pass of _search.  F_t(x) holds the products of x on the
+    sorted index tuples of the slots reading shell t ([1] for none); a block
+    with hits H = [index == 0] on rows a and columns b of the last two shells
+    adds F(path rows) (x) F_a^T H F_b, F_b's last letter summed against b's
+    coordinates by a matmul of MOMENT_ENTRIES-entry operands.  Exact: int64
+    if prod |shell| times the largest coordinate ** ell fits, or Python ints."""
+    (diag, windows), ell = _beta_windows(beta), len(slot_lists[0])
+    shells, count, jobs = _shells(lat, diag), 0, []
+    biggest = max(int(np.abs(s).max(initial=0)) for s in shells)
+    exact = exact_dtype(math.prod(map(len, shells)) * biggest ** ell)
+    vecs = [s.astype(exact, copy=False) for s in shells]
+    for slots in slot_lists:
+        # the layout is cached per pattern of groups, whatever columns they read
+        read = sorted(set(slots))  # column c is shell c - 1 + len(shells) - n
+        layout, gather = _symmetric_layout(lat.rank, tuple(
+            tuple(s for s, c in enumerate(slots) if c == col) for col in read))
+        chains = [layout[read.index(c)] if c in read else []
+                  for c in range(beta.n + 1 - len(shells), beta.n + 1)]
+        # a shell b that no slot reads stands as one letter, a column of ones
+        *head, last = chains[-1] or [(np.zeros(1, dtype=np.int64),) * 2]
+        cols = vecs[-1] if chains[-1] else np.ones((len(vecs[-1]), 1), dtype=exact)
+        size = math.prod(len(chain[-1][0]) if chain else 1 for chain in chains)
+        jobs.append((chains, head, last, gather, cols, np.zeros(size, dtype=exact)))
+    for index, path, a, b in _search(lat, diag, windows):
+        hits = (index == 0).astype(exact)
+        count += int(np.count_nonzero(hits))
+        for chains, head, (parent, letter), _, cols, total in jobs:
+            weights, block = hits.T @ _monomials(vecs[-2][a], chains[-2]), 0
+            # the operands: parent[-1] + 1 (k - 1)-tuples and weights x cols per row
+            step = max(1, MOMENT_ENTRIES // max(parent[-1] + 1, weights.shape[1] * cols.shape[1]))
+            for r0 in range(0, len(b), step):
+                part = cols[b[r0:r0 + step]]
+                right = (weights[r0:r0 + step, :, None] * part[:, None, :]).reshape(len(part), -1)
+                block += _monomials(part, head).T @ right
+            block = block.reshape(len(block), -1, cols.shape[1])[parent, :, letter].T
+            prefix = functools.reduce(np.outer, (_monomials(vecs[t][j:j + 1], chains[t])
+                                                 for t, j in enumerate(path) if chains[t]), 1)
+            total += np.multiply.outer(np.ravel(prefix), block).ravel()
+    return count, (total[gather].reshape((lat.rank,) * ell) for *_, gather, _, total in jobs)
 
-    Slots that read one column are symmetric, so each group of them is
-    formed only on its sorted index tuples, degree by degree: a sorted
-    d-tuple is its (d - 1)-prefix times one letter, one gather and one
-    product.  The groups' blocks are summed over the representations a chunk
-    at a time by one matmul, which also takes a lone group's last degree;
-    one gather expands the sums to every word.  Exact: int64 when the
-    largest possible sum fits, Python ints otherwise.
-    """
-    groups = {}
-    for slot, column in enumerate(slot_values):
-        groups.setdefault(column, []).append(slot)
-    chains, gather = _symmetric_layout(m, tuple(map(tuple, groups.values())))
-    biggest = max(int(coords.max(initial=1)), -int(coords.min(initial=0)))
-    exact = exact_dtype(len(coords) * biggest ** len(slot_values))
-    lone = len(chains) == 1  # its operands: the sorted (k - 1)-tuples and the column
-    steps = [chain[:len(chain) - lone] for chain in chains]
-    widths = [len(step[-1][0]) if step else 1 for step in steps] + [m] * lone
-    rows = max(1, MOMENT_ENTRIES // max(math.prod(widths[:-1]), widths[-1]))
-    total = np.zeros((math.prod(widths[:-1]), widths[-1]), dtype=exact)
-    for start in range(0, len(coords), rows):
-        part = coords[start:start + rows].astype(exact)
-        left, blocks = np.ones((len(part), 1), dtype=exact), []
-        for column, step in zip(groups, steps):
-            x, block = part[:, column - 1], left
-            for parent, letter in step:
-                block = block[:, parent] * x[:, letter]
-            blocks.append(block)
-        *blocks, last = blocks + [x] * lone
-        for block in blocks:
-            left = (left[:, :, None] * block[:, None, :]).reshape(len(part), -1)
-        total += left.T @ last
-    if lone:
-        total = total[chains[0][-1]]  # at the (parent, letter) of each sorted k-tuple
-    return total.ravel()[gather].reshape((m,) * len(slot_values))
+
+def _monomials(x, chain):
+    """Each row's products on chain's sorted tuples: prefix times letter."""
+    block = np.ones((len(x), 1), dtype=x.dtype)
+    for parent, letter in chain:
+        block = block[:, parent] * x[:, letter]
+    return block
 
 
 @functools.lru_cache(maxsize=16)
@@ -482,8 +477,9 @@ def _omega_tilde(t, g2, adj):
 
 
 def assemble_coefficient(lat, beta, lam=()):
-    """Count plus the harmonic Schur payload for each semistandard filling;
-    with no shape the tuples are counted in beta's windows, not listed."""
+    """Count plus the harmonic Schur payload for each semistandard filling,
+    the fillings sharing _moments passes within MOMENT_TOTAL entries; with no
+    shape the tuples are counted in beta's windows."""
     lam = tuple(lam)
     if not lam:
         found = count_representations(lat, *_beta_windows(beta))
@@ -492,11 +488,14 @@ def assemble_coefficient(lat, beta, lam=()):
         raise ValueError("shape has more rows than the genus")
     from fockforms.schur import ssyt_enumerate
 
-    reps = enumerate_representations(lat, beta)
-    coeff = GenusCoefficient(beta, len(reps))
-    for filling in ssyt_enumerate(lam, beta.n):
-        moments = _moments(reps, _column_major_values(lam, filling), lat.rank)
-        coeff.payload[filling_key(filling)] = _harmonic_payload(lat, lam, moments)
+    fillings = ssyt_enumerate(lam, beta.n)
+    slot_lists = [_column_major_values(lam, filling) for filling in fillings]
+    per_pass = max(1, MOMENT_TOTAL // lat.rank ** sum(lam))
+    coeff = GenusCoefficient(beta, 0)
+    for start in range(0, len(fillings), per_pass):
+        coeff.count, moments = _moments(lat, beta, slot_lists[start:start + per_pass])
+        for filling, moment in zip(fillings[start:], moments):
+            coeff.payload[filling_key(filling)] = _harmonic_payload(lat, lam, moment)
     return coeff
 
 

@@ -14,7 +14,9 @@ table as a filter over the full product of entry ranges (against
 theta.series_betas, which grows PSD blocks row by row); the log theta bound
 one value at a time (against the array pass of cli's work bound); the
 representation search with one boolean mask per shell (against theta's
-windowed search: its binned tables, single-beta counts and listings); solve
+windowed search: its binned tables, single-beta counts and listings); the
+listing of every tuple from the search's blocks, which the payload tests sum
+moment_oracle over (against theta's moments, read from the blocks); solve
 and nullspace for exact rational matrices (against linalg's elimination);
 the Schwartz forms phi_nq0 and phi_0ell summed over every index tuple
 (against the products of linear forms in fockforms.forms); and the Fock-model
@@ -34,7 +36,7 @@ from fockforms.scalars import MINUS_I_4PI, QQ, Scalar
 from fockforms.schur import (_accum, all_words, assert_traceless, contract_vec,
                              insert_pair_word, omega_eigenvalues, pair_positions,
                              perm_act_word, remove_pair_word, word_index)
-from fockforms.theta import BetaMatrix
+from fockforms.theta import BetaMatrix, _beta_windows, _search
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +215,26 @@ def _log_theta(a):
         scale, a = 0.5 * math.log(math.pi / a), math.pi ** 2 / a
     tail = math.exp(-9 * a) / -math.expm1(-7 * a)
     return scale + math.log1p(2 * (math.exp(-a) + math.exp(-4 * a) + tail))
+
+
+def enumerate_representations(lat, beta):
+    """All ordered tuples (x_1..x_n) with (x_i, x_j) = 2 beta_{ij}, n = beta.n,
+    as an int64 array (reps, n, m) in lexicographic order: each block of
+    theta's search at beta's windows gives the row numbers of its index-0
+    entries, and each shell gathers its column once.  Negative diagonal
+    targets give no rows."""
+    n, picks = beta.n, []
+    for index, path, a, b in _search(lat, *_beta_windows(beta)):
+        hit_a, hit_b = np.nonzero(index == 0)
+        pick = np.empty((len(hit_a), len(path) + 2), dtype=np.int64)
+        pick[:, :-2] = path
+        pick[:, -2], pick[:, -1] = a[hit_a], b[hit_b]
+        picks.append(pick)
+    rows = np.concatenate(picks) if picks else np.zeros((0, max(n, 2)), dtype=np.int64)
+    out = np.empty((len(rows), n, lat.rank), dtype=np.int64)
+    for i in range(n):  # a padding shell's column comes first and is dropped
+        out[:, i] = lat.shell(beta.doubled[i][i], column=i)[rows[:, i - n]]
+    return out
 
 
 def masked_representations(lat, beta):

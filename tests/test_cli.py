@@ -813,6 +813,21 @@ def test_run_switches_gc_off_and_freezes_at_exit(monkeypatch):
     assert seen == [False] * 4
 
 
+def test_run_defaults_openblas_to_one_thread(monkeypatch):
+    """cli.run sets OPENBLAS_NUM_THREADS to 1 before main when it is unset,
+    and keeps a value the caller set."""
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(dict(os.environ)))
+    try:
+        for environ in ({}, {"OPENBLAS_NUM_THREADS": "3"}):
+            monkeypatch.setattr(os, "environ", environ)
+            cli.run()
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    assert seen == [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "3"}]
+
+
 def test_main_keeps_the_collector(capsys):
     """In-process callers of main keep the cyclic gc and an unfrozen heap."""
     assert gc.isenabled() and gc.get_freeze_count() == 0

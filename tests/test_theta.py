@@ -24,13 +24,12 @@ from fockforms.theta import (
     _column_major_values,
     assemble_coefficient,
     count_representations,
-    enumerate_representations,
     filling_key,
     series_betas,
     series_table,
 )
-from oracles import (harmonic_project_vec, masked_representations, moment_oracle,
-                     series_betas_filter)
+from oracles import (enumerate_representations, harmonic_project_vec, masked_representations,
+                     moment_oracle, series_betas_filter)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -496,13 +495,16 @@ def test_binned_counts_in_blocks(monkeypatch):
 
 def test_enumerators_leave_no_garbage(z4, e8):
     """The search, the shell descent, the tableau and partition generators
-    recurse at module level: with caches warm, no call leaves a reference
-    cycle for the cyclic gc to free."""
+    recurse at module level, and the payload moments read the search's
+    blocks: with caches warm, no call leaves a reference cycle for the
+    cyclic gc to free."""
     calls = [
         lambda: series_table(z4, n=2, bound=1),
         lambda: assemble_coefficient(z4, BetaMatrix.diagonal([1, 1]), (2, 2)),
+        lambda: assemble_coefficient(z4, BetaMatrix.diagonal([1, 1, 1]), (2, 1)),
         lambda: count_representations(e8, (1, 1, 1)),
-        lambda: enumerate_representations(e8, BetaMatrix.diagonal([1, 1])),
+        lambda: list(theta._moments(e8, BetaMatrix.diagonal([1, 1]),
+                                    [[1, 2, 1, 2], [1, 1, 1, 2]])[1]),
         lambda: Lattice.load(FIXTURES / "z4.json").shell(2),
         lambda: ssyt_enumerate((2, 1), 3),
         lambda: partitions_of(5),
@@ -652,6 +654,26 @@ def test_payload_filling_count(z4):
     assert sorted(c2.payload) == ["1,1", "1,2", "2,2"]
 
 
+def test_fillings_share_passes_within_moment_total(monkeypatch):
+    """Fillings whose moment arrays pass MOMENT_TOTAL entries are summed in
+    several passes of the search (here 5 of the 6 fillings of (2) at genus 3,
+    then 1), with the count and payloads of one pass."""
+    lat = Lattice([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 4, 1], [0, 0, 1, 6]])
+    beta = BetaMatrix([[2, -1, -1], [-1, 2, 1], [-1, 1, 4]])
+    whole = assemble_coefficient(lat, beta, (2,))
+    passes, real = [], theta._moments
+
+    def spy(lat, beta, slot_lists):
+        passes.append(len(slot_lists))
+        return real(lat, beta, slot_lists)
+
+    monkeypatch.setattr(theta, "_moments", spy)
+    monkeypatch.setattr(theta, "MOMENT_TOTAL", 5 * 4 ** 2)
+    split = assemble_coefficient(lat, beta, (2,))
+    assert passes == [5, 1] and split.count == whole.count == 12
+    assert split.payload == whole.payload and all(whole.payload.values())
+
+
 def dict_path_payload(lat, beta, lam):
     """The dict composition that the integer-array path must equal: for each
     filling, harmonic_project_vec(young_apply_vec(lam, moment_oracle(...)),
@@ -736,6 +758,33 @@ def test_array_path_leaves_int64(monkeypatch):
         assert object in chosen, lam
         assert got == dict_path_payload(lat, beta, lam)
         assert any(got.values())
+
+
+def test_payloads_follow_column_signs():
+    """The sign part of the GL_n(Z) law: negating row and column i of beta
+    off the diagonal negates x_i in every tuple (the cosets have modulus 2,
+    so -h = h), which multiplies a filling's payload by (-1)^(number of i's
+    in it).  Checked on every genus-2 and genus-3 case of array_path_cases
+    and every column: at genus 2 for every shape of degree 2 or 4, at genus 3
+    for those with rows of at most two boxes (the fillings 1,1|2,3 and
+    1,2|3,3 read columns an odd number of times)."""
+    checked = nonzero = 0
+    for lat, beta in [case for case in array_path_cases() if case[1].n > 1]:
+        for lam in [lam for ell in (2, 4) for lam in partitions_of(ell)
+                    if len(lam) <= beta.n and (beta.n == 2 or lam[0] <= 2)]:
+            base = assemble_coefficient(lat, beta, lam)
+            for i in range(beta.n):
+                sign = [-1 if k == i else 1 for k in range(beta.n)]
+                moved = assemble_coefficient(lat, BetaMatrix(
+                    [[sign[r] * sign[c] * v for c, v in enumerate(row)]
+                     for r, row in enumerate(beta.doubled)]), lam)
+                assert moved.count == base.count
+                for key, terms in base.payload.items():
+                    flip = (-1) ** key.replace("|", ",").split(",").count(str(i + 1))
+                    want = {w: flip * v for w, v in terms.items()}
+                    assert moved.payload[key] == want, key
+                    checked, nonzero = checked + 1, nonzero + bool(terms)
+    assert (checked, nonzero) == (792, 368)
 
 
 # ---------------------------------------------------------------------------
@@ -1201,31 +1250,77 @@ def test_filling_key_format():
     assert filling_key(((1, 2), (2,))) == "1,2|2"
 
 
+def z3_coset(skew):
+    """Z^3 (gram 2I) in the basis e1, skew e1 + e2, e3, column 1 in the coset
+    (1, 1, 1) mod 3 and columns 2 and 3 in 3Z^3.  Column 1's coset is not
+    closed under x -> -x, so odd moments need not vanish; skew is a multiple
+    of 3, so the cosets keep their shifts."""
+    u = [[1, skew, 0], [0, 1, 0], [0, 0, 1]]
+    gram = [[sum(2 * u[k][i] * u[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    return Lattice(gram, coset_h=[[1, 1, 1], [0, 0, 0], [0, 0, 0]], modulus=3)
+
+
 @pytest.mark.parametrize("slots", [[1, 1, 1], [1, 2, 2, 1], [3, 1, 2, 1]])
 def test_moments_across_chunks(monkeypatch, slots):
-    """Chunks of a few rows, the last one partial (23 representations, at
-    most 40 entries per operand block), give the oracle's moments on one,
-    two and three slot groups, from int64 and from Python-int coordinates,
-    and past int64."""
-    rng = random.Random(22)
-    coords = np.array([[[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-                       for _ in range(23)], dtype=np.int64)
-    monkeypatch.setattr(theta, "MOMENT_ENTRIES", 40)
-    for arr in (coords, coords.astype(object), coords << 40):
-        moments = theta._moments(arr, slots, 3)
-        assert theta._nonzero_terms(moments) == moment_oracle(arr.tolist(), slots, 3)
-        assert moments.any()
+    """Chunks of one row or a few, the last one partial (at most 1, 4, 13 or
+    40 entries per operand), give the oracle's moments on one, two and three
+    slot groups, in int64, in Python ints, and past int64 (skew 3 * 2^20,
+    coordinates near 2^23), over the 24 betas of two genus-3 diagonals."""
+    nonzero, biggest = 0, 0
+    for skew, dtype in ((0, None), (0, object), (3 << 20, None)):
+        lat = z3_coset(skew)
+        if dtype is object:
+            monkeypatch.setattr(theta, "exact_dtype", lambda *args: object)
+        betas = [b for diag in ((3, 18, 18), (11, 18, 18))
+                 for b in count_representations(lat, diag)]
+        for entries in (1, 4, 13, 40):
+            monkeypatch.setattr(theta, "MOMENT_ENTRIES", entries)
+            for beta in betas:
+                reps = masked_representations(lat, beta)
+                count, (moments,) = theta._moments(lat, beta, [slots])
+                assert count == len(reps)
+                assert theta._nonzero_terms(moments) == moment_oracle(reps, slots, 3)
+                nonzero += bool(moments.any())
+                if skew or dtype:
+                    assert moments.dtype == object
+                    biggest = max(biggest, int(np.abs(moments).max()))
+        monkeypatch.undo()
+    assert len(betas) == 24 and nonzero >= 3 * 4 * 20 and biggest > 2 ** 63
+
+
+def test_moments_read_two_path_rows():
+    """At genus 4 the first two vectors are the search's path, and the
+    moments multiply their rows' monomials in front of each block: on a
+    rank-3 lattice the kernel equals the oracle for slots on both path
+    columns, on the path and the last pair, and on the last pair alone."""
+    lat = Lattice([[2, 1, 0], [1, 2, 1], [0, 1, 4]])
+    nonzero = 0
+    for diag in ((1, 1, 1, 1), (1, 2, 1, 2)):
+        for beta in list(count_representations(lat, diag))[:4]:
+            reps = masked_representations(lat, beta)
+            for slots in ([1, 2, 1, 2], [2, 1, 4, 3], [1, 1, 2], [3, 4, 4, 3]):
+                count, (moments,) = theta._moments(lat, beta, [slots])
+                assert count == len(reps)
+                assert theta._nonzero_terms(moments) == moment_oracle(reps, slots, 3)
+                nonzero += bool(moments.any())
+    assert nonzero == 24
 
 
 def test_moment_overflow_guard():
-    # sums of products of four coordinates near 2^16 pass 2^62, so the
-    # moments leave int64 and must equal the Python-int outer-product sum
+    # Z^2 in the basis (1, 0), (2^16, 1): the norm-2 shell's coordinates are
+    # near 2^16, so degree-4 sums pass 2^62, the moments leave int64 and must
+    # equal the Python-int outer-product sum
     big = 1 << 16
-    reps = [((big, big),)] * 4 + [((big, -big),), ((3, big + 1),)]
+    lat = Lattice([[1, big], [big, big * big + 1]])
+    shell = [tuple(x) for x in lat.shell(2).tolist()]
+    assert len(shell) == 4 and max(abs(v) for x in shell for v in x) >= big - 1
     want = {}
-    for (x,) in reps:
+    for x in shell:
         for w in itertools.product((1, 2), repeat=4):
             want[w] = want.get(w, 0) + math.prod(x[i - 1] for i in w)
+    assert max(map(abs, want.values())) > 2 ** 62
     want = {w: QQ(v) for w, v in want.items() if v}
-    moments = theta._moments(np.array(reps, dtype=np.int64), [1, 1, 1, 1], 2)
+    count, (moments,) = theta._moments(lat, BetaMatrix.diagonal([1]), [[1, 1, 1, 1]])
+    assert count == 4 and moments.dtype == object
+    reps = [(x,) for x in shell]
     assert theta._nonzero_terms(moments) == moment_oracle(reps, [1, 1, 1, 1], 2) == want
