@@ -349,86 +349,91 @@ def _nonzero_terms(arr):
     return dict(zip(map(tuple, (np.transpose(idx) + 1).tolist()), arr[idx].tolist()))
 
 
-# entries of one operand of the moment matmul, and of the moment arrays one
-# pass of _moments fills; they bound the payload's memory
+# entries of one operand of the moment matmul, and of the sorted-monomial
+# sums one pass of _moments holds; they bound the payload's memory
 MOMENT_ENTRIES, MOMENT_TOTAL = 2 ** 14, 2 ** 20
 
 
 def _moments(lat, beta, slot_lists):
     """beta's tuple count, and per slot list (the column each slot reads,
     from 1) the (m,)*ell sum over beta's tuples of the outer product of those
-    columns, from one pass of _search.  F_t(x) holds the products of x on the
-    sorted index tuples of the slots reading shell t ([1] for none); a block
-    with hits H = [index == 0] on rows a and columns b of the last two shells
-    adds F(path rows) (x) F_a^T H F_b, F_b's last letter summed against b's
-    coordinates by a matmul of MOMENT_ENTRIES-entry operands.  Exact: int64
-    if prod |shell| times the largest coordinate ** ell fits, or Python ints."""
-    (diag, windows), ell = _beta_windows(beta), len(slot_lists[0])
-    shells, count, jobs = _shells(lat, diag), 0, []
+    columns.  One pass of _search sums, per degrees (the slots reading each
+    shell), the product over the shells of F^k(x), x's monomials on sorted
+    k-tuples: a block with hits H = [index == 0] on rows a, columns b of the
+    last two shells adds F(path rows) (x) F_a^T H F_b, each factor formed
+    once per degree.  Exact: int64 if prod |shell| max|x| ** ell fits, else
+    Python ints."""
+    (diag, windows), m = _beta_windows(beta), lat.rank
+    shells, count = _shells(lat, diag), 0
     biggest = max(int(np.abs(s).max(initial=0)) for s in shells)
-    exact = exact_dtype(math.prod(map(len, shells)) * biggest ** ell)
+    exact = exact_dtype(math.prod(map(len, shells)) * biggest ** len(slot_lists[0]))
     vecs = [s.astype(exact, copy=False) for s in shells]
-    for slots in slot_lists:
-        # the layout is cached per pattern of groups, whatever columns they read
-        read = sorted(set(slots))  # column c is shell c - 1 + len(shells) - n
-        layout, gather = _symmetric_layout(lat.rank, tuple(
-            tuple(s for s, c in enumerate(slots) if c == col) for col in read))
-        chains = [layout[read.index(c)] if c in read else []
-                  for c in range(beta.n + 1 - len(shells), beta.n + 1)]
-        # a shell b that no slot reads stands as one letter, a column of ones
-        *head, last = chains[-1] or [(np.zeros(1, dtype=np.int64),) * 2]
-        cols = vecs[-1] if chains[-1] else np.ones((len(vecs[-1]), 1), dtype=exact)
-        size = math.prod(len(chain[-1][0]) if chain else 1 for chain in chains)
-        jobs.append((chains, head, last, gather, cols, np.zeros(size, dtype=exact)))
+    columns = range(beta.n + 1 - len(shells), beta.n + 1)  # the one shell t reads
+    degrees = [tuple(map(slots.count, columns)) for slots in slot_lists]
+    sums = {d: np.zeros(math.prod(math.comb(m + k - 1, k) for k in d), dtype=exact)
+            for d in degrees}
     for index, path, a, b in _search(lat, diag, windows):
         hits = (index == 0).astype(exact)
-        count += int(np.count_nonzero(hits))
-        for chains, head, (parent, letter), _, cols, total in jobs:
-            weights, block = hits.T @ _monomials(vecs[-2][a], chains[-2]), 0
-            # the operands: parent[-1] + 1 (k - 1)-tuples and weights x cols per row
-            step = max(1, MOMENT_ENTRIES // max(parent[-1] + 1, weights.shape[1] * cols.shape[1]))
-            for r0 in range(0, len(b), step):
-                part = cols[b[r0:r0 + step]]
-                right = (weights[r0:r0 + step, :, None] * part[:, None, :]).reshape(len(part), -1)
-                block += _monomials(part, head).T @ right
-            block = block.reshape(len(block), -1, cols.shape[1])[parent, :, letter].T
-            prefix = functools.reduce(np.outer, (_monomials(vecs[t][j:j + 1], chains[t])
-                                                 for t, j in enumerate(path) if chains[t]), 1)
-            total += np.multiply.outer(np.ravel(prefix), block).ravel()
-    return count, (total[gather].reshape((lat.rank,) * ell) for *_, gather, _, total in jobs)
+        if hits.any():  # else the block adds nothing
+            count += int(np.count_nonzero(hits))
+            rows = {(t, d[t]): _monomials(vecs[t][j:j + 1], d[t])[0]
+                    for d in sums for t, j in enumerate(path) if d[t]}
+            xa, xb = vecs[-2][a], vecs[-1][b]
+            pairs = {p: _last_pair(hits, xa, xb, *p) for p in {d[-2:] for d in sums}}
+            for d, total in sums.items():
+                total += functools.reduce(np.multiply.outer, [
+                    *(rows[t, k] for t, k in enumerate(d[:-2]) if k), pairs[d[-2:]]]).ravel()
+    # the layout is cached per pattern of groups, whatever columns they read
+    return count, (sums[d][_symmetric_layout(m, tuple(
+        tuple(s for s, c in enumerate(slots) if c == col) for col in sorted(set(slots))))]
+        .reshape((m,) * len(slots)) for d, slots in zip(degrees, slot_lists))
 
 
-def _monomials(x, chain):
-    """Each row's products on chain's sorted tuples: prefix times letter."""
+def _last_pair(hits, xa, xb, ka, kb):
+    """F^ka(xa)^T hits F^kb(xb), by MOMENT_ENTRIES-entry matmuls of each
+    row's (kb - 1)-tuples and its weights times its letters."""
+    weights, block = hits.T @ _monomials(xa, ka), 0
+    cols = xb if kb else np.ones((len(xb), 1), dtype=xb.dtype)  # the empty tuple
+    parent, letter = _chain(cols.shape[1], max(kb, 1))[-1]
+    step = max(1, MOMENT_ENTRIES // max(parent[-1] + 1, weights.shape[1] * cols.shape[1]))
+    for r0 in range(0, len(cols), step):
+        part = cols[r0:r0 + step]
+        right = (weights[r0:r0 + step, :, None] * part[:, None, :]).reshape(len(part), -1)
+        block += _monomials(part, max(kb - 1, 0)).T @ right
+    return block.reshape(len(block), -1, cols.shape[1])[parent, :, letter].T
+
+
+def _monomials(x, k):
+    """Each row's products on the sorted k-tuples: prefix times letter."""
     block = np.ones((len(x), 1), dtype=x.dtype)
-    for parent, letter in chain:
+    for parent, letter in _chain(x.shape[1], k):
         block = block[:, parent] * x[:, letter]
     return block
 
 
 @functools.lru_cache(maxsize=16)
+def _chain(m, k):
+    """For d = 1..k, each sorted d-tuple of letters below m (in lexicographic
+    order) as its parent, the rank of its (d - 1)-prefix, and its last letter."""
+    last, chain = np.zeros(1, dtype=np.int64), []  # a leading 0
+    for _ in range(k):  # each sorted tuple times every letter from its last on
+        parent, last = np.nonzero(np.arange(m) >= last[:, None])
+        chain.append((parent, last))
+    return chain
+
+
+@functools.lru_cache(maxsize=16)
 def _symmetric_layout(m, groups):
-    """For slot groups (tuples of slots), each group's chain: for d = 1..k,
-    the parent (the rank of the (d - 1)-prefix) and the last letter of each
-    sorted d-tuple, in lexicographic order; and for every word of (m,)*ell in
-    C order the flat position of its entry in the product of the groups'
-    blocks: each group's sorted letters are ranked among its k-tuples, and
-    the ranks combined in mixed radix."""
+    """The flat position of every word of (m,)*ell, in C order, in the
+    product of the slot groups' sorted-tuple blocks: the rank of each group's
+    sorted letters among all sorted tuples, in mixed radix."""
     ell = sum(map(len, groups))
-    words = np.indices((m,) * ell).reshape(ell, -1)
-    chains, flat = [], np.zeros(m ** ell, dtype=np.int64)
+    words, flat = np.indices((m,) * ell).reshape(ell, -1), 0
     for slots in groups:
-        combo, chain = np.zeros((1, 1), dtype=np.int64), []  # after a leading 0
-        for _ in slots:  # each sorted tuple times every letter from its last on
-            parent, letter = np.nonzero(np.arange(m) >= combo[:, -1:])
-            combo = np.column_stack([combo[parent], letter])
-            chain.append((parent, letter))
-        radix = m ** np.arange(len(slots), -1, -1)
-        rank = np.zeros(m ** len(slots), dtype=np.int64)
-        rank[combo @ radix] = np.arange(len(combo))
-        flat = flat * len(combo) + rank[radix[1:] @ np.sort(words[list(slots)], axis=0)]
-        chains.append(chain)
-    return chains, flat
+        radix = m ** np.arange(len(slots) - 1, -1, -1)
+        tuples, rank = np.unique(radix @ np.sort(words[list(slots)], axis=0), return_inverse=True)
+        flat = flat * len(tuples) + rank
+    return flat
 
 
 def _harmonic_payload(lat, lam, moments):
@@ -490,12 +495,16 @@ def assemble_coefficient(lat, beta, lam=()):
 
     fillings = ssyt_enumerate(lam, beta.n)
     slot_lists = [_column_major_values(lam, filling) for filling in fillings]
-    per_pass = max(1, MOMENT_TOTAL // lat.rank ** sum(lam))
+    # passes end where the fillings' running entry count crosses a multiple of MOMENT_TOTAL
+    ends = np.cumsum([math.prod(math.comb(lat.rank + slots.count(c) - 1, slots.count(c))
+                                for c in set(slots)) for slots in slot_lists]) // MOMENT_TOTAL
     coeff = GenusCoefficient(beta, 0)
-    for start in range(0, len(fillings), per_pass):
-        coeff.count, moments = _moments(lat, beta, slot_lists[start:start + per_pass])
-        for filling, moment in zip(fillings[start:], moments):
+    for _, run in itertools.groupby(zip(ends.tolist(), fillings, slot_lists), lambda j: j[0]):
+        _, part, slots = zip(*run)
+        coeff.count, moments = _moments(lat, beta, slots)
+        for filling, moment in zip(part, moments):
             coeff.payload[filling_key(filling)] = _harmonic_payload(lat, lam, moment)
+        del moments  # this pass's sums, before the next pass makes its own
     return coeff
 
 

@@ -655,9 +655,10 @@ def test_payload_filling_count(z4):
 
 
 def test_fillings_share_passes_within_moment_total(monkeypatch):
-    """Fillings whose moment arrays pass MOMENT_TOTAL entries are summed in
-    several passes of the search (here 5 of the 6 fillings of (2) at genus 3,
-    then 1), with the count and payloads of one pass."""
+    """Fillings whose sorted-monomial sums pass MOMENT_TOTAL entries are
+    summed in several passes of the search (here the 6 fillings of (2) at
+    genus 3, with 10 or 16 entries each, in two passes of 3), with the count
+    and payloads of one pass."""
     lat = Lattice([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 4, 1], [0, 0, 1, 6]])
     beta = BetaMatrix([[2, -1, -1], [-1, 2, 1], [-1, 1, 4]])
     whole = assemble_coefficient(lat, beta, (2,))
@@ -668,9 +669,9 @@ def test_fillings_share_passes_within_moment_total(monkeypatch):
         return real(lat, beta, slot_lists)
 
     monkeypatch.setattr(theta, "_moments", spy)
-    monkeypatch.setattr(theta, "MOMENT_TOTAL", 5 * 4 ** 2)
+    monkeypatch.setattr(theta, "MOMENT_TOTAL", 50)
     split = assemble_coefficient(lat, beta, (2,))
-    assert passes == [5, 1] and split.count == whole.count == 12
+    assert passes == [3, 3] and split.count == whole.count == 12
     assert split.payload == whole.payload and all(whole.payload.values())
 
 
@@ -1292,18 +1293,22 @@ def test_moments_read_two_path_rows():
     """At genus 4 the first two vectors are the search's path, and the
     moments multiply their rows' monomials in front of each block: on a
     rank-3 lattice the kernel equals the oracle for slots on both path
-    columns, on the path and the last pair, and on the last pair alone."""
+    columns, on the path and the last pair, and on the last pair alone, in
+    one pass for slot lists of one length, where lists that read each
+    column equally often share one sum."""
     lat = Lattice([[2, 1, 0], [1, 2, 1], [0, 1, 4]])
     nonzero = 0
     for diag in ((1, 1, 1, 1), (1, 2, 1, 2)):
         for beta in list(count_representations(lat, diag))[:4]:
             reps = masked_representations(lat, beta)
-            for slots in ([1, 2, 1, 2], [2, 1, 4, 3], [1, 1, 2], [3, 4, 4, 3]):
-                count, (moments,) = theta._moments(lat, beta, [slots])
+            for slot_lists in (([1, 2, 1, 2], [2, 1, 2, 1], [2, 1, 4, 3], [3, 4, 4, 3],
+                                [4, 3, 3, 4]), ([1, 1, 2],)):
+                count, moments = theta._moments(lat, beta, slot_lists)
                 assert count == len(reps)
-                assert theta._nonzero_terms(moments) == moment_oracle(reps, slots, 3)
-                nonzero += bool(moments.any())
-    assert nonzero == 24
+                for slots, moment in zip(slot_lists, moments, strict=True):
+                    assert theta._nonzero_terms(moment) == moment_oracle(reps, slots, 3)
+                    nonzero += bool(moment.any())
+    assert nonzero == 40
 
 
 def test_moment_overflow_guard():
