@@ -134,13 +134,8 @@ def cmd_verify(args):
         "passed": all(r["passed"] for r in rows),
         "reports": rows,
     }
-    emit(doc, args.out, "verify")
-    if args.out:
-        for row in rows:
-            name = "{identity}_p{p}q{q}n{n}l{ell}.json".format(**row)
-            with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
-                json.dump(row, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+    emit(doc, args.out, "verify",
+         [("{identity}_p{p}q{q}n{n}l{ell}".format(**row), row) for row in rows])
     return 0 if doc["passed"] else 1
 
 
@@ -183,7 +178,7 @@ def cmd_theta(args):
 
     try:
         lat = Lattice.load(args.lattice)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         raise InputError(f"cannot load lattice: {exc}")
     lam = parse_partition(args.lam)
     if args.genus < 1 or args.bound < 0:
@@ -289,13 +284,24 @@ def cmd_intertwine(args):
     return 0 if doc["passed"] else 1
 
 
-def emit(doc, out_dir, name):
-    text = json.dumps(doc, indent=1, sort_keys=True)
-    sys.stdout.write(text + "\n")
+def _json_text(doc):
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def emit(doc, out_dir, name, files=()):
+    """Print doc.  With --out, first write it to <name>.json there, and each
+    (file name, document) of files to its own file, so a file that cannot
+    be written exits 2 with an empty stdout."""
+    text = _json_text(doc)
     if out_dir:
-        with open(os.path.join(out_dir, f"{name}.json"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        for file_name, file_text in [(name, text)] + [(n, _json_text(d)) for n, d in files]:
+            try:
+                with open(os.path.join(out_dir, f"{file_name}.json"), "w",
+                          encoding="utf-8") as fh:
+                    fh.write(file_text)
+            except OSError as exc:
+                raise InputError(f"cannot write --out file: {exc}")
+    sys.stdout.write(text)
 
 
 def build_parser():

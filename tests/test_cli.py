@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -106,6 +107,23 @@ def test_out_dir_that_cannot_be_made(monkeypatch, capsys, tmp_path, argv):
         code, out, err = run_main(capsys, *argv, "--out", str(out_dir))
         assert code == 2 and out == ""
         assert "--out" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv,blocked", [
+    (["verify", "--identity", "psi_base", "--p", "1", "--q", "1"], "verify.json"),
+    (["verify", "--identity", "psi_base", "--p", "1", "--q", "1"], "psi_base_p1q1n1l0.json"),
+    (["dims", "--lambda", "2", "--n", "1"], "dims.json"),
+    (["theta", "--lattice", str(FIXTURES / "z1.json")], "theta.json"),
+    (["intertwine-check"], "intertwine-check.json"),
+], ids=["verify", "verify-cell", "dims", "theta", "intertwine-check"])
+def test_out_file_that_cannot_be_written(capsys, tmp_path, argv, blocked):
+    """An --out file that cannot be written, here because a directory holds
+    its name, exits 2 with a JSON error; the files are written before
+    stdout, so stdout stays empty."""
+    (tmp_path / blocked).mkdir()
+    code, out, err = run_main(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "cannot write --out file" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("identity,p,n",
@@ -497,67 +515,6 @@ def test_theta_payload_past_int64(capsys, tmp_path):
     assert len(rows[1]["payload"]["1,1,1,1,1,1,1,1"]) == 256
 
 
-# sha256 of the stdout of each subcommand run with no options, and of theta
-# payload and count runs (lattice file, then options)
-STDOUT_SHA256 = {
-    ("verify",): "a833be960eafeaca62978a3c6b90eacc9607d756a767695d73d11f5f287bf7be",
-    ("dims",): "d25892ecb1d6b7770e2360aaf5267109e95651aa3f13db81f6b012d9702a0199",
-    ("intertwine-check",): "473500f96addba01adea97444a260f85f6b2eb6279b88a21d20913510e91f465",
-    # a single-row cell whose row orbits hold repeated letters
-    ("verify", "--identity", "holomorphicity", "--p", "2", "--q", "1", "--ell", "5"):
-        "cbb527e8104de2a959a8ba85206492c2b48b2e35c19930305c31021de8ea3208",
-}
-THETA_SHA256 = {
-    ("e8.json", "--lambda", "4", "--bound", "3"):
-        "756c101fed6859ec560ccedb3e87e37040c3678c246e2382c0a19d9de63d52cb",
-    ("e8.json", "--lambda", "4", "--bound", "5"):
-        "e73da4f6ca6853bea0b2c9ab8ce1dc75b695ee0036388c570af460d6e1273763",
-    ("e8.json", "--lambda", "2", "--bound", "2"):
-        "a06ebeeefa4fc9ea160b720cf9094e070ac8feb22805a3e8b2cce22df6287360",
-    ("z4.json", "--genus", "2", "--lambda", "2,2", "--bound", "1"):
-        "915860b7b4b4cce2cb69126dcbbbcd61732b83f2e830a740e95196ae00908763",
-    ("z4.json", "--genus", "2", "--lambda", "2,1", "--bound", "1"):
-        "507ca5e9b329f7d734f0140ceb0c03562cebbd39e32cefcea196229d783210b5",
-    ("z4.json", "--genus", "2", "--lambda", "3,1", "--bound", "1"):
-        "e07af3398f562f31dd4ef1c0b697da7442cc403cf42164bdfceb70bb57dc641c",
-    ("z4.json", "--genus", "3", "--lambda", "2,1,1", "--bound", "1"):
-        "4c0b4f5e4c51608a762778386cc90e6571a6ab595a2d30533357d9625d5ad73d",
-    ("z4.json", "--lambda", "3", "--bound", "3"):
-        "4018a24f3fd8cfbf31c1abc69213284a54ed4ed8af8d8c997ae701416134511b",
-    ("z2.json", "--genus", "2", "--lambda", "1,1", "--bound", "2"):
-        "d3b9a19a58b45fb5d945d7c4acf9001973c05c133a4fcf89b78f12df66072dbd",
-    ("z2.json", "--lambda", "4", "--bound", "4"):
-        "7e57d3f426be77153588f16ddc4aa8648bbaa1604fcedbfb45a07a9935dc240b",
-    ("z2.json", "--lambda", "5", "--bound", "3"):
-        "8838e326523016dd60d5d573e344a628dcc58b339d513e02a5807f9a2e6ef261",
-    ("z2.json", "--lambda", "6", "--bound", "3"):
-        "6cd0c870c47c61e7c35452864ff8ded2611c0d5da100b79b66c4c029e1fc2e47",
-    ("z2.json", "--lambda", "8", "--bound", "2"):
-        "9d88aaa0c22fff4113293c1ebc283f526d32435da0263fee62161373dde4443e",
-    ("z2_coset.json", "--lambda", "2", "--bound", "4"):
-        "22ae7198d1518017a6428346f4115a627950a914aef638fc89f0347a8ac0edbe",
-    # the count frontier: 2160^2 pairs and 240^3 triples, binned
-    ("e8.json", "--genus", "2", "--bound", "2"):
-        "c7472cfdd82ba202eb335432f9aa2c7e9010e535b22ef00b187a38522e5fab7a",
-    ("e8.json", "--genus", "3", "--bound", "1"):
-        "b380173f2d0d4a35b58468d976e97d6c108533ce8532ceba957f3867d15d855a",
-}
-
-
-def test_stdout_digests(capsys):
-    """stdout stays byte-identical for the default verify, dims and
-    intertwine-check runs and for the theta payload runs."""
-    runs = dict(STDOUT_SHA256)
-    runs.update({("theta", "--lattice", str(FIXTURES / key[0])) + key[1:]: digest
-                 for key, digest in THETA_SHA256.items()})
-    digests = {}
-    for argv in runs:
-        code, out, _ = run_main(capsys, *argv)
-        assert code == 0, argv
-        digests[argv] = hashlib.sha256(out.encode()).hexdigest()
-    assert digests == runs
-
-
 def test_theta_missing_file(capsys):
     code, _, err = run_main(capsys, "theta", "--lattice", "no_such.json")
     assert code == 2
@@ -583,6 +540,16 @@ def test_theta_rejects_malformed_document(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(doc)
     code, out, err = run_main(capsys, "theta", "--lattice", str(bad))
+    assert code == 2 and out == ""
+    assert "cannot load lattice" in json.loads(err)["error"]
+
+
+def test_theta_lattice_nested_past_decoder_depth(tmp_path, capsys):
+    """A document nested deeper than the JSON decoder's recursion limit
+    exits 2 like any other malformed lattice."""
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"gram": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run_main(capsys, "theta", "--lattice", str(deep))
     assert code == 2 and out == ""
     assert "cannot load lattice" in json.loads(err)["error"]
 
@@ -748,18 +715,12 @@ def test_module_entry_point():
 
 
 def test_module_entry_point_exit_codes(tmp_path):
-    """`python -m fockforms.cli` keeps the documented exit codes: the default
-    verify and dims print their recorded stdout with exit 0, and a malformed
-    lattice or argument exits 2 with nothing on stdout, the lattice with a
-    JSON error on stderr."""
+    """`python -m fockforms.cli` exits 2 with nothing on stdout on a malformed
+    lattice or argument, the lattice with a JSON error on stderr."""
     def module(*argv):
         return subprocess.run([sys.executable, "-m", "fockforms.cli", *argv],
                               capture_output=True, text=True, timeout=120)
 
-    for argv in (("verify",), ("dims",)):
-        proc = module(*argv)
-        assert proc.returncode == 0, proc.stderr
-        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[argv]
     bad = tmp_path / "bad.json"
     bad.write_text('{"gram": [[1, 2], [2, 1]]}')
     proc = module("theta", "--lattice", str(bad))
@@ -767,6 +728,92 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert "cannot load lattice" in json.loads(proc.stderr)["error"]
     proc = module("verify", "--p", "x")
     assert proc.returncode == 2 and proc.stdout == ""
+
+
+# (command, sha256 of its stdout): every recorded run of `python -m
+# fockforms.cli`, each in a fresh process; a lattice is a tests/fixtures file
+RECORDED_STDOUT = [
+    # each subcommand with no options
+    ("verify", "a833be960eafeaca62978a3c6b90eacc9607d756a767695d73d11f5f287bf7be"),
+    ("dims", "d25892ecb1d6b7770e2360aaf5267109e95651aa3f13db81f6b012d9702a0199"),
+    ("intertwine-check", "473500f96addba01adea97444a260f85f6b2eb6279b88a21d20913510e91f465"),
+    # the default grid through the process pool, which its reports cross pickled
+    ("verify --jobs 2", "a833be960eafeaca62978a3c6b90eacc9607d756a767695d73d11f5f287bf7be"),
+    # a single-row cell whose row orbits hold repeated letters
+    ("verify --identity holomorphicity --p 2 --q 1 --ell 5", "cbb527e8104de2a959a8ba85206492c2b48b2e35c19930305c31021de8ea3208"),
+    # the forms' Young step at a degree with 720 row permutations
+    ("verify --identity holomorphicity --p 2 --q 1 --ell 6", "4d22ec6b18a3ad2618b07a9535c59940d1db310421814dddf832caba18b6480e"),
+    # the forms' harmonic projector, schur.harmonic_apply_vec, at m = 4 in both signatures
+    ("verify --identity holomorphicity --p 2 --q 2 --ell 4", "9449f3b570db782734d7d73d31bc0218eb7e4b0c02611e8a3e974c544a37a901"),
+    ("verify --identity holomorphicity --p 3 --q 1 --ell 4", "b2a138a985f14ceb58bbed2fe9d399cdad94ddf432d9d99abe7336eb39bc3c2b"),
+    # the largest same-coefficient d_operator sums: op_sum adds each image term once
+    ("verify --identity recursion --p 3 --q 3 --ell 4", "b22662771f9de4253a3bddbf5cebf73196986280f828c27a6e10cbb55bb5ef24"),
+    # the shared-form memo's d images: d of the lowering primitive, the graded pieces of d psi
+    ("verify --identity lowering --p 3 --q 3 --ell 4", "f93cec0b4cfc9c22a597889802256506ca9d9c4e70c1763c6ef54ddbbe1ee8a1"),
+    ("verify --identity lemma4b --p 3 --q 3 --ell 4", "ee61a29ef820f9afd8261321d1ec803337078f4a3b561c17f564fc7c21987343"),
+    # the metric correction's "plus" and "minus" modes above the default grid's ell <= 3
+    ("verify --identity lem3a --p 3 --q 3 --ell 4", "31a5f191615a9c1e1c832e3d9b02abb2a8ad2f78e67b8da40590e8630597093a"),
+    ("verify --identity prop3a --p 3 --q 3 --ell 4", "dd68985400fde5604e12449b4d952478636fdaaee16f34cd96cc308c5895738a"),
+    ("verify --identity lemma4a --p 3 --q 3 --ell 4", "c323de1e26169a7e4e23c497737e9797ec582208a726784976ad6d7887e572e8"),
+    # the packed MixedForm term keys at the largest p and q, and one degree up
+    ("verify --identity recursion --p 4 --q 4 --ell 3", "9d852d326ee8624ca2c4e51c46604ded575bb116c67b4881a4641047cca7c3c6"),
+    ("verify --identity recursion --p 4 --q 4 --ell 4", "ddd6623a5ca0076092f3041f74092c8c851d152b4b2b38fb48710f7180c419ee"),
+    # an n = 3 frontier cell: phi_nq0 as a product of linear forms, the folded omega_kprime
+    ("verify --identity kprime --p 3 --q 4 --n 3 --ell 1", "12ea4bd7957de01e8b9594774b732fe2fbd5988b382e15c2ab37e2700b8e623a"),
+    # the o(3) check of sigma: the commutator with omega(X) against the moved letters
+    ("verify --identity sigma_gl --p 3 --q 4 --n 3 --ell 2", "26af7d3c0075fde667fd81039015ac523516a105542ed35a2dc3efb31eaa6b67"),
+    ("verify --identity sigma_gl --p 4 --q 4 --n 3 --ell 2", "c65c7fdee09a4a7eebb8a445d0c0d4af0744957767949e0410badf3b70fafc56"),
+    # tensor_permute's one caller above the default grid's (2, 1, 2) and ell <= 2
+    ("verify --identity equivariance --p 3 --q 3 --n 3 --ell 3", "7f6ad45a05c7d83c41e634cf79470cf5ac53453f37070e16764028182e18ebbc"),
+    # theta payload tables at genus 1 to 3, on a coset lattice too
+    ("theta --lattice e8.json --lambda 4 --bound 3", "756c101fed6859ec560ccedb3e87e37040c3678c246e2382c0a19d9de63d52cb"),
+    ("theta --lattice e8.json --lambda 4 --bound 5", "e73da4f6ca6853bea0b2c9ab8ce1dc75b695ee0036388c570af460d6e1273763"),
+    ("theta --lattice e8.json --lambda 2 --bound 2", "a06ebeeefa4fc9ea160b720cf9094e070ac8feb22805a3e8b2cce22df6287360"),
+    ("theta --lattice z4.json --genus 2 --lambda 2,2 --bound 1", "915860b7b4b4cce2cb69126dcbbbcd61732b83f2e830a740e95196ae00908763"),
+    ("theta --lattice z4.json --genus 2 --lambda 2,1 --bound 1", "507ca5e9b329f7d734f0140ceb0c03562cebbd39e32cefcea196229d783210b5"),
+    ("theta --lattice z4.json --genus 2 --lambda 3,1 --bound 1", "e07af3398f562f31dd4ef1c0b697da7442cc403cf42164bdfceb70bb57dc641c"),
+    ("theta --lattice z4.json --genus 3 --lambda 2,1,1 --bound 1", "4c0b4f5e4c51608a762778386cc90e6571a6ab595a2d30533357d9625d5ad73d"),
+    ("theta --lattice z4.json --lambda 3 --bound 3", "4018a24f3fd8cfbf31c1abc69213284a54ed4ed8af8d8c997ae701416134511b"),
+    ("theta --lattice z2.json --genus 2 --lambda 1,1 --bound 2", "d3b9a19a58b45fb5d945d7c4acf9001973c05c133a4fcf89b78f12df66072dbd"),
+    ("theta --lattice z2.json --lambda 4 --bound 4", "7e57d3f426be77153588f16ddc4aa8648bbaa1604fcedbfb45a07a9935dc240b"),
+    ("theta --lattice z2.json --lambda 5 --bound 3", "8838e326523016dd60d5d573e344a628dcc58b339d513e02a5807f9a2e6ef261"),
+    ("theta --lattice z2.json --lambda 6 --bound 3", "6cd0c870c47c61e7c35452864ff8ded2611c0d5da100b79b66c4c029e1fc2e47"),
+    ("theta --lattice z2.json --lambda 8 --bound 2", "9d88aaa0c22fff4113293c1ebc283f526d32435da0263fee62161373dde4443e"),
+    ("theta --lattice z2_coset.json --lambda 2 --bound 4", "22ae7198d1518017a6428346f4115a627950a914aef638fc89f0347a8ac0edbe"),
+    # the count frontier: E8's 2160^2 pairs and 240^3 triples, binned one diagonal at a time
+    ("theta --lattice e8.json --genus 2 --bound 2", "c7472cfdd82ba202eb335432f9aa2c7e9010e535b22ef00b187a38522e5fab7a"),
+    ("theta --lattice e8.json --genus 3 --bound 1", "b380173f2d0d4a35b58468d976e97d6c108533ce8532ceba957f3867d15d855a"),
+    # the same table with its diagonals fanned out over a process pool
+    ("theta --lattice e8.json --genus 3 --bound 1 --jobs 2", "b380173f2d0d4a35b58468d976e97d6c108533ce8532ceba957f3867d15d855a"),
+    # the payload frontier on E8 + E8: integer arrays from the search's blocks to the Young step
+    ("theta --lattice e8e8.json --lambda 4 --bound 2", "88be14f3a2a600e58e6a3c51c2a3f00bf0e7c5ed484b2dede262c7d6ce942960"),
+    ("theta --lattice e8e8.json --genus 2 --lambda 2,2 --bound 1", "f3f57443081811e500a3ca0e3ec0d5f02c281087688a152ebaaf1fd1361ffc49"),
+    # the one payload case whose search blocks carry a path prefix, all six fillings in one pass
+    ("theta --lattice rank4.json --genus 3 --lambda 2,2 --bound 1", "7e1c9c15210834bd104e7c687182652629d9f9544bd7c631bbf7ca1874562fba"),
+]
+
+
+@pytest.mark.parametrize("command,digest", RECORDED_STDOUT,
+                         ids=[command for command, _ in RECORDED_STDOUT])
+def test_recorded_stdout(command, digest):
+    """Each recorded command exits 0 and prints its recorded stdout, run as
+    users run it: `python -m fockforms.cli` in a fresh process, through
+    cli.run, on the package this test imported."""
+    argv = [str(FIXTURES / arg) if arg.endswith(".json") else arg
+            for arg in command.split()]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "fockforms.cli", *argv], env=env,
+                          capture_output=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_workflow_digests_are_recorded():
+    """Every sha256 the CI workflow checks is a digest of the recorded table,
+    so the two cannot drift apart."""
+    workflow = (SRC.parent / ".github" / "workflows" / "tests.yml").read_text()
+    digests = set(re.findall(r"\b[0-9a-f]{64}\b", workflow))
+    assert digests and digests <= {digest for _, digest in RECORDED_STDOUT}
 
 
 def test_module_and_script_enter_through_run():

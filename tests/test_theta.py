@@ -704,7 +704,7 @@ def array_path_cases():
     half = Lattice([[1, "1/2"], ["1/2", 2]])
     q23 = Lattice([[4, 1], [1, 6]])
     rank3 = Lattice([[2, 1, 0], [1, 2, 1], [0, 1, 4]])
-    rank4 = Lattice([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 4, 1], [0, 0, 1, 6]])
+    rank4 = Lattice.load(FIXTURES / "rank4.json")
     coset1 = Lattice.load(FIXTURES / "z2_coset.json")
     coset2 = Lattice([[1, 0], [0, 1]], coset_h=[[1, 0], [1, 1]], modulus=2)
     rng = random.Random(8)
@@ -1036,6 +1036,12 @@ def e8_e8_gram():
     """E8 + E8: the E8 fixture's gram doubled along the block diagonal."""
     e8 = json.loads((FIXTURES / "e8.json").read_text())["gram"]
     return [row + [0] * 8 for row in e8] + [[0] * 8 + row for row in e8]
+
+
+def test_e8_e8_fixture_is_the_doubled_gram():
+    """tests/fixtures/e8e8.json, which the recorded CLI runs read, is the gram
+    that e8_e8_gram builds."""
+    assert json.loads((FIXTURES / "e8e8.json").read_text()) == {"gram": e8_e8_gram()}
 
 
 def d16_plus_gram():
